@@ -382,5 +382,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ds.group_commit_batches),
               static_cast<unsigned long long>(ds.commit_sync_requests),
               ds.commits_per_fsync);
+  std::printf("locks: deadlocks=%llu\n",
+              static_cast<unsigned long long>(ds.lock_deadlocks));
   return 0;
 }

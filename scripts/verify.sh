@@ -121,12 +121,14 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # bufferpool_test rides along for the pool's pin/evict/writeback races and
   # the group-commit leader/follower handoff; shard_test for the router's
   # cross-shard 2PC paths (per-shard engines + the coordinator's decision
-  # log) under the differential TPC-C run.
+  # log) under the differential TPC-C run, and with storage_test for the
+  # threaded deadlock-detection cases (lock tables + the shared wait-for
+  # graph).
   run cmake --build build-tsan -j "$JOBS" --target enclave_test net_test \
       server_test batch_equiv_test net_scale_test overload_test \
-      bufferpool_test shard_test
+      bufferpool_test shard_test storage_test
   TSAN_OPTIONS=halt_on_error=1 run ctest --test-dir build-tsan \
-      -R 'enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test' \
+      -R 'enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test|storage_test' \
       --output-on-failure
 fi
 

@@ -160,11 +160,11 @@ Status Driver::VerifyAndCacheKeys(const DescribeResult& describe) {
   return Status::OK();
 }
 
-Result<Bytes> Driver::CekMaterial(uint32_t cek_id) {
+Result<const Driver::Cek*> Driver::UnwrapCek(uint32_t cek_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cek_cache_.find(cek_id);
-    if (it != cek_cache_.end()) return it->second;
+    if (it != cek_cache_.end()) return &it->second;
   }
   server::KeyDescription meta;
   {
@@ -203,9 +203,12 @@ Result<Bytes> Driver::CekMaterial(uint32_t cek_id) {
     auto material = provider->UnwrapKey(meta.cmk.key_path, value.encrypted_value);
     if (material.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
-      cek_cache_[cek_id] = *material;
+      // A racing unwrap of the same CEK may have landed first; keep its
+      // entry, which other threads may already be using.
+      auto it =
+          cek_cache_.try_emplace(cek_id, std::move(material).value()).first;
       key_meta_.insert_or_assign(cek_id, meta);
-      return *material;
+      return &it->second;
     }
     last = material.status();
   }
@@ -255,8 +258,8 @@ Status Driver::EnsureEnclaveKeys(const std::vector<uint32_t>& cek_ids) {
     Bytes body;
     PutU32(&body, static_cast<uint32_t>(missing.size()));
     for (uint32_t id : missing) {
-      Bytes material;
-      AEDB_ASSIGN_OR_RETURN(material, CekMaterial(id));
+      const Cek* cek;
+      AEDB_ASSIGN_OR_RETURN(cek, UnwrapCek(id));
       server::KeyDescription meta;
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -267,7 +270,7 @@ Status Driver::EnsureEnclaveKeys(const std::vector<uint32_t>& cek_ids) {
                                      "' is not authorized for enclave use");
       }
       PutU32(&body, id);
-      PutLengthPrefixed(&body, material);
+      PutLengthPrefixed(&body, cek->material);
     }
     uint64_t nonce;
     Bytes sealed;
@@ -285,19 +288,17 @@ Result<Value> Driver::EncryptParam(const Value& plain,
   Value typed;
   AEDB_ASSIGN_OR_RETURN(typed, CoerceTo(info.type, plain));
   if (!info.enc.is_encrypted()) return typed;
-  Bytes material;
-  AEDB_ASSIGN_OR_RETURN(material, CekMaterial(info.enc.cek_id));
-  crypto::CellCodec codec(material);
-  return Value::Binary(codec.Encrypt(typed.Encode(), info.enc.scheme()));
+  const Cek* cek;
+  AEDB_ASSIGN_OR_RETURN(cek, UnwrapCek(info.enc.cek_id));
+  return Value::Binary(cek->codec.Encrypt(typed.Encode(), info.enc.scheme()));
 }
 
 Status Driver::DecryptResults(sql::ResultSet* results) {
   for (size_t c = 0; c < results->column_enc.size(); ++c) {
     const EncryptionType& enc = results->column_enc[c];
     if (!enc.is_encrypted()) continue;
-    Bytes material;
-    AEDB_ASSIGN_OR_RETURN(material, CekMaterial(enc.cek_id));
-    crypto::CellCodec codec(material);
+    const Cek* cek;
+    AEDB_ASSIGN_OR_RETURN(cek, UnwrapCek(enc.cek_id));
     for (auto& row : results->rows) {
       Value& cell = row[c];
       if (cell.is_null()) continue;
@@ -305,7 +306,7 @@ Status Driver::DecryptResults(sql::ResultSet* results) {
         return Status::Corruption("expected ciphertext in encrypted column");
       }
       Bytes plain;
-      AEDB_ASSIGN_OR_RETURN(plain, codec.Decrypt(cell.bin()));
+      AEDB_ASSIGN_OR_RETURN(plain, cek->codec.Decrypt(cell.bin()));
       size_t off = 0;
       AEDB_ASSIGN_OR_RETURN(cell, Value::Decode(plain, &off));
     }

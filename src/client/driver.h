@@ -12,6 +12,7 @@
 #include "attestation/attestation.h"
 #include "client/retry.h"
 #include "client/transport.h"
+#include "crypto/cell_codec.h"
 #include "keys/key_provider.h"
 #include "server/database.h"
 
@@ -131,6 +132,15 @@ class Driver {
     server::DescribeResult result;
   };
 
+  /// An unwrapped CEK and the cell codec derived from it. Deriving the codec
+  /// costs three HMACs and an AES key schedule, so it is built once per CEK,
+  /// not once per encrypted parameter or result column.
+  struct Cek {
+    explicit Cek(Bytes key) : material(std::move(key)), codec(material) {}
+    Bytes material;
+    crypto::CellCodec codec;
+  };
+
   /// One shard's enclave session. Each shard runs its own enclave, so
   /// attestation, the DH channel, the nonce sequence, and the set of CEKs
   /// installed are all per shard: restarting one shard's enclave invalidates
@@ -149,7 +159,9 @@ class Driver {
                                       const NamedParams& params, uint64_t txn);
   Result<const server::DescribeResult*> Describe(const std::string& sql);
   Status VerifyAndCacheKeys(const server::DescribeResult& describe);
-  Result<Bytes> CekMaterial(uint32_t cek_id);
+  /// The cached CEK, unwrapped through the key provider on first use. The
+  /// pointer stays valid for the driver's lifetime.
+  Result<const Cek*> UnwrapCek(uint32_t cek_id);
   Status EnsureSessionExists();
   Status EnsureEnclaveKeys(const std::vector<uint32_t>& cek_ids);
   Result<Bytes> SealForEnclave(uint32_t shard, Slice body,
@@ -167,7 +179,9 @@ class Driver {
 
   std::mutex mu_;
   std::map<std::string, server::DescribeResult> describe_cache_;
-  std::map<uint32_t, Bytes> cek_cache_;           // decrypted CEKs (§4.1)
+  // Decrypted CEKs (§4.1). Entries are never replaced or erased, so a Cek*
+  // stays valid without holding mu_.
+  std::map<uint32_t, Cek> cek_cache_;
   std::map<uint32_t, server::KeyDescription> key_meta_;
   // Session state (shared secret cached "across the entire client process"),
   // one entry per server shard. sessions_[0].session_id mirrors into

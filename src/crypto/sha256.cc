@@ -106,16 +106,20 @@ void Sha256::Update(Slice data) {
 }
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(Slice(&pad, 1));
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(Slice(&zero, 1));
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  const uint64_t bit_len = total_len_ * 8;
+  // Padding, written straight into the buffer (which always has room for
+  // one more byte): 0x80, zeros up to 56 mod 64, the big-endian bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  Update(Slice(len_be, 8));
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  ProcessBlock(buffer_);
   std::array<uint8_t, kDigestSize> out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);

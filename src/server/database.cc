@@ -197,6 +197,7 @@ DatabaseStats Database::Stats() const {
   out.queries_rejected = queries_rejected_.load(std::memory_order_relaxed);
   out.queries_expired = queries_expired_.load(std::memory_order_relaxed);
   out.lock_waits_expired = engine_.locks().waits_expired();
+  out.lock_deadlocks = engine_.locks().deadlocks();
   if (worker_pool_ != nullptr) {
     out.pool_queue_highwater = worker_pool_->queue_highwater();
     out.pool_expired_dropped = worker_pool_->expired_dropped();

@@ -87,6 +87,7 @@ struct DatabaseStats {
   uint64_t queries_rejected = 0;   // kOverloaded at the admission gate
   uint64_t queries_expired = 0;    // finished with kDeadlineExceeded
   uint64_t lock_waits_expired = 0; // lock waits cut short by a query deadline
+  uint64_t lock_deadlocks = 0;     // lock requests failed as deadlock victims
   uint64_t pool_queue_highwater = 0;
   uint64_t pool_expired_dropped = 0;   // morsels shed as kDeadlineExceeded
   uint64_t pool_overload_rejected = 0; // submissions shed as kOverloaded

@@ -150,6 +150,10 @@ ShardedDatabase::ShardedDatabase(ShardedOptions options,
                                  const enclave::EnclaveImage* image)
     : options_(std::move(options)) {
   if (options_.shards == 0) options_.shards = 1;
+  // One wait-for graph for every shard: a global transaction blocked on one
+  // shard while holding locks on another is one node in it, so a single
+  // check finds cycles across shards as well as inside one.
+  auto graph = std::make_shared<storage::WaitForGraph>();
   for (uint32_t i = 0; i < options_.shards; ++i) {
     ServerOptions per_shard = options_.base;
     if (!options_.base.data_dir.empty()) {
@@ -157,6 +161,7 @@ ShardedDatabase::ShardedDatabase(ShardedOptions options,
           options_.base.data_dir + "/shard-" + std::to_string(i);
     }
     shards_.push_back(std::make_unique<Database>(per_shard, hgs, image));
+    shards_.back()->engine().locks().ShareWaitForGraph(graph);
   }
 }
 
@@ -354,7 +359,7 @@ Result<uint64_t> ShardedDatabase::LocalTxnFor(uint64_t gtid, uint32_t shard) {
   if (it == gtxns_.end()) return Status::NotFound("unknown transaction");
   auto local = it->second.locals.find(shard);
   if (local != it->second.locals.end()) return local->second;
-  uint64_t id = shards_[shard]->BeginTransaction();
+  uint64_t id = shards_[shard]->engine().Begin(gtid);
   it->second.locals.emplace(shard, id);
   return id;
 }
@@ -881,6 +886,7 @@ DatabaseStats ShardedDatabase::Stats() const {
     out.queries_rejected += s.queries_rejected;
     out.queries_expired += s.queries_expired;
     out.lock_waits_expired += s.lock_waits_expired;
+    out.lock_deadlocks += s.lock_deadlocks;
     out.pool_queue_highwater =
         std::max(out.pool_queue_highwater, s.pool_queue_highwater);
     out.pool_expired_dropped += s.pool_expired_dropped;

@@ -149,7 +149,8 @@ class ShardedDatabase : public SqlBackend {
       const std::vector<types::Value>* positional,
       const std::vector<std::pair<std::string, types::Value>>* named,
       const std::string& sql);
-  /// Local txn on `shard` for global txn `gtid`, begun on first use.
+  /// Local txn on `shard` for global txn `gtid`, begun on first use and named
+  /// by `gtid` in the shards' shared wait-for graph.
   Result<uint64_t> LocalTxnFor(uint64_t gtid, uint32_t shard);
   /// First shard already enlisted in `gtid` (for reference-table reads), or
   /// `fallback` when none.

@@ -131,7 +131,7 @@ StorageEngine::Finalizer::~Finalizer() {
   engine->meta_cv_.notify_all();
 }
 
-uint64_t StorageEngine::Begin() {
+uint64_t StorageEngine::Begin(uint64_t gtid) {
   uint64_t id;
   {
     std::unique_lock<std::mutex> lock(meta_mu_);
@@ -141,6 +141,7 @@ uint64_t StorageEngine::Begin() {
     id = next_txn_id_++;
     active_.emplace(id, ActiveTxn{});
   }
+  if (gtid != 0) locks_.Enlist(id, gtid);
   LogRecord rec;
   rec.txn_id = id;
   rec.type = LogRecordType::kBegin;

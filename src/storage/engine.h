@@ -110,7 +110,10 @@ class StorageEngine {
   bool IndexInvalid(uint32_t index_id) const;
 
   // ----- transactions -----
-  uint64_t Begin();
+  /// `gtid` is the router's global transaction id when this is one shard's
+  /// part of a global transaction (0 = a local transaction); it names the
+  /// transaction in the wait-for graph the shards share.
+  uint64_t Begin(uint64_t gtid = 0);
   Status Commit(uint64_t txn_id);
   /// 2PC phase one: forces a kPrepare record (payload = `gtid`) durable and
   /// marks the txn prepared. The txn stays active with all locks held; after

@@ -546,7 +546,8 @@ Status TpccTerminal::StockLevel() {
 Status TpccTerminal::FailTxn(uint64_t txn, const Status& st) {
   (void)driver_->Rollback(txn);
   ++aborted_;
-  // Lock timeouts are ordinary contention aborts: swallow and move on.
+  // kFailedPrecondition is ordinary contention — a deadlock victim, a lock
+  // timeout or a write-write conflict after a lock wait: swallow and move on.
   // kTransactionAborted is a recovery-induced abort (enclave restart mid-txn,
   // commit not durable): surface it so RunOne restarts the transaction.
   return st.code() == StatusCode::kFailedPrecondition ? Status::OK() : st;

@@ -46,6 +46,23 @@ TEST(Sha256Test, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// Lengths where the 0x80 byte lands just before the length field (55),
+// fills the block (63), opens a fresh block (64), or leaves no room for the
+// length after a full block (120).
+TEST(Sha256Test, PaddingBoundaries) {
+  const std::pair<size_t, std::string_view> kVectors[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [n, hex] : kVectors) {
+    std::string msg(n, 'a');
+    EXPECT_EQ(HexEncode(Sha256::Hash(Slice(std::string_view(msg)))), hex)
+        << n << " bytes";
+  }
+}
+
 TEST(Sha256Test, IncrementalMatchesOneShot) {
   std::string msg = "the quick brown fox jumps over the lazy dog, repeatedly";
   for (size_t split = 0; split <= msg.size(); ++split) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/btree.h"
@@ -373,6 +376,108 @@ TEST(LockManagerTest, ReleaseWakesWaiter) {
   locks.ReleaseAll(1);
   waiter.join();
   EXPECT_EQ(locks.HeldCount(2), 1u);
+}
+
+// Deadlock detection. Every wait below runs under a 2 s timeout, so a cycle
+// that resolves in milliseconds was detected, not timed out.
+constexpr std::chrono::milliseconds kLockTimeout{2000};
+// Long enough for a waiter thread to be blocked before the next step.
+constexpr std::chrono::milliseconds kSettle{100};
+
+double ElapsedMs(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Txn t holds resource t. Txns 1..n-1 each block on the next txn's resource,
+// then txn n closes the cycle by asking for resource 1: txn n is the victim,
+// fails at once, and once it rolls back every other txn gets its lock.
+TEST(LockManagerTest, CycleFailsTheRequesterAtOnce) {
+  for (uint64_t n : {2, 3}) {
+    SCOPED_TRACE(std::to_string(n) + "-transaction cycle");
+    LockManager locks;
+    for (uint64_t t = 1; t <= n; ++t) {
+      ASSERT_TRUE(locks.Acquire(t, t, kLockTimeout).ok());
+    }
+    std::vector<Status> granted(n);
+    std::vector<std::thread> waiters;
+    for (uint64_t t = 1; t < n; ++t) {
+      waiters.emplace_back(
+          [&, t] { granted[t] = locks.Acquire(t, t + 1, kLockTimeout); });
+      std::this_thread::sleep_for(kSettle);
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    Status victim = locks.Acquire(n, 1, kLockTimeout);
+    double ms = ElapsedMs(t0);
+    EXPECT_EQ(victim.code(), StatusCode::kFailedPrecondition)
+        << victim.ToString();
+    EXPECT_NE(victim.message().find("deadlock"), std::string::npos);
+    EXPECT_EQ(victim.message().find("lock timeout"), std::string::npos);
+    EXPECT_LT(ms, 10.0);
+    EXPECT_EQ(locks.deadlocks(), 1u);
+    // The victim rolls back; each survivor is granted and commits in turn.
+    locks.ReleaseAll(n);
+    for (uint64_t t = n - 1; t >= 1; --t) {
+      waiters[t - 1].join();
+      EXPECT_TRUE(granted[t].ok()) << "txn " << t << ": "
+                                   << granted[t].ToString();
+      locks.ReleaseAll(t);
+    }
+    EXPECT_EQ(locks.total_locked(), 0u);
+  }
+}
+
+TEST(LockManagerTest, WaitChainWithoutCycleIsGranted) {
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, 10, kLockTimeout).ok());
+  ASSERT_TRUE(locks.Acquire(2, 20, kLockTimeout).ok());
+  Status second, third;
+  std::thread t2([&] { second = locks.Acquire(2, 10, kLockTimeout); });
+  std::this_thread::sleep_for(kSettle);
+  // 3 -> 2 -> 1 is a chain: txn 3 must wait, not fail.
+  std::thread t3([&] { third = locks.Acquire(3, 20, kLockTimeout); });
+  std::this_thread::sleep_for(kSettle);
+  locks.ReleaseAll(1);
+  t2.join();
+  EXPECT_TRUE(second.ok()) << second.ToString();
+  locks.ReleaseAll(2);
+  t3.join();
+  EXPECT_TRUE(third.ok()) << third.ToString();
+  EXPECT_EQ(locks.deadlocks(), 0u);
+}
+
+// Txn 2 waits on txn 1 and gives up; then txn 1 waits on txn 2. An edge left
+// behind by txn 2 would close a cycle that no longer exists.
+TEST(LockManagerTest, AbandonedWaitLeavesNoEdge) {
+  enum class GiveUp { kTimeout, kCancel, kDeadline };
+  for (GiveUp how : {GiveUp::kTimeout, GiveUp::kCancel, GiveUp::kDeadline}) {
+    SCOPED_TRACE(static_cast<int>(how));
+    LockManager locks;
+    ASSERT_TRUE(locks.Acquire(1, 10, kLockTimeout).ok());
+    ASSERT_TRUE(locks.Acquire(2, 20, kLockTimeout).ok());
+    Status gave_up;
+    if (how == GiveUp::kTimeout) {
+      gave_up = locks.Acquire(2, 10, std::chrono::milliseconds(30));
+    } else if (how == GiveUp::kDeadline) {
+      QueryContext q =
+          QueryContext::WithDeadlineAfter(std::chrono::milliseconds(30));
+      gave_up = locks.Acquire(2, 10, kLockTimeout, &q);
+    } else {
+      QueryContext q;
+      std::thread canceller([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        q.Cancel();
+      });
+      gave_up = locks.Acquire(2, 10, kLockTimeout, &q);
+      canceller.join();
+    }
+    ASSERT_FALSE(gave_up.ok());
+    Status later = locks.Acquire(1, 20, std::chrono::milliseconds(30));
+    EXPECT_NE(later.message().find("lock timeout"), std::string::npos)
+        << later.ToString();
+    EXPECT_EQ(locks.deadlocks(), 0u);
+  }
 }
 
 // --- StorageEngine: transactions + recovery (§4.5) ---
