@@ -71,7 +71,8 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
 
-int RunDemo(net::Server& server, const attestation::HostGuardianService& hgs,
+int RunDemo(net::Server& server, const server::SqlBackend& db,
+            const attestation::HostGuardianService& hgs,
             const enclave::EnclaveImage& image) {
   keys::InMemoryKeyVault vault;
   CHECK_OK(vault.CreateKey("kv/demo", 1024));
@@ -118,11 +119,12 @@ int RunDemo(net::Server& server, const attestation::HostGuardianService& hgs,
               static_cast<unsigned long long>(s.frames_out.load()),
               static_cast<unsigned long long>(s.bytes_in.load()),
               static_cast<unsigned long long>(s.bytes_out.load()));
+  const server::DatabaseStats ds = db.Stats();
   std::printf("demo: enclave batching: %llu batch calls, %llu batched values, "
               "%llu transitions\n",
-              static_cast<unsigned long long>(s.enclave_batch_evals.load()),
-              static_cast<unsigned long long>(s.enclave_batched_values.load()),
-              static_cast<unsigned long long>(s.enclave_transitions.load()));
+              static_cast<unsigned long long>(ds.enclave_batch_evals),
+              static_cast<unsigned long long>(ds.enclave_batched_values),
+              static_cast<unsigned long long>(ds.enclave_transitions));
   return 0;
 }
 
@@ -316,7 +318,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   if (demo) {
-    int rc = RunDemo(server, hgs, image);
+    int rc = RunDemo(server, *db, hgs, image);
     server.Stop();
     return rc;
   }
@@ -348,18 +350,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.frames_in.load()),
               static_cast<unsigned long long>(s.frames_out.load()),
               static_cast<unsigned long long>(s.protocol_errors.load()));
+  server::DatabaseStats ds = db->Stats();
   std::printf("overload: %llu conns rejected, %llu queries rejected, "
               "%llu expired, queue highwater %llu\n",
               static_cast<unsigned long long>(s.connections_rejected.load()),
-              static_cast<unsigned long long>(s.queries_rejected.load()),
-              static_cast<unsigned long long>(s.queries_expired.load()),
-              static_cast<unsigned long long>(s.queue_depth_highwater.load()));
+              static_cast<unsigned long long>(ds.queries_rejected),
+              static_cast<unsigned long long>(ds.queries_expired),
+              static_cast<unsigned long long>(ds.pool_queue_highwater));
   Status shut = db->Shutdown();
   if (!shut.ok()) {
     std::fprintf(stderr, "shutdown checkpoint skipped: %s\n",
                  shut.ToString().c_str());
   }
-  const server::DatabaseStats ds = db->Stats();
+  ds = db->Stats();
   std::printf("durability: recovery_ms=%llu wal_records_replayed=%llu "
               "torn_bytes_dropped=%llu checkpoints_taken=%llu wal_bytes=%llu "
               "fsyncs=%llu wal_file_errors=%llu\n",

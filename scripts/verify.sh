@@ -51,10 +51,12 @@ run ctest --test-dir build -L shard --output-on-failure
 if [[ "${1:-}" == "--asan" ]]; then
   run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAEDB_SANITIZE=address,undefined
+  # durability_test drives the file-backed WAL's attach, truncate, rewrite
+  # and reopen paths, where truncation slices the log image in place.
   run cmake --build build-asan -j "$JOBS" --target fault_test \
-      fault_torture_test storage_test net_test
+      fault_torture_test storage_test net_test durability_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R 'fault_test|fault_torture_test|storage_test|net_test' \
+      -R 'fault_test|fault_torture_test|storage_test|net_test|durability_test' \
       --output-on-failure
 fi
 

@@ -788,33 +788,7 @@ Server::RequestOutcome Server::ExecuteRequest(MsgType type,
 // Stats
 // ---------------------------------------------------------------------------
 
-void Server::RefreshMirrors() const {
-  if (db_ != nullptr) {
-    server::DatabaseStats s = db_->Stats();
-    stats_.enclave_batch_evals.store(s.enclave_batch_evals,
-                                     std::memory_order_relaxed);
-    stats_.enclave_batched_values.store(s.enclave_batched_values,
-                                        std::memory_order_relaxed);
-    stats_.enclave_transitions.store(s.enclave_transitions,
-                                     std::memory_order_relaxed);
-    stats_.queries_admitted.store(s.queries_admitted, std::memory_order_relaxed);
-    stats_.queries_rejected.store(s.queries_rejected, std::memory_order_relaxed);
-    stats_.queries_expired.store(s.queries_expired, std::memory_order_relaxed);
-    stats_.queue_depth_highwater.store(s.pool_queue_highwater,
-                                       std::memory_order_relaxed);
-    stats_.lock_waits_expired.store(s.lock_waits_expired,
-                                    std::memory_order_relaxed);
-    stats_.pool_hits.store(s.pool_hits, std::memory_order_relaxed);
-    stats_.pool_misses.store(s.pool_misses, std::memory_order_relaxed);
-    stats_.pool_evictions.store(s.pool_evictions, std::memory_order_relaxed);
-    stats_.pool_writebacks.store(s.pool_writebacks, std::memory_order_relaxed);
-    stats_.pool_pinned_highwater.store(s.pool_pinned_highwater,
-                                       std::memory_order_relaxed);
-    stats_.group_commit_batches.store(s.group_commit_batches,
-                                      std::memory_order_relaxed);
-    stats_.commit_sync_requests.store(s.commit_sync_requests,
-                                      std::memory_order_relaxed);
-  }
+void Server::RefreshGauges() const {
   // Reactor gauges (the Stop path latches them into stats_ before the pool
   // and loops are torn down, so post-shutdown reads stay truthful).
   if (pool_) {
@@ -833,7 +807,7 @@ void Server::RefreshMirrors() const {
 }
 
 ServerStatsSnapshot Server::SnapshotStats() const {
-  RefreshMirrors();
+  RefreshGauges();
   ServerStatsSnapshot s;
   s.connections_accepted =
       stats_.connections_accepted.load(std::memory_order_relaxed);
@@ -859,29 +833,6 @@ ServerStatsSnapshot Server::SnapshotStats() const {
       stats_.slow_reader_disconnects.load(std::memory_order_relaxed);
   s.handshake_timeouts =
       stats_.handshake_timeouts.load(std::memory_order_relaxed);
-  s.enclave_batch_evals =
-      stats_.enclave_batch_evals.load(std::memory_order_relaxed);
-  s.enclave_batched_values =
-      stats_.enclave_batched_values.load(std::memory_order_relaxed);
-  s.enclave_transitions =
-      stats_.enclave_transitions.load(std::memory_order_relaxed);
-  s.queries_admitted = stats_.queries_admitted.load(std::memory_order_relaxed);
-  s.queries_rejected = stats_.queries_rejected.load(std::memory_order_relaxed);
-  s.queries_expired = stats_.queries_expired.load(std::memory_order_relaxed);
-  s.queue_depth_highwater =
-      stats_.queue_depth_highwater.load(std::memory_order_relaxed);
-  s.lock_waits_expired =
-      stats_.lock_waits_expired.load(std::memory_order_relaxed);
-  s.pool_hits = stats_.pool_hits.load(std::memory_order_relaxed);
-  s.pool_misses = stats_.pool_misses.load(std::memory_order_relaxed);
-  s.pool_evictions = stats_.pool_evictions.load(std::memory_order_relaxed);
-  s.pool_writebacks = stats_.pool_writebacks.load(std::memory_order_relaxed);
-  s.pool_pinned_highwater =
-      stats_.pool_pinned_highwater.load(std::memory_order_relaxed);
-  s.group_commit_batches =
-      stats_.group_commit_batches.load(std::memory_order_relaxed);
-  s.commit_sync_requests =
-      stats_.commit_sync_requests.load(std::memory_order_relaxed);
   return s;
 }
 

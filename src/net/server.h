@@ -105,30 +105,6 @@ struct ServerStats {
   std::atomic<uint64_t> slow_reader_disconnects{0};
   /// Connections reaped for never completing a handshake.
   std::atomic<uint64_t> handshake_timeouts{0};
-
-  /// Mirrors of the database's enclave amortization counters, refreshed on
-  /// every stats() read so operators see batching effectiveness per server.
-  std::atomic<uint64_t> enclave_batch_evals{0};
-  std::atomic<uint64_t> enclave_batched_values{0};
-  std::atomic<uint64_t> enclave_transitions{0};
-  /// Mirrors of the database's overload-control gauges (same refresh).
-  std::atomic<uint64_t> queries_admitted{0};
-  std::atomic<uint64_t> queries_rejected{0};
-  std::atomic<uint64_t> queries_expired{0};
-  std::atomic<uint64_t> queue_depth_highwater{0};
-  std::atomic<uint64_t> lock_waits_expired{0};
-  /// Mirrors of the database's buffer-pool gauges (same refresh) — an
-  /// operator watching hit rate fall or eviction churn rise sees memory
-  /// pressure from the wire side without shelling into the server.
-  std::atomic<uint64_t> pool_hits{0};
-  std::atomic<uint64_t> pool_misses{0};
-  std::atomic<uint64_t> pool_evictions{0};
-  std::atomic<uint64_t> pool_writebacks{0};
-  std::atomic<uint64_t> pool_pinned_highwater{0};
-  /// Mirrors of the WAL group-commit gauges: cohort fsyncs and the commits
-  /// they covered. commits/fsync ≫ 1 means batching is working.
-  std::atomic<uint64_t> group_commit_batches{0};
-  std::atomic<uint64_t> commit_sync_requests{0};
 };
 
 /// One coherent, race-free copy of every server counter (satisfies "read
@@ -154,21 +130,6 @@ struct ServerStatsSnapshot {
   uint64_t idle_reaps = 0;
   uint64_t slow_reader_disconnects = 0;
   uint64_t handshake_timeouts = 0;
-  uint64_t enclave_batch_evals = 0;
-  uint64_t enclave_batched_values = 0;
-  uint64_t enclave_transitions = 0;
-  uint64_t queries_admitted = 0;
-  uint64_t queries_rejected = 0;
-  uint64_t queries_expired = 0;
-  uint64_t queue_depth_highwater = 0;
-  uint64_t lock_waits_expired = 0;
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-  uint64_t pool_evictions = 0;
-  uint64_t pool_writebacks = 0;
-  uint64_t pool_pinned_highwater = 0;
-  uint64_t group_commit_batches = 0;
-  uint64_t commit_sync_requests = 0;
 };
 
 /// \brief Event-driven TCP front end for a `server::Database`.
@@ -210,8 +171,10 @@ class Server {
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// The bound TCP port (valid after Start()).
   uint16_t port() const { return port_; }
+  /// The server's own counters. The database's counters are read from
+  /// SqlBackend::Stats().
   const ServerStats& stats() const {
-    RefreshMirrors();
+    RefreshGauges();
     return stats_;
   }
   ServerStatsSnapshot SnapshotStats() const;
@@ -251,9 +214,9 @@ class Server {
                                 uint64_t conn_id);
 
   reactor::Connection::Options ConnOptions() const;
-  /// Copies the database's enclave + overload counters and the reactor's
-  /// live gauges into the stats mirror.
-  void RefreshMirrors() const;
+  /// Copies the reactor's live gauges (run queue, exec threads, epoll
+  /// wakeups) into stats_.
+  void RefreshGauges() const;
 
   server::SqlBackend* db_;
   ServerConfig config_;

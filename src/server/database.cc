@@ -287,8 +287,7 @@ Status Database::Open() {
   recovering_ = false;
 
   // 2. Log: attach the file-backed WAL (drops any torn tail physically).
-  storage::WalLoadResult wal_load;
-  AEDB_ASSIGN_OR_RETURN(wal_load, engine_.wal().AttachFile(WalPath()));
+  AEDB_RETURN_IF_ERROR(engine_.wal().AttachFile(WalPath()));
 
   // 3. Checkpoint: install the latest image (if any) as the recovery base.
   if (storage::fsio::FileExists(CheckpointPath())) {
@@ -1141,6 +1140,11 @@ Status Database::ForwardEncryptionAuthorization(uint64_t session_id,
 
 Result<storage::RecoveryResult> Database::Restart() {
   if (enclave_ != nullptr) enclave_->ClearKeys();
+  // A reopen drops a torn tail and writes again. Only a poisoned log holds a
+  // torn tail or refuses writes, so reload it from its intact prefix, as a
+  // reopen would, and recovery can log its undo.
+  storage::Wal& wal = engine_.wal();
+  if (wal.poisoned()) wal.LoadImage(wal.RawBytes());
   return engine_.Recover();
 }
 

@@ -220,17 +220,6 @@ Result<std::shared_ptr<const es::EsProgram>> Executor::CompiledFor(
   return result;
 }
 
-Result<bool> Executor::EvalPredicate(const es::EsProgram& program,
-                                     const std::vector<Value>& inputs) {
-  es::EvalContext ctx;
-  ctx.enclave = invoker_;
-  es::EsEvaluator evaluator(ctx);
-  std::vector<Value> out;
-  AEDB_ASSIGN_OR_RETURN(out, evaluator.Eval(program, inputs));
-  // SQL semantics: a NULL predicate does not pass.
-  return !out[0].is_null() && out[0].bool_v();
-}
-
 Result<std::vector<char>> Executor::EvalPredicateBatch(
     const es::EsProgram& program,
     const std::vector<std::vector<Value>>& batch) {

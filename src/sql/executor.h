@@ -80,10 +80,7 @@ class Executor {
   Result<Candidates> PlanAccess(const Expr* where, const TableDef& table,
                                 const std::vector<types::Value>& params);
 
-  Result<bool> EvalPredicate(const es::EsProgram& program,
-                             const std::vector<types::Value>& inputs);
-
-  /// Batched EvalPredicate over a morsel: one EsEvaluator::EvalBatch run, so
+  /// Evaluates a filter over a morsel: one EsEvaluator::EvalBatch run, so
   /// every encrypted atom in the filter crosses the enclave boundary once
   /// for the whole morsel. pass[i] applies SQL semantics (NULL fails).
   Result<std::vector<char>> EvalPredicateBatch(

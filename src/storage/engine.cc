@@ -176,10 +176,13 @@ Status StorageEngine::Commit(uint64_t txn_id) {
   // survives power loss, not just process death (a record sitting in the OS
   // page cache outlives kill -9 but not the machine). A failure at either
   // step means the commit never happened — undo the in-memory effects so
-  // runtime state matches what recovery would rebuild. If the append landed
-  // but the fsync failed, the log holds kCommit followed by the abort's
-  // compensation records and kAbort: redo replays the txn to net zero, so
-  // recovery agrees with the TransactionAborted ack either way.
+  // runtime state matches what recovery would rebuild. A failed append
+  // leaves no kCommit in the log (a torn one is cut off). If the append
+  // landed but the sync failed, the abort's compensation records and kAbort
+  // follow kCommit, and redo replays the txn to net zero. The exception is
+  // a real fsync error: it poisons the log, which then refuses them, so the
+  // txn's fate is in doubt, as after any failed fsync, until a checkpoint
+  // captures the undone state and truncates kCommit away.
   LogRecord rec;
   rec.txn_id = txn_id;
   rec.type = LogRecordType::kCommit;
@@ -225,7 +228,9 @@ Status StorageEngine::Prepare(uint64_t txn_id, uint64_t gtid) {
     // The vote never became durable: this participant votes NO. Roll the txn
     // back so runtime state matches what recovery would rebuild (a kPrepare
     // that landed without its fsync is followed by the abort's CLRs+kAbort,
-    // which recovery treats as a settled loser).
+    // which recovery treats as a settled loser; if a real fsync error
+    // poisoned the log, recovery finds the txn in doubt, and presumed abort
+    // settles it).
     (void)Abort(txn_id);
     return Status::TransactionAborted("prepare not durable: " +
                                       durable.message());
@@ -288,13 +293,15 @@ std::vector<InDoubtTxn> StorageEngine::InDoubtTxns() const {
   return out;
 }
 
-Status StorageEngine::UndoRecord(const LogRecord& rec) {
+Status StorageEngine::UndoRecord(const LogRecord& rec, bool* logged) {
   // Every applied undo is logged as a compensation record (CLR) of the
   // opposite type under the same txn id, so the WAL replays history in the
   // exact order it happened. A txn whose kAbort made it to the log is fully
   // compensated in-log and needs no recovery-time undo; a crash mid-abort
   // leaves a loser whose [ops..., CLRs...] suffix self-cancels under reverse
-  // replay.
+  // replay. A CLR that fails to append (a poisoned log refuses them all)
+  // only means no kAbort may follow: the txn stays a loser in the log, and
+  // recovery undoes what the missing CLRs did not record.
   auto clr = [&](LogRecordType type) -> Status {
     LogRecord comp;
     comp.txn_id = rec.txn_id;
@@ -302,7 +309,8 @@ Status StorageEngine::UndoRecord(const LogRecord& rec) {
     comp.object_id = rec.object_id;
     comp.rid = rec.rid;
     comp.payload1 = rec.payload1;
-    return wal_.Append(comp).status();
+    if (!wal_.Append(comp).ok()) *logged = false;
+    return Status::OK();
   };
   switch (rec.type) {
     case LogRecordType::kHeapInsert: {
@@ -402,7 +410,7 @@ Status StorageEngine::Abort(uint64_t txn_id) {
   DeferredTxn deferred;
   deferred.txn_id = txn_id;
   for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-    Status st = UndoRecord(*it);
+    Status st = UndoRecord(*it, &deferred.logged);
     if (st.IsKeyNotInEnclave()) {
       deferred.pending.push_back(*it);
       deferred.pending_indexes.insert(it->object_id);
@@ -422,13 +430,7 @@ Status StorageEngine::Abort(uint64_t txn_id) {
     // Without CTR the deferred transaction keeps its locks (§4.5).
     return Status::OK();
   }
-  LogRecord rec;
-  rec.txn_id = txn_id;
-  rec.type = LogRecordType::kAbort;
-  // Best effort: a missing abort record is fine, recovery treats the txn as a
-  // loser either way.
-  (void)wal_.Append(rec);
-  locks_.ReleaseAll(txn_id);
+  FinishDeferred(deferred);  // nothing was deferred: finish now
   return Status::OK();
 }
 
@@ -871,7 +873,7 @@ Result<RecoveryResult> StorageEngine::Recover() {
           continue;
         }
       }
-      Status st = UndoRecord(rec);
+      Status st = UndoRecord(rec, &deferred.logged);
       if (st.IsKeyNotInEnclave()) {
         deferred.pending.push_back(rec);
         deferred.pending_indexes.insert(rec.object_id);
@@ -890,7 +892,7 @@ Result<RecoveryResult> StorageEngine::Recover() {
       }
       std::lock_guard<std::mutex> lock(meta_mu_);
       deferred_.push_back(std::move(deferred));
-    } else {
+    } else if (deferred.logged) {
       LogRecord abort;
       abort.txn_id = txn_id;
       abort.type = LogRecordType::kAbort;
@@ -975,10 +977,15 @@ Status StorageEngine::RebuildIndexFromLog(IndexState* index, uint32_t index_id) 
 }
 
 void StorageEngine::FinishDeferred(const DeferredTxn& txn) {
-  LogRecord abort;
-  abort.txn_id = txn.txn_id;
-  abort.type = LogRecordType::kAbort;
-  (void)wal_.Append(abort);
+  // kAbort tells recovery the log holds the txn's whole undo. Without every
+  // CLR it must stay out: the txn is then a loser that recovery undoes. A
+  // failed kAbort append is harmless for the same reason.
+  if (txn.logged) {
+    LogRecord abort;
+    abort.txn_id = txn.txn_id;
+    abort.type = LogRecordType::kAbort;
+    (void)wal_.Append(abort);
+  }
   locks_.ReleaseAll(txn.txn_id);
 }
 
@@ -1022,7 +1029,7 @@ Status StorageEngine::ResolveDeferred() {
       // already settled; a direct undo would double-apply. Only runtime
       // deferrals (index never rebuilt) need the logical undo, and those are
       // exactly the ones whose entries are still present.
-      Status st = UndoRecord(rec);
+      Status st = UndoRecord(rec, &txn.logged);
       if (st.IsKeyNotInEnclave()) {
         remaining.push_back(rec);
         continue;

@@ -241,6 +241,7 @@ class StorageEngine {
     uint64_t txn_id = 0;
     std::vector<LogRecord> pending;  // undo work, already reversed
     std::set<uint32_t> pending_indexes;
+    bool logged = true;  // every CLR so far reached the log
   };
 
   /// RAII companion to the finalizing_ counter: decrements it and wakes
@@ -254,10 +255,12 @@ class StorageEngine {
   Result<IndexState*> FindIndex(uint32_t index_id);
   const IndexState* FindIndexConst(uint32_t index_id) const;
 
-  /// Undoes one log record (logical for indexes). KeyNotInEnclave bubbles up
-  /// so the caller can defer.
-  Status UndoRecord(const LogRecord& rec);
-  /// Finishes a deferred txn: logs Abort and releases its locks.
+  /// Undoes one log record (logical for indexes) and logs its CLR.
+  /// KeyNotInEnclave bubbles up so the caller can defer. A CLR the log
+  /// refuses leaves the undo standing and clears `*logged`.
+  Status UndoRecord(const LogRecord& rec, bool* logged);
+  /// Finishes a deferred txn: logs Abort (if every CLR landed) and releases
+  /// its locks.
   void FinishDeferred(const DeferredTxn& txn);
   Status RebuildIndexFromLog(IndexState* index, uint32_t index_id);
 

@@ -26,13 +26,34 @@ uint32_t Fnv1a(Slice data) {
   return h;
 }
 
-void AppendFramed(Bytes* out, const LogRecord& rec) {
-  Bytes body;
-  rec.SerializeTo(&body);
-  AppendFramedBlob(out, body);
+constexpr size_t kFrameOverhead = 8;  // u32 length + u32 checksum
+
+/// The one frame walker behind every framed-stream reader. Hands `visit`
+/// each intact frame's body and end offset, in order, until a frame is cut
+/// short, fails its checksum (if `verify`) or is rejected by `visit`.
+/// Returns the offset just past the last accepted frame.
+template <typename Visit>
+size_t WalkFrames(Slice image, Visit&& visit, bool verify = true) {
+  size_t off = 0;
+  while (off + kFrameOverhead <= image.size()) {
+    size_t cursor = off;
+    auto len_res = GetU32(image, &cursor);
+    auto sum_res = GetU32(image, &cursor);
+    if (!len_res.ok() || !sum_res.ok()) break;
+    if (cursor + *len_res > image.size()) break;  // truncated body: torn tail
+    Slice body(image.data() + cursor, *len_res);
+    if (verify && Fnv1a(body) != *sum_res) break;
+    if (!visit(body, cursor + body.size())) break;
+    off = cursor + body.size();
+  }
+  return off;
 }
 
-constexpr size_t kFrameOverhead = 8;  // u32 length + u32 checksum
+/// A frame body's LSN, which LogRecord::SerializeTo writes first.
+Result<uint64_t> FrameLsn(Slice body) {
+  size_t at = 0;
+  return GetU64(body, &at);
+}
 
 }  // namespace
 
@@ -46,19 +67,10 @@ void AppendFramedBlob(Bytes* out, Slice body) {
 
 FramedBlobs ParseFramedBlobs(Slice image) {
   FramedBlobs out;
-  size_t off = 0;
-  while (off + kFrameOverhead <= image.size()) {
-    size_t cursor = off;
-    auto len_res = GetU32(image, &cursor);
-    auto sum_res = GetU32(image, &cursor);
-    if (!len_res.ok() || !sum_res.ok()) break;
-    if (cursor + *len_res > image.size()) break;  // truncated body: torn tail
-    Slice body(image.data() + cursor, *len_res);
-    if (Fnv1a(body) != *sum_res) break;
+  out.bytes_consumed = WalkFrames(image, [&out](Slice body, size_t) {
     out.blobs.push_back(body.ToBytes());
-    off = cursor + *len_res;
-    out.bytes_consumed = off;
-  }
+    return true;
+  });
   out.torn_tail = out.bytes_consumed != image.size();
   return out;
 }
@@ -97,119 +109,121 @@ Wal::~Wal() {
 bool Wal::file_backed() const {
   std::lock_guard<std::mutex> lock(mu_);
   // A poisoned log is still file-backed — it just cannot write right now.
-  return fd_ >= 0 || poisoned_;
+  return !path_.empty();
 }
 
-Status Wal::WriteToFileLocked(const uint8_t* data, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    ssize_t w = ::write(fd_, data + off, n - off);
+Status Wal::PoisonedError() const {
+  return Status::Internal(
+      "wal poisoned (torn write, failed fsync or lost append fd)" +
+      (path_.empty() ? std::string() : " at " + path_));
+}
+
+Status Wal::WriteToFileLocked(const uint8_t* data, size_t n, size_t* written) {
+  for (*written = 0; *written < n;) {
+    ssize_t w = ::write(fd_, data + *written, n - *written);
     if (w < 0) {
       if (errno == EINTR) continue;
-      // Whatever prefix reached the file is a torn frame; reopen-time parsing
-      // drops it. The in-memory mirror stays at the last intact frame.
       return Status::Internal(std::string("wal write: ") + std::strerror(errno));
     }
-    off += static_cast<size_t>(w);
+    *written += static_cast<size_t>(w);
   }
   return Status::OK();
 }
 
-Result<WalLoadResult> Wal::AttachFile(const std::string& path) {
+Status Wal::AttachFile(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) return Status::FailedPrecondition("wal already file-backed");
+  if (!path_.empty()) {
+    return Status::FailedPrecondition("wal already file-backed");
+  }
   const bool existed = fsio::FileExists(path);
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd < 0) {
     return Status::Internal("open " + path + ": " + std::strerror(errno));
   }
+  auto fail = [fd](Status st) {
+    ::close(fd);
+    return st;
+  };
   if (!existed) {
     // The file's existence is directory metadata: without this fsync a crash
     // can forget the (empty) log file even though later appends hit its fd.
     Status st = fsio::SyncDir(fsio::DirName(path));
-    if (!st.ok()) {
-      ::close(fd);
-      return st;
-    }
+    if (!st.ok()) return fail(st);
   }
-  Bytes contents;
-  {
-    auto read = fsio::ReadFileBytes(path);
-    if (!read.ok()) {
-      ::close(fd);
-      return read.status();
-    }
-    contents = std::move(read).value();
-  }
-  WalLoadResult parsed = ParseImage(contents);
-  if (parsed.bytes_consumed < contents.size()) {
+  auto read = fsio::ReadFileBytes(path);
+  if (!read.ok()) return fail(read.status());
+  Bytes contents = std::move(read).value();
+  // Headers and checksums only: recovery parses the records (Snapshot).
+  uint64_t last_lsn = 0;
+  const size_t intact = WalkFrames(contents, [&last_lsn](Slice body, size_t) {
+    auto lsn = FrameLsn(body);
+    if (lsn.ok()) last_lsn = *lsn;
+    return lsn.ok();
+  });
+  if (intact < contents.size()) {
     // Physically drop the torn tail — the real-log analog of zeroing past
     // end-of-log — so a later crash cannot resurrect half a frame.
-    torn_dropped_ += contents.size() - parsed.bytes_consumed;
-    if (::ftruncate(fd, static_cast<off_t>(parsed.bytes_consumed)) != 0) {
-      Status st = Status::Internal(std::string("ftruncate ") + path + ": " +
-                                   std::strerror(errno));
-      ::close(fd);
-      return st;
-    }
-    if (::fsync(fd) != 0) {
-      Status st = Status::Internal(std::string("fsync ") + path + ": " +
-                                   std::strerror(errno));
-      ::close(fd);
-      return st;
+    torn_dropped_ += contents.size() - intact;
+    if (::ftruncate(fd, static_cast<off_t>(intact)) != 0 || ::fsync(fd) != 0) {
+      return fail(Status::Internal("dropping the torn tail of " + path + ": " +
+                                   std::strerror(errno)));
     }
     ++fsyncs_;
     fsio::CountFsync();
   }
-  records_ = parsed.records;
-  next_lsn_ = std::max(
-      next_lsn_, records_.empty() ? uint64_t{1} : records_.back().lsn + 1);
-  image_.assign(contents.data(), contents.data() + parsed.bytes_consumed);
+  next_lsn_ = std::max(next_lsn_, last_lsn + 1);
+  contents.resize(intact);
+  image_ = std::move(contents);
   fd_ = fd;
   path_ = path;
-  return parsed;
+  return Status::OK();
 }
 
 Result<uint64_t> Wal::Append(LogRecord record) {
   AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("wal/append"));
   std::lock_guard<std::mutex> lock(mu_);
-  if (poisoned_) {
-    return Status::Internal("wal poisoned (lost append fd or failed fsync) at " + path_);
-  }
+  if (poisoned_) return PoisonedError();
   record.lsn = next_lsn_++;
-  uint64_t lsn = record.lsn;
+  Bytes body;
+  record.SerializeTo(&body);
+  const size_t start = image_.size();
+  AppendFramedBlob(&image_, body);
+  const size_t frame_size = image_.size() - start;
 
-  Bytes frame;
-  AppendFramed(&frame, record);
-
+  Status st = Status::OK();
+  size_t landed = frame_size;
   fault::FaultSpec torn;
   if (AEDB_FAULT_FIRED("wal/torn_append", &torn)) {
-    // Crash mid-write: only a prefix of the frame reaches the image, the
-    // record never becomes part of the log proper.
-    size_t keep = torn.arg != 0 && torn.arg < frame.size() ? torn.arg
-                                                           : frame.size() / 2;
-    image_.insert(image_.end(), frame.begin(), frame.begin() + keep);
-    // The append already "fails" (that is the fault); a file-write error on
-    // top only changes how much of the torn tail reaches disk, but record it
-    // so disk/mirror divergence stays observable.
-    if (fd_ >= 0 && !WriteToFileLocked(frame.data(), keep).ok()) ++file_errors_;
-    return torn.status.ok() ? Status::Internal("torn log write") : torn.status;
+    // Crash mid-write: only a prefix of the frame reaches the image/file.
+    landed = torn.arg != 0 && torn.arg < frame_size ? torn.arg : frame_size / 2;
+    st = torn.status.ok() ? Status::Internal("torn log write") : torn.status;
   }
-
   if (fd_ >= 0) {
-    AEDB_RETURN_IF_ERROR(WriteToFileLocked(frame.data(), frame.size()));
+    size_t written = 0;
+    Status w = WriteToFileLocked(image_.data() + start, landed, &written);
+    if (!w.ok()) {
+      landed = written;
+      st = std::move(w);
+    }
   }
-  image_.insert(image_.end(), frame.begin(), frame.end());
-  records_.push_back(std::move(record));
-  return lsn;
+  if (st.ok()) return record.lsn;
+  // The image keeps the partial frame, as the file does. A record appended
+  // after it could be fsynced and acked, yet no reader gets past the bad
+  // frame to see it: refuse writes until a rewrite from the intact prefix.
+  // That prefix is made durable first, so a commit appended before the tear
+  // is still acked (a failed fsync leaves synced_lsn_ alone).
+  image_.resize(start + landed);
+  next_lsn_ = record.lsn;  // the torn record never joined the log
+  if (fd_ < 0 || ::fsync(fd_) == 0) synced_lsn_ = record.lsn - 1;
+  poisoned_ = true;
+  ++file_errors_;
+  return st;
 }
 
 Status Wal::Sync() {
   AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("wal/sync"));
   std::lock_guard<std::mutex> lock(mu_);
-  if (poisoned_) {
-    return Status::Internal("wal poisoned (lost append fd or failed fsync) at " + path_);
-  }
+  if (poisoned_) return PoisonedError();
   if (fd_ < 0) return Status::OK();
   if (::fsync(fd_) != 0) {
     // The kernel reports a writeback error once, then clears it: a retried
@@ -233,11 +247,11 @@ Status Wal::SyncUpTo(uint64_t lsn) {
   std::unique_lock<std::mutex> lock(mu_);
   ++sync_requests_;
   for (;;) {
-    if (poisoned_) {
-      return Status::Internal("wal poisoned (lost append fd or failed fsync) at " + path_);
-    }
+    // Covered first: a failed fsync never advances synced_lsn_, so a record
+    // it covers stayed durable even if the log was poisoned since.
+    if (synced_lsn_ >= lsn) return Status::OK();
+    if (poisoned_) return PoisonedError();
     if (fd_ < 0) return Status::OK();  // in-memory: trivially durable
-    if (synced_lsn_ >= lsn) return Status::OK();  // a leader covered us
     if (sync_in_progress_) {
       // Follow: the running (or next) leader's barrier will cover our lsn,
       // because our record was appended before this call.
@@ -303,7 +317,7 @@ uint64_t Wal::sync_requests() const {
 
 std::vector<LogRecord> Wal::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  return ParseImage(image_).records;
 }
 
 uint64_t Wal::next_lsn() const {
@@ -323,26 +337,14 @@ Bytes Wal::RawBytes() const {
 
 WalLoadResult Wal::ParseImage(Slice image) {
   WalLoadResult out;
-  size_t off = 0;
-  while (off + kFrameOverhead <= image.size()) {
-    size_t cursor = off;
-    uint32_t len = 0, checksum = 0;
-    auto len_res = GetU32(image, &cursor);
-    auto sum_res = GetU32(image, &cursor);
-    if (!len_res.ok() || !sum_res.ok()) break;
-    len = *len_res;
-    checksum = *sum_res;
-    if (cursor + len > image.size()) break;  // truncated body: torn tail
-    Slice body(image.data() + cursor, len);
-    if (Fnv1a(body) != checksum) break;  // bits of the frame missing/mangled
+  out.bytes_consumed = WalkFrames(image, [&out](Slice body, size_t end) {
     size_t body_off = 0;
     auto rec = LogRecord::Deserialize(body, &body_off);
-    if (!rec.ok() || body_off != len) break;
+    if (!rec.ok() || body_off != body.size()) return false;
     out.records.push_back(std::move(*rec));
-    off = cursor + len;
-    out.bytes_consumed = off;
-    out.frame_ends.push_back(off);
-  }
+    out.frame_ends.push_back(end);
+    return true;
+  });
   out.torn_tail = out.bytes_consumed != image.size();
   return out;
 }
@@ -350,50 +352,43 @@ WalLoadResult Wal::ParseImage(Slice image) {
 WalLoadResult Wal::LoadImage(Slice image) {
   WalLoadResult parsed = ParseImage(image);
   std::lock_guard<std::mutex> lock(mu_);
-  records_ = parsed.records;
-  next_lsn_ = records_.empty() ? 1 : records_.back().lsn + 1;
+  next_lsn_ = parsed.records.empty() ? 1 : parsed.records.back().lsn + 1;
   // next_lsn_ may have moved backwards; a stale fsync watermark would let
   // SyncUpTo treat brand-new records at reused LSNs as already durable.
   synced_lsn_ = 0;
   // The durable image keeps only the intact prefix: recovery discards a torn
   // tail for good, exactly like a real log manager zeroing past end-of-log.
-  if (parsed.bytes_consumed < image.size()) {
-    torn_dropped_ += image.size() - parsed.bytes_consumed;
-  }
+  torn_dropped_ += image.size() - parsed.bytes_consumed;
   image_.assign(image.data(), image.data() + parsed.bytes_consumed);
   // A failed rewrite is recorded in file_errors_ (and may poison the log);
   // this API has no status channel, so the gauge is the observable.
-  if (fd_ >= 0 || poisoned_) (void)RewriteFileLocked();
+  (void)RewriteLocked();
   return parsed;
 }
 
 Status Wal::TruncateBefore(uint64_t lsn) {
   std::lock_guard<std::mutex> lock(mu_);
-  records_.erase(records_.begin(),
-                 std::find_if(records_.begin(), records_.end(),
-                              [lsn](const LogRecord& r) { return r.lsn >= lsn; }));
-  RebuildImageLocked();
-  if (fd_ >= 0 || poisoned_) return RewriteFileLocked();
-  return Status::OK();
+  // LSNs grow along the image: cut at the first frame that reaches the
+  // horizon. Checksums are skipped there, as those frames go and a torn one
+  // (nothing follows it) is cut short. The second walk finds the intact end.
+  auto below = [lsn](Slice body, size_t) {
+    auto frame_lsn = FrameLsn(body);
+    return frame_lsn.ok() && *frame_lsn < lsn;
+  };
+  const size_t cut = WalkFrames(image_, below, /*verify=*/false);
+  const size_t end =
+      cut + WalkFrames(Slice(image_).subslice(cut, image_.size() - cut),
+                       [](Slice, size_t) { return true; });
+  image_.erase(image_.begin() + end, image_.end());
+  image_.erase(image_.begin(), image_.begin() + cut);
+  return RewriteLocked();
 }
 
-void Wal::Replace(std::vector<LogRecord> records) {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_ = std::move(records);
-  next_lsn_ = records_.empty() ? 1 : records_.back().lsn + 1;
-  // See LoadImage: a rewound LSN space invalidates the fsync watermark.
-  synced_lsn_ = 0;
-  RebuildImageLocked();
-  // Failure is recorded in file_errors_ / poisoned_ (no status channel here).
-  if (fd_ >= 0 || poisoned_) (void)RewriteFileLocked();
-}
-
-void Wal::RebuildImageLocked() {
-  image_.clear();
-  for (const LogRecord& rec : records_) AppendFramed(&image_, rec);
-}
-
-Status Wal::RewriteFileLocked() {
+Status Wal::RewriteLocked() {
+  if (path_.empty()) {  // in memory, image_ is the whole log
+    poisoned_ = false;
+    return Status::OK();
+  }
   Status written = fsio::WriteFileDurable(path_, image_);
   if (!written.ok()) {
     // The rename never happened: the old inode (a superset of image_) is
@@ -421,7 +416,12 @@ Status Wal::RewriteFileLocked() {
 
 size_t Wal::record_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
+  size_t n = 0;
+  WalkFrames(image_, [&n](Slice, size_t) {
+    ++n;
+    return true;
+  });
+  return n;
 }
 
 uint64_t Wal::fsyncs() const {

@@ -81,36 +81,38 @@ struct FramedBlobs {
 };
 FramedBlobs ParseFramedBlobs(Slice image);
 
-/// Append-only write-ahead log. Retains structured records for recovery
-/// replay plus the durable byte image — the adversary-observable "disk" form,
-/// scanned by leakage tests and cut at arbitrary prefixes by the crash-point
-/// torture harness.
+/// Append-only write-ahead log. Its only in-memory form is `image_`, the
+/// framed bytes that are, or would be, on disk, torn tail included: the
+/// recovery source (Snapshot parses it, so in-process recovery replays what a
+/// crash would leave) and the adversary-observable "disk" form, scanned by
+/// leakage tests and cut at arbitrary prefixes by the torture harness.
 ///
 /// Two backing modes share identical framing and semantics:
-///   - In-memory (default): the byte image lives only in `image_`; Sync is a
-///     no-op beyond its fault point. This remains the mode every pre-existing
-///     test and the in-process torture matrix run in.
+///   - In-memory (default): the log lives only in `image_`; Sync does
+///     nothing beyond its fault point and the poison check. This remains the
+///     mode every pre-existing test and the in-process torture matrix run in.
 ///   - File-backed (after AttachFile): every frame is additionally written to
 ///     an O_APPEND fd under the data directory, Sync performs a real fsync
 ///     (the commit durability point), and truncation rewrites the file
-///     atomically (tmp → fsync → rename → fsync dir). `image_` stays an
-///     exact mirror of the file so RawBytes/leakage checks see disk bytes.
+///     atomically (tmp → fsync → rename → fsync dir).
 ///
 /// On-image framing, per record:
 ///
 ///     u32  body length
 ///     u32  FNV-1a checksum of the body
-///     ...  body (LogRecord::SerializeTo)
+///     ...  body (LogRecord::SerializeTo; its first 8 bytes are the LSN)
 ///
 /// The checksum is what lets recovery distinguish "log ends here" from "log
 /// was torn mid-write here": a torn tail fails the length or checksum test
-/// and is dropped, everything before it replays.
+/// and is dropped, everything before it replays. No intact frame ever
+/// follows a torn one: a torn write poisons the log (see poisoned()).
 ///
 /// Fault points (see fault/fault.h):
 ///   wal/append       Append fails before writing anything.
 ///   wal/torn_append  Append writes only the first `arg` bytes of the frame
 ///                    (default: half) to the image/file and fails — simulates
-///                    a crash mid-write.
+///                    a crash mid-write. Like a short or failed write(), it
+///                    poisons the log until a rewrite from the intact prefix.
 ///   wal/sync         Sync fails (fsync error at the commit durability
 ///                    point); the real fsync is skipped.
 class Wal {
@@ -122,10 +124,10 @@ class Wal {
   Wal& operator=(const Wal&) = delete;
 
   /// Switches to file-backed mode. Opens (creating + directory-fsyncing if
-  /// needed) `path` for O_APPEND writes, parses its contents, physically
-  /// truncates any torn tail, and adopts the intact prefix as the log. The
-  /// returned WalLoadResult is the reopened log (recovery replays it).
-  Result<WalLoadResult> AttachFile(const std::string& path);
+  /// needed) `path` for O_APPEND writes, walks its frames, physically
+  /// truncates any torn tail, and adopts the intact prefix as the log
+  /// (recovery replays it through Snapshot).
+  Status AttachFile(const std::string& path);
   bool file_backed() const;
 
   /// Assigns the next LSN, frames and appends the record. In file-backed
@@ -133,9 +135,9 @@ class Wal {
   Result<uint64_t> Append(LogRecord record);
 
   /// Durability barrier: everything appended so far survives a crash. In
-  /// file-backed mode this is a real fsync of the log fd; in-memory it is
-  /// trivially "synced". Either way the `wal/sync` fault point fires first
-  /// (a fired fault skips the fsync — the commit must not become durable).
+  /// file-backed mode this is a real fsync of the log fd. Either way the
+  /// `wal/sync` fault point fires first (a fired fault skips the fsync — the
+  /// commit must not become durable), and a poisoned log refuses.
   Status Sync();
 
   /// Group-commit durability barrier: returns once every record up to and
@@ -149,7 +151,8 @@ class Wal {
   /// its commit made durable by a neighbor's fsync. A leader's failed fsync
   /// poisons the log (see poisoned()): followers are NOT allowed to retry
   /// the fsync and trust its result, so no commit is ever acked off a
-  /// barrier that reported an error.
+  /// barrier that reported an error. A record some fsync already covered is
+  /// acked even if the log was poisoned since.
   Status SyncUpTo(uint64_t lsn);
 
   /// Leader linger before the cohort fsync (0 = fsync immediately; natural
@@ -162,6 +165,7 @@ class Wal {
   /// when the engine routes commits through SyncUpTo).
   uint64_t sync_requests() const;
 
+  /// Parses the image up to any torn tail (recovery and tests only).
   std::vector<LogRecord> Snapshot() const;
   uint64_t next_lsn() const;
   /// Raises next_lsn to at least `lsn` — used after loading a checkpoint
@@ -179,48 +183,45 @@ class Wal {
   /// tail was lost. File-backed: the file is atomically rewritten to match.
   WalLoadResult LoadImage(Slice image);
 
-  /// Drops records up to `lsn` exclusive (log truncation after checkpoint).
-  /// File-backed: rewrites the log file atomically; a crash between the
-  /// checkpoint publish and this rewrite only leaves already-checkpointed
-  /// records in the file, which recovery filters out by LSN.
+  /// Drops records up to `lsn` exclusive (log truncation after checkpoint),
+  /// and everything from the first bad frame on. File-backed: rewrites the
+  /// log file atomically; a crash between the checkpoint publish and this
+  /// rewrite only leaves already-checkpointed records in the file, which
+  /// recovery filters out by LSN.
   Status TruncateBefore(uint64_t lsn);
 
-  /// Replaces the contents wholesale. Used to transplant a crashed engine's
-  /// log into a fresh engine in crash-recovery tests.
-  void Replace(std::vector<LogRecord> records);
+  /// Intact frames in the image.
   size_t record_count() const;
 
-  // ----- durability gauges (file-backed mode; zero otherwise) -----
+  // ----- durability gauges -----
   /// fsyncs issued by this log (commit-path Sync + attach/rewrite syncs).
   uint64_t fsyncs() const;
   /// Bytes of torn tail dropped across AttachFile/LoadImage calls.
   uint64_t torn_bytes_dropped() const;
   /// Current size of the durable image in bytes.
   uint64_t wal_bytes() const;
-  /// File-write failures that left the on-disk log diverged from the
-  /// in-memory mirror (failed truncation rewrites, failed torn-append
-  /// writes, failed reopens). Nonzero means disk state lags `image_`.
+  /// Torn log writes (in either mode), failed fsyncs, and failed truncation
+  /// rewrites or reopens. Nonzero means disk state may lag `image_`.
   uint64_t file_errors() const;
-  /// True after the log became unwritable: a rewrite lost the append fd, or
-  /// an fsync failed (the kernel clears a writeback error after reporting it
-  /// once, so a retried fsync cannot be trusted — it may "succeed" with the
-  /// failed writes still lost). Append/Sync/SyncUpTo refuse with an error
-  /// (never silently degrade to in-memory mode) until a later atomic
-  /// rewrite — e.g. the next checkpoint truncation — succeeds.
+  /// True after the log became unwritable, in either mode: a write left a
+  /// partial frame (no reader gets past it to a later record), an fsync
+  /// failed (a retried fsync may "succeed" with the failed writes lost), or
+  /// a rewrite lost the append fd. Append/Sync/SyncUpTo refuse until a
+  /// successful TruncateBefore (e.g. the next checkpoint) or LoadImage
+  /// (e.g. Database::Restart) rewrites the log from its intact prefix. A
+  /// tear first makes that prefix durable: SyncUpTo still acks it.
   bool poisoned() const;
 
  private:
-  /// Rebuilds image_ from records_. Caller holds mu_.
-  void RebuildImageLocked();
-  /// File-backed: atomically rewrites the log file from image_ and reopens
-  /// the append fd (the rename replaced the inode). Caller holds mu_.
-  Status RewriteFileLocked();
-  /// Appends raw bytes to the log fd. Caller holds mu_.
-  Status WriteToFileLocked(const uint8_t* data, size_t n);
+  /// Makes image_ the whole log; success clears poisoned_. File-backed:
+  /// atomically rewrites the file and reopens the append fd. Holds mu_.
+  Status RewriteLocked();
+  /// Appends to the log fd; `*written` counts what landed. Holds mu_.
+  Status WriteToFileLocked(const uint8_t* data, size_t n, size_t* written);
+  Status PoisonedError() const;
 
   mutable std::mutex mu_;
-  std::vector<LogRecord> records_;
-  Bytes image_;  // framed durable form of records_ (plus any torn tail)
+  Bytes image_;  // the log: framed bytes as on disk, torn tail included
   uint64_t next_lsn_ = 1;
 
   // ----- group commit (guarded by mu_; sync_cv_ signals leader handoff) ---
@@ -233,15 +234,12 @@ class Wal {
   uint64_t sync_requests_ = 0;
   uint64_t group_commit_batches_ = 0;
 
-  int fd_ = -1;  // -1: in-memory mode (unless poisoned_)
-  /// File-backed but unwritable: the append fd was lost (reopen after an
-  /// atomic rewrite failed) or an fsync failed (retrying fsync after a
-  /// failure is unsound — the kernel clears the writeback error). Sticky
-  /// until a successful atomic rewrite; distinguished from fd_ == -1
-  /// in-memory mode so neither failure silently turns a durable log into a
-  /// volatile one.
+  int fd_ = -1;  // append fd; -1 in memory mode, or when the fd was lost
+  /// Unwritable until a rewrite from the intact prefix (see poisoned()).
+  /// Kept apart from fd_ == -1 so no failure silently turns a durable log
+  /// into a volatile one.
   bool poisoned_ = false;
-  std::string path_;
+  std::string path_;  // empty: in-memory mode
   uint64_t fsyncs_ = 0;
   uint64_t torn_dropped_ = 0;
   uint64_t file_errors_ = 0;

@@ -17,10 +17,13 @@
 #include "storage/heap_table.h"
 #include "storage/torture.h"
 #include "storage/wal.h"
+#include "temp_dir.h"
 #include "tpcc/tpcc.h"
 
 namespace aedb::storage {
 namespace {
+
+using testing::TempDir;
 
 Bytes B(std::string_view s) { return Slice(s).ToBytes(); }
 
@@ -397,24 +400,6 @@ TEST_F(BufferPoolTest, BTreeTinyPoolMatchesUnbounded) {
 
 constexpr uint32_t kTable = 1;
 
-class TempDir {
- public:
-  TempDir() {
-    char templ[] = "/tmp/aedb_bufferpool_XXXXXX";
-    char* made = mkdtemp(templ);
-    EXPECT_NE(made, nullptr);
-    path_ = made == nullptr ? "/tmp" : made;
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path_ + "'";
-    [[maybe_unused]] int rc = std::system(cmd.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 TEST_F(BufferPoolTest, GroupCommitAmortizesFsyncsAndLosesNothing) {
   TempDir dir;
   const std::string wal_path = dir.path() + "/wal.log";
@@ -456,9 +441,9 @@ TEST_F(BufferPoolTest, GroupCommitAmortizesFsyncsAndLosesNothing) {
   // sees all of them.
   StorageEngine fresh;
   ASSERT_TRUE(fresh.CreateTable(kTable).ok());
-  auto load = fresh.wal().AttachFile(wal_path);
-  ASSERT_TRUE(load.ok()) << load.status().ToString();
-  EXPECT_FALSE(load->torn_tail);
+  Status load = fresh.wal().AttachFile(wal_path);
+  ASSERT_TRUE(load.ok()) << load.ToString();
+  EXPECT_EQ(fresh.wal().torn_bytes_dropped(), 0u);
   auto recovered = fresh.Recover();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(fresh.table(kTable)->live_rows(),

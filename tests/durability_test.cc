@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -22,6 +21,7 @@
 #include "storage/fsio.h"
 #include "storage/torture.h"
 #include "storage/wal.h"
+#include "temp_dir.h"
 
 namespace aedb {
 namespace {
@@ -37,73 +37,10 @@ using storage::Rid;
 using storage::StorageEngine;
 using storage::Wal;
 using storage::WalLoadResult;
+using testing::TempDir;
 using types::Value;
 
 Bytes B(std::string_view s) { return Slice(s).ToBytes(); }
-
-/// A self-cleaning scratch directory for durable-state tests.
-class TempDir {
- public:
-  TempDir() {
-    char templ[] = "/tmp/aedb_durability_XXXXXX";
-    char* made = mkdtemp(templ);
-    EXPECT_NE(made, nullptr) << strerror(errno);
-    path_ = made == nullptr ? "/tmp" : made;
-  }
-  ~TempDir() { RemoveTree(path_); }
-
-  const std::string& path() const { return path_; }
-  std::string File(const std::string& name) const { return path_ + "/" + name; }
-
-  /// Every regular file currently under the directory, recursively — the
-  /// ciphertext-at-rest scan must cover the pages/ spill directory too, or an
-  /// evicted plaintext page would slip past it.
-  std::vector<std::string> Files() const {
-    std::vector<std::string> out;
-    ListTree(path_, &out);
-    return out;
-  }
-
- private:
-  static void ListTree(const std::string& dir, std::vector<std::string>* out) {
-    DIR* d = opendir(dir.c_str());
-    if (d == nullptr) return;
-    while (struct dirent* e = readdir(d)) {
-      if (std::strcmp(e->d_name, ".") == 0 || std::strcmp(e->d_name, "..") == 0)
-        continue;
-      std::string child = dir + "/" + e->d_name;
-      struct stat st;
-      if (lstat(child.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-        ListTree(child, out);
-      } else {
-        out->push_back(child);
-      }
-    }
-    closedir(d);
-  }
-
-  static void RemoveTree(const std::string& dir) {
-    DIR* d = opendir(dir.c_str());
-    if (d != nullptr) {
-      while (struct dirent* e = readdir(d)) {
-        if (std::strcmp(e->d_name, ".") == 0 ||
-            std::strcmp(e->d_name, "..") == 0)
-          continue;
-        std::string child = dir + "/" + e->d_name;
-        struct stat st;
-        if (lstat(child.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-          RemoveTree(child);
-        } else {
-          unlink(child.c_str());
-        }
-      }
-      closedir(d);
-    }
-    rmdir(dir.c_str());
-  }
-
-  std::string path_;
-};
 
 class DurabilityTest : public ::testing::Test {
  protected:
@@ -129,10 +66,10 @@ TEST_F(DurabilityTest, FileWalSurvivesReopen) {
   const std::string path = dir.File("wal.log");
   {
     Wal wal;
-    auto attached = wal.AttachFile(path);
-    ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+    Status attached = wal.AttachFile(path);
+    ASSERT_TRUE(attached.ok()) << attached.ToString();
     EXPECT_TRUE(wal.file_backed());
-    EXPECT_TRUE(attached->records.empty());
+    EXPECT_TRUE(wal.Snapshot().empty());
     ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kBegin, "")).ok());
     ASSERT_TRUE(
         wal.Append(MakeRecord(1, LogRecordType::kHeapInsert, "row-a")).ok());
@@ -144,13 +81,14 @@ TEST_F(DurabilityTest, FileWalSurvivesReopen) {
   // A brand-new Wal over the same file adopts the log: same records, and the
   // next LSN continues past the durable tail instead of restarting at 1.
   Wal reopened;
-  auto loaded = reopened.AttachFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->records.size(), 3u);
-  EXPECT_FALSE(loaded->torn_tail);
-  EXPECT_EQ(loaded->records[1].payload1, B("row-a"));
-  EXPECT_EQ(loaded->records[2].type, LogRecordType::kCommit);
-  EXPECT_GT(reopened.next_lsn(), loaded->records[2].lsn);
+  Status loaded = reopened.AttachFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  auto records = reopened.Snapshot();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(reopened.torn_bytes_dropped(), 0u);
+  EXPECT_EQ(records[1].payload1, B("row-a"));
+  EXPECT_EQ(records[2].type, LogRecordType::kCommit);
+  EXPECT_GT(reopened.next_lsn(), records[2].lsn);
 }
 
 TEST_F(DurabilityTest, FileWalTornTailIsDroppedAndPhysicallyTruncated) {
@@ -176,10 +114,9 @@ TEST_F(DurabilityTest, FileWalTornTailIsDroppedAndPhysicallyTruncated) {
     close(fd);
   }
   Wal reopened;
-  auto loaded = reopened.AttachFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->torn_tail);
-  ASSERT_EQ(loaded->records.size(), 2u);
+  Status loaded = reopened.AttachFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  ASSERT_EQ(reopened.Snapshot().size(), 2u);
   EXPECT_GT(reopened.torn_bytes_dropped(), 0u);
   // The tail was ftruncated away, not just ignored: the file is back to the
   // intact prefix, so the next append lands on a clean boundary.
@@ -189,11 +126,11 @@ TEST_F(DurabilityTest, FileWalTornTailIsDroppedAndPhysicallyTruncated) {
   ASSERT_TRUE(
       reopened.Append(MakeRecord(2, LogRecordType::kHeapInsert, "after")).ok());
   Wal third;
-  auto again = third.AttachFile(path);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(again->torn_tail);
-  ASSERT_EQ(again->records.size(), 3u);
-  EXPECT_EQ(again->records[2].payload1, B("after"));
+  ASSERT_TRUE(third.AttachFile(path).ok());
+  EXPECT_EQ(third.torn_bytes_dropped(), 0u);
+  auto records = third.Snapshot();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[2].payload1, B("after"));
 }
 
 TEST_F(DurabilityTest, FileWalSyncFaultSkipsFsync) {
@@ -237,11 +174,12 @@ TEST_F(DurabilityTest, FailedTruncationRewriteIsObservableAndNonFatal) {
   ASSERT_TRUE(wal.Append(MakeRecord(2, LogRecordType::kBegin, "")).ok());
   ASSERT_TRUE(wal.Sync().ok());
   Wal reopened;
-  auto loaded = reopened.AttachFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->torn_tail);
-  ASSERT_EQ(loaded->records.size(), 4u);
-  EXPECT_EQ(loaded->records.back().type, LogRecordType::kBegin);
+  Status loaded = reopened.AttachFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(reopened.torn_bytes_dropped(), 0u);
+  auto records = reopened.Snapshot();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records.back().type, LogRecordType::kBegin);
 }
 
 // ===========================================================================
@@ -459,9 +397,9 @@ TEST_F(DurabilityTest, WalCrashTortureExactOnFileBackedWal) {
   int counter = 0;
   auto factory = [&dir, &counter]() -> std::unique_ptr<StorageEngine> {
     auto engine = MakeCatalogedEngine();
-    auto attached =
+    Status attached =
         engine->wal().AttachFile(dir.File("wal-" + std::to_string(counter++)));
-    EXPECT_TRUE(attached.ok()) << attached.status().ToString();
+    EXPECT_TRUE(attached.ok()) << attached.ToString();
     return engine;
   };
   auto workload = [](StorageEngine* engine) -> Status {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/driver.h"
@@ -13,7 +15,9 @@
 #include "net/socket_transport.h"
 #include "server/database.h"
 #include "storage/engine.h"
+#include "storage/fsio.h"
 #include "storage/wal.h"
+#include "temp_dir.h"
 #include "tpcc/tpcc.h"
 
 namespace aedb {
@@ -244,6 +248,94 @@ TEST_F(FaultTest, WalTornAppendLeavesDetectableTornTail) {
   EXPECT_EQ(reparsed.records.size(), 2u);
 }
 
+/// A torn write leaves a partial frame, and parsing stops there. A commit
+/// appended after it could be fsynced and acked, yet no reopen would ever
+/// see it. So the tear poisons the log, in both modes, until a rewrite from
+/// the intact prefix. The records before the tear can still be acked.
+TEST_F(FaultTest, WalTornWritePoisonsUntilRewrite) {
+  for (bool file_backed : {false, true}) {
+    SCOPED_TRACE(file_backed ? "file-backed" : "in-memory");
+    std::optional<testing::TempDir> dir;
+    std::string path;
+    storage::Wal wal;
+    if (file_backed) {
+      dir.emplace();
+      path = dir->File("wal.log");
+      ASSERT_TRUE(wal.AttachFile(path).ok());
+    }
+    // What a reopen would read: the file, or in memory the image itself.
+    auto reopen = [&] {
+      Bytes image = wal.RawBytes();
+      if (file_backed) {
+        auto disk = storage::fsio::ReadFileBytes(path);
+        EXPECT_TRUE(disk.ok());
+        if (disk.ok()) image = std::move(disk).value();
+      }
+      return storage::Wal::ParseImage(image);
+    };
+
+    auto intact = wal.Append(SampleRecord(1, "intact"));
+    ASSERT_TRUE(intact.ok());
+    FaultRegistry::Global().Arm("wal/torn_append",
+                                FaultSpec::OneShot(Status::Internal("crash")));
+    EXPECT_FALSE(wal.Append(SampleRecord(1, "torn-away")).ok());
+    EXPECT_TRUE(wal.poisoned());
+    EXPECT_EQ(wal.file_backed(), file_backed);
+    EXPECT_EQ(wal.file_errors(), 1u);
+    EXPECT_EQ(wal.next_lsn(), *intact + 1);  // the torn record got no LSN
+    EXPECT_TRUE(wal.SyncUpTo(*intact).ok());
+
+    storage::LogRecord commit = SampleRecord(1, "");
+    commit.type = storage::LogRecordType::kCommit;
+    EXPECT_FALSE(wal.Append(commit).ok());
+    EXPECT_FALSE(wal.SyncUpTo(*intact + 1).ok());
+    EXPECT_FALSE(wal.Sync().ok());
+    EXPECT_EQ(wal.Snapshot().size(), 1u);
+    EXPECT_EQ(wal.record_count(), 1u);
+    auto seen = reopen();
+    EXPECT_TRUE(seen.torn_tail);
+    EXPECT_EQ(seen.records.size(), 1u);
+
+    // Cutting nothing still rewrites the log from its intact prefix, which
+    // drops the torn bytes and lifts the poison.
+    ASSERT_TRUE(wal.TruncateBefore(1).ok());
+    EXPECT_FALSE(wal.poisoned());
+    auto lsn = wal.Append(commit);
+    ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
+    ASSERT_TRUE(wal.SyncUpTo(*lsn).ok());
+    seen = reopen();
+    EXPECT_FALSE(seen.torn_tail);
+    ASSERT_EQ(seen.records.size(), 2u);
+    EXPECT_EQ(seen.records[1].type, storage::LogRecordType::kCommit);
+  }
+}
+
+/// Another thread's append tears while a group-commit leader lingers before
+/// its fsync. The leader's commit precedes the tear, so it is durable and
+/// must be acked although the log is poisoned by then.
+TEST_F(FaultTest, WalCommitBeforeATearIsAcked) {
+  testing::TempDir dir;
+  storage::Wal wal;
+  ASSERT_TRUE(wal.AttachFile(dir.File("wal.log")).ok());
+  wal.set_group_commit_window_us(200'000);
+  storage::LogRecord commit = SampleRecord(1, "");
+  commit.type = storage::LogRecordType::kCommit;
+  auto lsn = wal.Append(commit);
+  ASSERT_TRUE(lsn.ok());
+
+  Status acked = Status::Internal("leader never ran");
+  std::thread leader([&] { acked = wal.SyncUpTo(*lsn); });
+  // The leader holds the log's mutex from counting its request until its
+  // linger, so once the count shows, it is lingering (or done).
+  while (wal.sync_requests() == 0) std::this_thread::yield();
+  FaultRegistry::Global().Arm("wal/torn_append",
+                              FaultSpec::OneShot(Status::Internal("crash")));
+  EXPECT_FALSE(wal.Append(SampleRecord(2, "torn-away")).ok());
+  leader.join();
+  EXPECT_TRUE(wal.poisoned());
+  EXPECT_TRUE(acked.ok()) << acked.ToString();
+}
+
 TEST_F(FaultTest, WalSyncFaultSurfaces) {
   storage::Wal wal;
   ASSERT_TRUE(wal.Sync().ok());
@@ -287,9 +379,73 @@ TEST_F(EngineFaultTest, SyncFailureAtCommitAbortsAndUndoes) {
 
   // And recovery from the log agrees: only the retried transaction exists.
   auto engine2 = MakeEngine();
-  engine2->wal().Replace(engine->wal().Snapshot());
+  engine2->wal().LoadImage(engine->wal().RawBytes());
   ASSERT_TRUE(engine2->Recover().ok());
   EXPECT_EQ(engine2->table(kTable)->live_rows(), 1u);
+}
+
+/// A tear mid-transaction poisons the log, so the abort's compensation
+/// records cannot land. The abort must still undo every op in memory and
+/// release the locks, leaving the txn a loser in the log. A checkpoint taken
+/// then, whose truncation lifts the poison, must capture none of its rows.
+TEST_F(EngineFaultTest, AbortAfterTornAppendUndoesEverything) {
+  auto engine = MakeEngine();
+  uint64_t txn = engine->Begin();
+  auto a = engine->HeapInsert(txn, kTable, B("row-a"));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(engine->LockRow(txn, kTable, *a).ok());
+  ASSERT_TRUE(engine->HeapInsert(txn, kTable, B("row-b")).ok());
+  FaultRegistry::Global().Arm("wal/torn_append",
+                              FaultSpec::OneShot(Status::Internal("crash")));
+  EXPECT_FALSE(engine->HeapInsert(txn, kTable, B("row-c")).ok());
+  ASSERT_TRUE(engine->wal().poisoned());
+
+  ASSERT_TRUE(engine->Abort(txn).ok());
+  EXPECT_EQ(engine->table(kTable)->live_rows(), 0u);
+  EXPECT_EQ(engine->locks().HeldCount(txn), 0u);
+  {
+    auto crashed = MakeEngine();
+    crashed->wal().LoadImage(engine->wal().RawBytes());
+    ASSERT_TRUE(crashed->Recover().ok());
+    EXPECT_EQ(crashed->table(kTable)->live_rows(), 0u);
+  }
+
+  auto captured = engine->CaptureCheckpoint(std::chrono::milliseconds(500));
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  ASSERT_TRUE(engine->wal().TruncateBefore((*captured)->checkpoint_lsn).ok());
+  EXPECT_FALSE(engine->wal().poisoned());
+  auto restarted = MakeEngine();
+  restarted->SetCheckpointBase(*captured);
+  restarted->wal().LoadImage(engine->wal().RawBytes());
+  ASSERT_TRUE(restarted->Recover().ok());
+  EXPECT_EQ(restarted->table(kTable)->live_rows(), 0u);
+
+  uint64_t next = engine->Begin();
+  ASSERT_TRUE(engine->HeapInsert(next, kTable, B("after")).ok());
+  ASSERT_TRUE(engine->Commit(next).ok());
+}
+
+/// A compensation record that fails to append, while a later one lands,
+/// must keep kAbort out of the log: kAbort would tell recovery the log holds
+/// the whole undo, and redo would bring the uncompensated row back.
+TEST_F(EngineFaultTest, AbortWithALostClrLeavesALoser) {
+  auto engine = MakeEngine();
+  uint64_t txn = engine->Begin();
+  ASSERT_TRUE(engine->HeapInsert(txn, kTable, B("row-a")).ok());
+  ASSERT_TRUE(engine->HeapInsert(txn, kTable, B("row-b")).ok());
+  // Undo runs newest first: the one-shot drops row-b's CLR, row-a's lands.
+  FaultRegistry::Global().Arm("wal/append",
+                              FaultSpec::OneShot(Status::Internal("lost clr")));
+  ASSERT_TRUE(engine->Abort(txn).ok());
+  EXPECT_EQ(engine->table(kTable)->live_rows(), 0u);
+  for (const storage::LogRecord& rec : engine->wal().Snapshot()) {
+    EXPECT_NE(rec.type, storage::LogRecordType::kAbort);
+  }
+
+  auto restarted = MakeEngine();
+  restarted->wal().LoadImage(engine->wal().RawBytes());
+  ASSERT_TRUE(restarted->Recover().ok());
+  EXPECT_EQ(restarted->table(kTable)->live_rows(), 0u);
 }
 
 TEST_F(EngineFaultTest, CommitRecordAppendFailureAbortsAndUndoes) {
@@ -308,7 +464,7 @@ TEST_F(EngineFaultTest, CommitRecordAppendFailureAbortsAndUndoes) {
   EXPECT_EQ(engine->table(kTable)->live_rows(), 0u);
 
   auto engine2 = MakeEngine();
-  engine2->wal().Replace(engine->wal().Snapshot());
+  engine2->wal().LoadImage(engine->wal().RawBytes());
   ASSERT_TRUE(engine2->Recover().ok());
   EXPECT_EQ(engine2->table(kTable)->live_rows(), 0u);  // loser stayed lost
 }
@@ -422,6 +578,39 @@ class NetFaultTest : public FaultTest {
   std::unique_ptr<server::Database> db_;
   std::unique_ptr<net::Server> server_;
 };
+
+/// An in-memory Database has no checkpoint to lift a torn log's poison, so
+/// Restart does: it reloads the log from its intact prefix, as a reopen
+/// would. Recovery then undoes the torn transaction and writes work again.
+TEST_F(NetFaultTest, RestartAfterTornLogWriteRecoversAndWritesAgain) {
+  auto driver = MakeInProcessDriver();
+  ASSERT_TRUE(driver->ExecuteDdl("CREATE TABLE T (id INT)").ok());
+  auto insert = [&](int id, uint64_t txn) {
+    return driver
+        ->Query("INSERT INTO T (id) VALUES (@i)", {{"i", Value::Int32(id)}},
+                txn)
+        .status();
+  };
+  auto count = [&]() -> int64_t {
+    auto rs = driver->Query("SELECT COUNT(*) FROM T");
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    return rs.ok() ? rs->rows[0][0].i64() : -1;
+  };
+  ASSERT_TRUE(insert(1, 0).ok());
+  uint64_t txn = driver->Begin();
+  ASSERT_TRUE(insert(2, txn).ok());
+  FaultRegistry::Global().Arm("wal/torn_append",
+                              FaultSpec::OneShot(Status::Internal("crash")));
+  EXPECT_FALSE(insert(3, txn).ok());
+  (void)driver->Rollback(txn);  // the failed statement may have ended it
+  EXPECT_FALSE(insert(4, 0).ok());  // the log is poisoned
+
+  auto recovery = db_->Restart();
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  EXPECT_EQ(count(), 1);
+  ASSERT_TRUE(insert(5, 0).ok());
+  EXPECT_EQ(count(), 2);
+}
 
 TEST_F(NetFaultTest, WorkerErrorAnswersTypedFrameAndSelectRetriesTransparently) {
   auto driver = MakeSocketDriver();

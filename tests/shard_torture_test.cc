@@ -19,14 +19,10 @@
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -38,6 +34,7 @@
 #include "net/socket_transport.h"
 #include "process_supervisor.h"
 #include "server/router.h"
+#include "temp_dir.h"
 
 #ifndef AEDB_SERVERD_PATH
 #define AEDB_SERVERD_PATH "aedb_serverd"
@@ -53,43 +50,8 @@ using fault::ScopedFault;
 using server::Database;
 using server::ShardedDatabase;
 using server::ShardedOptions;
+using testing::TempDir;
 using types::Value;
-
-/// A self-cleaning scratch directory (per-shard WALs + 2pc.log live here).
-class TempDir {
- public:
-  TempDir() {
-    char templ[] = "/tmp/aedb_shard_torture_XXXXXX";
-    char* made = mkdtemp(templ);
-    EXPECT_NE(made, nullptr) << strerror(errno);
-    path_ = made == nullptr ? "/tmp" : made;
-  }
-  ~TempDir() { RemoveTree(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  static void RemoveTree(const std::string& dir) {
-    DIR* d = opendir(dir.c_str());
-    if (d != nullptr) {
-      while (struct dirent* e = readdir(d)) {
-        if (std::strcmp(e->d_name, ".") == 0 ||
-            std::strcmp(e->d_name, "..") == 0)
-          continue;
-        std::string child = dir + "/" + e->d_name;
-        struct stat st;
-        if (lstat(child.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-          RemoveTree(child);
-        } else {
-          unlink(child.c_str());
-        }
-      }
-      closedir(d);
-    }
-    rmdir(dir.c_str());
-  }
-
-  std::string path_;
-};
 
 // ---------------------------------------------------------------------------
 // Part 1: in-process fault matrix

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "fault/fault.h"
 #include "storage/btree.h"
 #include "storage/engine.h"
 #include "storage/heap_table.h"
@@ -343,14 +344,59 @@ TEST(WalTest, ParseImageDropsTornTail) {
   EXPECT_EQ(after_flip.records.size(), 1u);
 }
 
+/// After a cut, the image, its parse, the frame count and a fresh log loaded
+/// from the image all hold exactly the records `lsns`.
+void ExpectLogHolds(const Wal& wal, const std::vector<uint64_t>& lsns) {
+  const Bytes raw = wal.RawBytes();
+  EXPECT_FALSE(Wal::ParseImage(raw).torn_tail);
+  std::vector<uint64_t> got;
+  for (const LogRecord& rec : wal.Snapshot()) got.push_back(rec.lsn);
+  EXPECT_EQ(got, lsns);
+  EXPECT_EQ(wal.record_count(), lsns.size());
+  Wal fresh;
+  fresh.LoadImage(raw);
+  EXPECT_EQ(fresh.RawBytes(), raw);
+  EXPECT_EQ(fresh.record_count(), lsns.size());
+}
+
 TEST(WalTest, TruncateBefore) {
   Wal wal;
   LogRecord r;
   r.type = LogRecordType::kBegin;
-  for (int i = 0; i < 10; ++i) wal.Append(r);
-  wal.TruncateBefore(6);
-  EXPECT_EQ(wal.record_count(), 5u);
-  EXPECT_EQ(wal.Snapshot().front().lsn, 6u);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(wal.Append(r).ok());
+  const Bytes full = wal.RawBytes();
+
+  // Horizon before the first record: nothing to cut.
+  ASSERT_TRUE(wal.TruncateBefore(1).ok());
+  EXPECT_EQ(wal.RawBytes(), full);
+  ExpectLogHolds(wal, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+
+  // Mid-log: the kept bytes are the original image's tail, frames intact.
+  ASSERT_TRUE(wal.TruncateBefore(6).ok());
+  const Bytes kept = wal.RawBytes();
+  ASSERT_LT(kept.size(), full.size());
+  EXPECT_TRUE(std::equal(kept.begin(), kept.end(), full.end() - kept.size()));
+  ExpectLogHolds(wal, {6, 7, 8, 9, 10});
+
+  // Past the last record: the log empties, and LSNs keep counting.
+  ASSERT_TRUE(wal.TruncateBefore(wal.next_lsn()).ok());
+  EXPECT_TRUE(wal.RawBytes().empty());
+  ExpectLogHolds(wal, {});
+  EXPECT_EQ(wal.Append(r).value(), 11u);
+  EXPECT_EQ(wal.Append(r).value(), 12u);
+
+  // An image ending in a torn frame: the cut drops the torn bytes too, and
+  // the next record follows the last kept frame.
+  fault::FaultRegistry::Global().Arm(
+      "wal/torn_append", fault::FaultSpec::OneShot(Status::Internal("crash")));
+  EXPECT_FALSE(wal.Append(r).ok());
+  fault::FaultRegistry::Global().Reset();
+  ASSERT_TRUE(Wal::ParseImage(wal.RawBytes()).torn_tail);
+  ASSERT_TRUE(wal.TruncateBefore(12).ok());
+  ExpectLogHolds(wal, {12});
+  auto next = wal.Append(r);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ExpectLogHolds(wal, {12, *next});
 }
 
 // --- LockManager ---
@@ -509,7 +555,7 @@ TEST_F(EngineTest, CommitPersistsThroughRecovery) {
   StorageEngine engine2;
   FailableComparator* cmp2;
   Register(&engine2, &cmp2);
-  engine2.wal().Replace(engine.wal().Snapshot());
+  engine2.wal().LoadImage(engine.wal().RawBytes());
   auto result = engine2.Recover();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred_txns.empty());
@@ -561,7 +607,7 @@ TEST_F(EngineTest, LoserUndoneAtRecovery) {
   StorageEngine engine2;
   FailableComparator* cmp2;
   Register(&engine2, &cmp2);
-  engine2.wal().Replace(engine.wal().Snapshot());
+  engine2.wal().LoadImage(engine.wal().RawBytes());
   auto result = engine2.Recover();
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->deferred_txns.empty());
@@ -589,7 +635,7 @@ TEST_F(EngineTest, MissingEnclaveKeyDefersTransaction) {
   StorageEngine engine2;
   FailableComparator* cmp2;
   Register(&engine2, &cmp2);
-  engine2.wal().Replace(engine.wal().Snapshot());
+  engine2.wal().LoadImage(engine.wal().RawBytes());
   cmp2->fail = true;
   auto result = engine2.Recover();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -631,7 +677,7 @@ TEST_F(EngineTest, ConstantTimeRecoveryReleasesLocks) {
   StorageEngine engine(opts);
   FailableComparator* cmp2;
   Register(&engine, &cmp2);
-  engine.wal().Replace(crashed.wal().Snapshot());
+  engine.wal().LoadImage(crashed.wal().RawBytes());
   cmp2->fail = true;
   auto result = engine.Recover();
   ASSERT_TRUE(result.ok());
@@ -654,7 +700,7 @@ TEST_F(EngineTest, IndexInvalidationForcesResolution) {
   StorageEngine engine;
   FailableComparator* cmp2;
   Register(&engine, &cmp2);
-  engine.wal().Replace(crashed.wal().Snapshot());
+  engine.wal().LoadImage(crashed.wal().RawBytes());
   cmp2->fail = true;
   ASSERT_TRUE(engine.Recover().ok());
   ASSERT_TRUE(engine.HasDeferredTxns());
@@ -693,7 +739,7 @@ TEST_F(EngineTest, RedoIsDeterministic) {
   StorageEngine engine2;
   FailableComparator* cmp2;
   Register(&engine2, &cmp2);
-  engine2.wal().Replace(engine.wal().Snapshot());
+  engine2.wal().LoadImage(engine.wal().RawBytes());
   ASSERT_TRUE(engine2.Recover().ok());
   EXPECT_EQ(engine2.table(kTable)->live_rows(), live.size());
   for (const Rid& rid : live) {
