@@ -53,10 +53,13 @@ if [[ "${1:-}" == "--asan" ]]; then
       -DAEDB_SANITIZE=address,undefined
   # durability_test drives the file-backed WAL's attach, truncate, rewrite
   # and reopen paths, where truncation slices the log image in place.
+  # shard_torture_test's in-process half drives the 2PC decision log's
+  # appends, tears, compaction rewrites and truncation.
   run cmake --build build-asan -j "$JOBS" --target fault_test \
-      fault_torture_test storage_test net_test durability_test
+      fault_torture_test storage_test net_test durability_test \
+      shard_torture_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R 'fault_test|fault_torture_test|storage_test|net_test|durability_test' \
+      -R 'fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test' \
       --output-on-failure
 fi
 

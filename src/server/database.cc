@@ -205,14 +205,12 @@ DatabaseStats Database::Stats() const {
   }
   out.recovery_ms = recovery_info_.recovery_ms;
   out.wal_records_replayed = recovery_info_.wal_records_replayed;
-  out.torn_bytes_dropped = engine_.wal().torn_bytes_dropped() +
-                           (ddl_journal_ != nullptr
-                                ? ddl_journal_->torn_bytes_dropped()
-                                : 0);
+  out.torn_bytes_dropped =
+      engine_.wal().torn_bytes_dropped() + ddl_log_.torn_bytes_dropped();
   out.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
   out.wal_bytes = engine_.wal().wal_bytes();
   out.fsyncs = storage::fsio::FsyncsPerformed();
-  out.wal_file_errors = engine_.wal().file_errors();
+  out.wal_file_errors = engine_.wal().file_errors() + ddl_log_.file_errors();
   storage::BufferPoolStats pool = engine_.pool().stats();
   out.pool_hits = pool.hits;
   out.pool_misses = pool.misses;
@@ -258,33 +256,13 @@ Status Database::Open() {
     AEDB_RETURN_IF_ERROR(storage::fsio::RemoveFileDurable(CleanShutdownPath()));
   }
 
-  // 1. Catalog: replay the DDL journal in metadata-only mode. Each entry
-  // carries the id counters as they stood before its statement ran; forcing
-  // them before every replay reproduces the runtime id assignment exactly —
-  // including ids consumed by statements that failed or never committed — so
-  // the replayed catalog ids match the WAL's object_ids.
-  ddl_journal_ = std::make_unique<DdlJournal>();
-  std::vector<DdlJournalEntry> ddl;
-  AEDB_ASSIGN_OR_RETURN(ddl, ddl_journal_->Open(DdlJournalPath()));
+  // 1. Catalog: attach ddl.log (drops any torn tail physically) and replay
+  // it in metadata-only mode.
+  AEDB_RETURN_IF_ERROR(ddl_log_.AttachFile(DdlLogPath()));
   recovering_ = true;
-  for (const DdlJournalEntry& entry : ddl) {
-    catalog_.ForceNextIds(entry.next_table_id, entry.next_index_id,
-                          entry.next_cek_id);
-    if (!entry.committed) {
-      // No commit marker: the statement was never acknowledged. Replay it
-      // leniently — losing it is legal, replaying it wrongly is not.
-      ReplayUncommittedDdl(entry);
-      continue;
-    }
-    Status st = ExecuteDdlStatement(entry.sql);
-    if (!st.ok()) {
-      recovering_ = false;
-      return Status::Internal("DDL journal replay failed for \"" + entry.sql +
-                              "\": " + st.message());
-    }
-    ++recovery_info_.ddl_statements_replayed;
-  }
+  Status replayed = ReplayDdlLog();
   recovering_ = false;
+  AEDB_RETURN_IF_ERROR(replayed);
 
   // 2. Log: attach the file-backed WAL (drops any torn tail physically).
   AEDB_RETURN_IF_ERROR(engine_.wal().AttachFile(WalPath()));
@@ -631,39 +609,89 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
   return Status::OK();
 }
 
+Status Database::LogDdl(storage::LogRecord record) {
+  uint64_t lsn;
+  AEDB_ASSIGN_OR_RETURN(lsn, ddl_log_.Append(std::move(record)));
+  return ddl_log_.SyncUpTo(lsn);
+}
+
 Status Database::ExecuteDdl(const std::string& sql_text, uint64_t session_id) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  const bool durable =
-      !recovering_ && ddl_journal_ != nullptr && ddl_journal_->is_open();
-  // Journal BEFORE executing: execution can have WAL-visible side effects (a
+  const bool durable = !recovering_ && ddl_log_.file_backed();
+  // Log BEFORE executing: execution can have WAL-visible side effects (a
   // CREATE INDEX build commits index records; concurrent DML can commit
   // against a fresh CREATE TABLE), and those records reference catalog ids
-  // recovery can only reproduce if it has journal evidence of this attempt.
-  // The entry snapshots the id counters so replay consumes exactly the ids
+  // recovery can only reproduce if the DDL log holds this attempt. The
+  // record snapshots the id counters so replay consumes exactly the ids
   // this execution will, whether or not it succeeds.
   if (durable) {
-    DdlJournalEntry entry;
-    entry.sql = sql_text;
-    entry.next_table_id = catalog_.next_table_id();
-    entry.next_index_id = catalog_.next_index_id();
-    entry.next_cek_id = catalog_.next_cek_id();
-    AEDB_RETURN_IF_ERROR(ddl_journal_->AppendStatement(entry));
+    storage::LogRecord statement;
+    statement.type = storage::LogRecordType::kDdl;
+    PutU32(&statement.payload1, catalog_.next_table_id());
+    PutU32(&statement.payload1, catalog_.next_index_id());
+    PutU32(&statement.payload1, catalog_.next_cek_id());
+    statement.payload1.insert(statement.payload1.end(), sql_text.begin(),
+                              sql_text.end());
+    AEDB_RETURN_IF_ERROR(LogDdl(std::move(statement)));
   }
   Status executed = ExecuteDdlStatement(sql_text, session_id);
   // The commit marker's fsync is the DDL durability point: only a marked
-  // entry must replay on restart. An unmarked entry (crash or failure in
+  // statement must replay on restart. An unmarked one (crash or failure in
   // this window) was never acknowledged and replays leniently.
   if (executed.ok() && durable) {
     // Crash-point: statement executed (WAL side effects durable-eligible)
     // but not yet marked committed — the lenient-replay window.
     AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("ddl/pre_commit_marker"));
-    AEDB_RETURN_IF_ERROR(ddl_journal_->AppendCommit());
+    storage::LogRecord marker;
+    marker.type = storage::LogRecordType::kCommit;
+    AEDB_RETURN_IF_ERROR(LogDdl(std::move(marker)));
   }
   return executed;
 }
 
-void Database::ReplayUncommittedDdl(const DdlJournalEntry& entry) {
-  auto parsed = sql::Parse(entry.sql);
+Status Database::ReplayDdlLog() {
+  // Each statement carries the id counters as they stood before it ran;
+  // forcing them before every replay reproduces the runtime id assignment
+  // exactly — including ids consumed by statements that failed or never
+  // committed — so the replayed catalog ids match the WAL's object_ids.
+  const std::vector<storage::LogRecord> log = ddl_log_.Snapshot();
+  for (size_t i = 0; i < log.size(); ++i) {
+    if (log[i].type != storage::LogRecordType::kDdl) {
+      // DDL is serialized, so a marker always follows its statement.
+      return Status::Corruption(log[i].type == storage::LogRecordType::kCommit
+                                    ? "DDL commit marker without statement"
+                                    : "unknown DDL log record type");
+    }
+    const bool committed = i + 1 < log.size() &&
+                           log[i + 1].type == storage::LogRecordType::kCommit;
+    const Bytes& body = log[i].payload1;
+    size_t off = 0;
+    uint32_t table_id, index_id, cek_id;
+    AEDB_ASSIGN_OR_RETURN(table_id, GetU32(body, &off));
+    AEDB_ASSIGN_OR_RETURN(index_id, GetU32(body, &off));
+    AEDB_ASSIGN_OR_RETURN(cek_id, GetU32(body, &off));
+    const std::string sql_text(reinterpret_cast<const char*>(body.data()) + off,
+                               body.size() - off);
+    catalog_.ForceNextIds(table_id, index_id, cek_id);
+    if (!committed) {
+      // No commit marker: the statement was never acknowledged. Replay it
+      // leniently — losing it is legal, replaying it wrongly is not.
+      ReplayUncommittedDdl(sql_text);
+      continue;
+    }
+    ++i;  // past the marker
+    Status st = ExecuteDdlStatement(sql_text);
+    if (!st.ok()) {
+      return Status::Internal("DDL log replay failed for \"" + sql_text +
+                              "\": " + st.message());
+    }
+    ++recovery_info_.ddl_statements_replayed;
+  }
+  return Status::OK();
+}
+
+void Database::ReplayUncommittedDdl(const std::string& sql_text) {
+  auto parsed = sql::Parse(sql_text);
   if (!parsed.ok()) return;  // never executed at runtime either
   switch (parsed->kind) {
     case sql::Statement::Kind::kCreateCmk:
@@ -673,14 +701,14 @@ void Database::ReplayUncommittedDdl(const DdlJournalEntry& entry) {
       // existed at runtime; if the crash instead hit before execution, a
       // phantom empty object is indistinguishable from the statement
       // committing right before the crash — legal for an unacked DDL.
-      (void)ExecuteDdlStatement(entry.sql);
+      (void)ExecuteDdlStatement(sql_text);
       return;
     case sql::Statement::Kind::kCreateIndex: {
       // The build may have failed or never run, and a metadata-only phantom
       // index would serve wrong (empty) results. Consume the catalog id,
       // then drop the index: recovery skips WAL records of unknown indexes,
       // and the id can never be reused for an unrelated index.
-      Status st = ExecuteDdlStatement(entry.sql);
+      Status st = ExecuteDdlStatement(sql_text);
       if (!st.ok()) return;
       const sql::CreateIndexStmt& s = *parsed->create_index;
       auto def = catalog_.GetIndex(s.name);

@@ -14,7 +14,6 @@
 #include "common/query_context.h"
 #include "enclave/enclave.h"
 #include "enclave/worker_pool.h"
-#include "server/ddl_journal.h"
 #include "sql/binder.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
@@ -55,7 +54,7 @@ struct ServerOptions {
   size_t max_inflight_queries = 0;
   /// The retry-after hint (milliseconds) attached to admission rejections.
   uint32_t overload_retry_after_ms = 20;
-  /// Durable mode: when non-empty, the WAL, DDL journal, checkpoint file and
+  /// Durable mode: when non-empty, the WAL, DDL log, checkpoint file and
   /// clean-shutdown marker live in this directory and Open() recovers from
   /// them. Empty (the default) keeps everything in memory — the mode every
   /// pre-existing test runs in.
@@ -94,12 +93,14 @@ struct DatabaseStats {
   // Durability gauges (data-dir mode; zero in-memory).
   uint64_t recovery_ms = 0;            // wall time of the last Open() recovery
   uint64_t wal_records_replayed = 0;   // WAL tail records replayed at Open()
-  uint64_t torn_bytes_dropped = 0;     // torn tail bytes dropped (WAL + DDL)
+  // The two log gauges cover wal.log and ddl.log (ShardedDatabase adds
+  // 2pc.log): every append-only file is a storage::Wal.
+  uint64_t torn_bytes_dropped = 0;     // torn tail bytes dropped
   uint64_t checkpoints_taken = 0;
   uint64_t wal_bytes = 0;              // current durable WAL size
   uint64_t fsyncs = 0;                 // process-wide fsync count
-  uint64_t wal_file_errors = 0;        // WAL file writes that failed (disk
-                                       // diverged from the in-memory mirror)
+  uint64_t wal_file_errors = 0;        // torn writes, failed fsyncs or
+                                       // rewrites (Wal::file_errors)
   // Buffer-pool gauges (PR 8).
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
@@ -319,7 +320,7 @@ class Database : public SqlBackend {
   /// keeps `server::Database::RecoveryInfo` spellings working.
   using RecoveryInfo = ::aedb::server::RecoveryInfo;
 
-  /// Durable-mode startup: replays the DDL journal (metadata only), attaches
+  /// Durable-mode startup: replays the DDL log (metadata only), attaches
   /// the file-backed WAL, loads the latest checkpoint and runs engine
   /// recovery over the WAL tail. No-op when data_dir is empty. Idempotent
   /// against crashes: a kill -9 at any point during Open() leaves state the
@@ -369,7 +370,7 @@ class Database : public SqlBackend {
                                          uint64_t txn, uint64_t session_id,
                                          uint32_t deadline_ms);
   std::string WalPath() const { return options_.data_dir + "/wal.log"; }
-  std::string DdlJournalPath() const { return options_.data_dir + "/ddl.log"; }
+  std::string DdlLogPath() const { return options_.data_dir + "/ddl.log"; }
   std::string CheckpointPath() const {
     return options_.data_dir + "/checkpoint.db";
   }
@@ -379,13 +380,17 @@ class Database : public SqlBackend {
   void CheckpointerLoop();
   void StopCheckpointer();
 
-  /// ExecuteDdl minus the journaling wrapper (the replay entry point).
+  /// ExecuteDdl minus the logging wrapper (the replay entry point).
   Status ExecuteDdlStatement(const std::string& sql, uint64_t session_id = 0);
-  /// Replays a journal entry that has no commit marker: the statement was
-  /// never acknowledged (crash inside the append→execute→marker window, or
-  /// a runtime failure), so either outcome is legal — this picks the one
+  /// Appends `record` to the DDL log and waits until it is durable.
+  Status LogDdl(storage::LogRecord record);
+  /// Rebuilds the catalog from the DDL log, in recovering mode (Open step 1).
+  Status ReplayDdlLog();
+  /// Replays a statement that has no commit marker: it was never
+  /// acknowledged (crash inside the append→execute→marker window, or a
+  /// runtime failure), so either outcome is legal — this picks the one
   /// consistent with whatever WAL records the attempt left behind.
-  void ReplayUncommittedDdl(const DdlJournalEntry& entry);
+  void ReplayUncommittedDdl(const std::string& sql_text);
   Status ExecuteCreateTable(const sql::CreateTableStmt& stmt);
   Status ExecuteCreateIndex(const sql::CreateIndexStmt& stmt);
   Status ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
@@ -430,14 +435,15 @@ class Database : public SqlBackend {
 
   // Durability (data-dir mode).
   bool opened_ = false;
-  /// True while Open() replays the DDL journal: DDL executes metadata-only
-  /// (no enclave work, no index-build transactions — the WAL replay carries
-  /// the data) and nothing is re-journaled.
+  /// True while Open() replays the DDL log: DDL executes metadata-only (no
+  /// enclave work, no index-build transactions — the WAL replay carries the
+  /// data) and nothing is logged again.
   bool recovering_ = false;
-  std::unique_ptr<DdlJournal> ddl_journal_;
-  /// Serializes DDL execution. Needed for the journal protocol: the commit
-  /// marker binds to the immediately preceding statement entry, which only
-  /// holds if statement/marker pairs never interleave.
+  /// `ddl.log`, attached by Open(); in memory mode nothing is logged to it.
+  storage::Wal ddl_log_;
+  /// Serializes DDL execution. Needed for the DDL log's protocol: a commit
+  /// marker binds to the statement record right before it, which only holds
+  /// if statement/marker pairs never interleave.
   std::mutex ddl_mu_;
   RecoveryInfo recovery_info_;
   std::mutex checkpoint_mu_;  // serializes checkpoint publish + truncate

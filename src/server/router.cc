@@ -1,12 +1,8 @@
 #include "server/router.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstring>
+#include <set>
 
 #include "fault/fault.h"
 #include "sql/parser.h"
@@ -54,16 +50,14 @@ Result<T> AnnotateResult(Result<T> res, uint32_t shard) {
   return Annotate(res.status(), shard);
 }
 
-/// One 2PC decision-log entry: [u64 gtid][u32 n][u32 shard]*, framed with
-/// the WAL's [len][checksum] header so torn tails are dropped on parse.
-Bytes EncodeDecision(uint64_t gtid, const std::vector<uint32_t>& shards) {
-  Bytes body;
-  PutU64(&body, gtid);
-  PutU32(&body, static_cast<uint32_t>(shards.size()));
-  for (uint32_t s : shards) PutU32(&body, s);
-  Bytes framed;
-  storage::AppendFramedBlob(&framed, body);
-  return framed;
+/// A 2PC commit decision as 2pc.log holds it: txn_id is the global
+/// transaction id, the payload the writer shard ids (u32 each).
+storage::LogRecord DecisionRecord(uint64_t gtid, Bytes shards) {
+  storage::LogRecord rec;
+  rec.type = storage::LogRecordType::kCommit;
+  rec.txn_id = gtid;
+  rec.payload1 = std::move(shards);
+  return rec;
 }
 
 /// The candidate warehouse pin found while walking a predicate.
@@ -165,19 +159,11 @@ ShardedDatabase::ShardedDatabase(ShardedOptions options,
   }
 }
 
-ShardedDatabase::~ShardedDatabase() {
-  if (decision_fd_ >= 0) ::close(decision_fd_);
-}
-
 uint32_t ShardedDatabase::ShardOfWarehouse(int64_t w) const {
   int64_t n = static_cast<int64_t>(options_.shards);
   int64_t s = (w - 1) % n;
   if (s < 0) s += n;
   return static_cast<uint32_t>(s);
-}
-
-std::string ShardedDatabase::DecisionLogPath() const {
-  return options_.base.data_dir + "/2pc.log";
 }
 
 // ---------------------------------------------------------------------------
@@ -471,27 +457,26 @@ Status ShardedDatabase::CommitGlobal(uint64_t gtid, GlobalTxn gtxn) {
     }
   }
 
-  // --- Decision: once this record is durable the transaction MUST commit on
-  // every participant, across any combination of crashes.
-  std::vector<uint32_t> shard_ids;
-  for (const auto& [shard, local] : writers) shard_ids.push_back(shard);
-  {
-    Status st = LogCommitDecision(gtid, shard_ids);
-    if (!st.ok()) {
-      abort_all();
-      return Status::TransactionAborted("2pc decision not durable: " +
-                                        st.message());
-    }
+  // --- Decision: once a reader can see this record the transaction MUST
+  // commit on every participant, across any combination of crashes.
+  Bytes shard_ids;
+  for (const auto& [shard, local] : writers) PutU32(&shard_ids, shard);
+  auto logged = LogDecision(gtid, std::move(shard_ids));
+  if (!logged.ok()) {
+    // Refused, or torn: no reader gets as far as a torn frame's record, so
+    // presumed abort still holds.
+    abort_all();
+    return Status::TransactionAborted("2pc decision not logged: " +
+                                      logged.status().message());
   }
-  {
-    Status st = AEDB_FAULT_POINT("2pc/coordinator_crash");
-    if (!st.ok()) {
-      // The decision is durable but phase 2 never ran: every writer stays
-      // prepared (in-doubt). RecoverInDoubt()/Open() will finish the commit.
-      return Status::FromCode(
-          StatusCode::kUnavailable,
-          "2pc coordinator crashed after commit decision: " + st.message());
-    }
+  Status decided = decisions_.SyncUpTo(*logged);
+  if (decided.ok()) decided = AEDB_FAULT_POINT("2pc/coordinator_crash");
+  if (!decided.ok()) {
+    // The decision is in the log, and on disk or maybe on disk: aborting a
+    // writer could break atomicity. Every writer stays prepared (in doubt);
+    // RecoverInDoubt()/Open() settles them all by what the log holds.
+    return Status::FromCode(StatusCode::kUnavailable,
+                            "2pc outcome unknown: " + decided.message());
   }
 
   // --- Phase 2: finish every writer. A failure here leaves that shard
@@ -501,6 +486,7 @@ Status ShardedDatabase::CommitGlobal(uint64_t gtid, GlobalTxn gtxn) {
     Status st = shards_[shard]->engine().CommitPrepared(local);
     if (!st.ok() && first.ok()) first = Annotate(st, shard);
   }
+  if (first.ok()) FinishDecision(gtid);
   two_phase_commits_.fetch_add(1, std::memory_order_relaxed);
   return first;
 }
@@ -508,74 +494,38 @@ Status ShardedDatabase::CommitGlobal(uint64_t gtid, GlobalTxn gtxn) {
 // ---------------------------------------------------------------------------
 // Decision log
 
-Status ShardedDatabase::LogCommitDecision(uint64_t gtid,
-                                          const std::vector<uint32_t>& shards) {
+Result<uint64_t> ShardedDatabase::LogDecision(uint64_t gtid, Bytes shards) {
   std::lock_guard<std::mutex> lock(decision_mu_);
-  if (options_.base.data_dir.empty()) {
-    mem_decisions_.insert(gtid);
-    return Status::OK();
+  uint64_t lsn;
+  AEDB_ASSIGN_OR_RETURN(lsn, decisions_.Append(DecisionRecord(gtid, shards)));
+  pending_decisions_.emplace(gtid, std::move(shards));
+  return lsn;
+}
+
+void ShardedDatabase::FinishDecision(uint64_t gtid) {
+  std::lock_guard<std::mutex> lock(decision_mu_);
+  pending_decisions_.erase(gtid);
+  // A failed compaction keeps every decision; the next one retries.
+  if (decisions_.wal_bytes() > kDecisionLogBytes) {
+    (void)CompactDecisionsLocked();
   }
-  if (decision_fd_ < 0) {
-    decision_fd_ = ::open(DecisionLogPath().c_str(),
-                          O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-    if (decision_fd_ < 0) {
-      return Status::Internal(std::string("2pc.log open: ") +
-                              std::strerror(errno));
-    }
+}
+
+Status ShardedDatabase::CompactDecisionsLocked() {
+  if (!decisions_.poisoned() &&
+      decisions_.record_count() == pending_decisions_.size()) {
+    return Status::OK();  // every logged decision is still pending
+  }
+  // Carry the pending decisions past the cut, so a decision left in doubt
+  // does not pin every later one in the log. The rewrite makes the copies
+  // durable; a crash before it leaves the originals, and duplicates are
+  // harmless.
+  const uint64_t cut = decisions_.next_lsn();
+  for (const auto& [gtid, shards] : pending_decisions_) {
     AEDB_RETURN_IF_ERROR(
-        storage::fsio::SyncDir(storage::fsio::DirName(DecisionLogPath())));
+        decisions_.Append(DecisionRecord(gtid, shards)).status());
   }
-  Bytes framed = EncodeDecision(gtid, shards);
-  size_t off = 0;
-  while (off < framed.size()) {
-    ssize_t w = ::write(decision_fd_, framed.data() + off, framed.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("2pc.log write: ") +
-                              std::strerror(errno));
-    }
-    off += static_cast<size_t>(w);
-  }
-  if (::fsync(decision_fd_) != 0) {
-    return Status::Internal(std::string("2pc.log fsync: ") +
-                            std::strerror(errno));
-  }
-  storage::fsio::CountFsync();
-  return Status::OK();
-}
-
-Result<std::set<uint64_t>> ShardedDatabase::LoadCommitDecisions() {
-  std::lock_guard<std::mutex> lock(decision_mu_);
-  if (options_.base.data_dir.empty()) return mem_decisions_;
-  std::set<uint64_t> out;
-  if (!storage::fsio::FileExists(DecisionLogPath())) return out;
-  Bytes image;
-  AEDB_ASSIGN_OR_RETURN(image, storage::fsio::ReadFileBytes(DecisionLogPath()));
-  storage::FramedBlobs blobs = storage::ParseFramedBlobs(image);
-  // A torn tail is the expected shape of a coordinator crash mid-append: the
-  // torn decision never became durable, so its gtid is presumed aborted.
-  for (const Bytes& body : blobs.blobs) {
-    size_t off = 0;
-    auto gtid = GetU64(body, &off);
-    if (!gtid.ok()) continue;
-    out.insert(*gtid);
-  }
-  return out;
-}
-
-Status ShardedDatabase::TruncateDecisionLog() {
-  std::lock_guard<std::mutex> lock(decision_mu_);
-  if (options_.base.data_dir.empty()) {
-    mem_decisions_.clear();
-    return Status::OK();
-  }
-  // The rewrite replaces the inode; drop the append fd first.
-  if (decision_fd_ >= 0) {
-    ::close(decision_fd_);
-    decision_fd_ = -1;
-  }
-  if (!storage::fsio::FileExists(DecisionLogPath())) return Status::OK();
-  return storage::fsio::WriteFileDurable(DecisionLogPath(), Slice());
+  return decisions_.TruncateBefore(cut);
 }
 
 // ---------------------------------------------------------------------------
@@ -907,6 +857,8 @@ DatabaseStats ShardedDatabase::Stats() const {
     out.group_commit_batches += s.group_commit_batches;
     out.commit_sync_requests += s.commit_sync_requests;
   }
+  out.torn_bytes_dropped += decisions_.torn_bytes_dropped();
+  out.wal_file_errors += decisions_.file_errors();
   if (out.enclave_transitions > 0) {
     out.values_per_transition =
         static_cast<double>(out.enclave_evals + out.enclave_comparisons) /
@@ -926,6 +878,8 @@ DatabaseStats ShardedDatabase::Stats() const {
 Status ShardedDatabase::Open() {
   if (!options_.base.data_dir.empty()) {
     AEDB_RETURN_IF_ERROR(storage::fsio::EnsureDir(options_.base.data_dir));
+    AEDB_RETURN_IF_ERROR(
+        decisions_.AttachFile(options_.base.data_dir + "/2pc.log"));
   }
   recovery_info_ = RecoveryInfo{};
   for (uint32_t s = 0; s < options_.shards; ++s) {
@@ -953,30 +907,29 @@ Status ShardedDatabase::Open() {
 }
 
 Status ShardedDatabase::RecoverInDoubt() {
+  // A torn tail is the expected shape of a coordinator crash mid-append: the
+  // torn decision is not in the snapshot, so its gtid is presumed aborted.
   std::set<uint64_t> committed;
-  AEDB_ASSIGN_OR_RETURN(committed, LoadCommitDecisions());
-  bool all_settled = true;
+  for (const storage::LogRecord& rec : decisions_.Snapshot()) {
+    committed.insert(rec.txn_id);
+  }
   for (uint32_t s = 0; s < options_.shards; ++s) {
     for (const storage::InDoubtTxn& t : shards_[s]->engine().InDoubtTxns()) {
       if (committed.count(t.gtid)) {
-        Status st = shards_[s]->engine().CommitPrepared(t.txn_id);
-        if (!st.ok()) {
-          all_settled = false;
-          AEDB_RETURN_IF_ERROR(Annotate(st, s));
-        }
-      } else {
-        // Presumed abort: no durable decision means the coordinator never
-        // decided commit, so no participant can have committed.
-        Status st = shards_[s]->RollbackTransaction(t.txn_id);
-        if (!st.ok() && !st.IsNotFound()) {
-          all_settled = false;
-          AEDB_RETURN_IF_ERROR(Annotate(st, s));
-        }
+        AEDB_RETURN_IF_ERROR(
+            Annotate(shards_[s]->engine().CommitPrepared(t.txn_id), s));
+        continue;
       }
+      // Presumed abort: no durable decision means the coordinator never
+      // decided commit, so no participant can have committed.
+      Status st = shards_[s]->RollbackTransaction(t.txn_id);
+      if (!st.ok() && !st.IsNotFound()) return Annotate(st, s);
     }
   }
-  if (!all_settled) return Status::OK();
-  return TruncateDecisionLog();
+  // Every transaction is settled: no decision is needed any more.
+  std::lock_guard<std::mutex> lock(decision_mu_);
+  pending_decisions_.clear();
+  return CompactDecisionsLocked();
 }
 
 Result<storage::RecoveryResult> ShardedDatabase::RestartShard(uint32_t i) {
@@ -1014,11 +967,6 @@ Status ShardedDatabase::Shutdown() {
   for (uint32_t s = 0; s < options_.shards; ++s) {
     Status st = shards_[s]->Shutdown();
     if (!st.ok() && first.ok()) first = Annotate(st, s);
-  }
-  std::lock_guard<std::mutex> lock(decision_mu_);
-  if (decision_fd_ >= 0) {
-    ::close(decision_fd_);
-    decision_fd_ = -1;
   }
   return first;
 }

@@ -4,11 +4,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "server/database.h"
+#include "storage/wal.h"
 
 namespace aedb::server {
 
@@ -36,12 +36,19 @@ struct ShardedOptions {
 ///               fires before, 2pc/prepared_no_decision after — a failure
 ///               here is PRESUMED ABORT: no decision record exists, recovery
 ///               rolls every participant back)
-///     decision  the COMMIT decision {gtid, shards} is fsynced to 2pc.log
-///               (fault 2pc/pre_commit_decision before the write, fault
-///               2pc/coordinator_crash after it — from this point the txn
-///               MUST commit on every shard, across any crash)
+///     decision  the COMMIT decision, a kCommit record {gtid, shards}, is
+///               appended to the decision log (2pc.log, a storage::Wal) and
+///               synced (fault 2pc/pre_commit_decision before the append,
+///               fault 2pc/coordinator_crash after the sync). An append that
+///               is refused or tears aborts; once the record landed the txn
+///               MUST commit on every shard, across any crash, so a failed
+///               sync leaves every writer in doubt (kUnavailable)
 ///     phase 2   each writer CommitPrepared()s; a failure leaves the shard
 ///               in-doubt and RecoverInDoubt()/Open() finishes the job
+///
+/// A decision is needed only until phase 2 has committed every writer. Past
+/// kDecisionLogBytes the log is rewritten to hold just the decisions still
+/// pending, so it stays bounded however many transactions commit.
 ///
 /// The AE invariant: each shard owns its own enclave, attested independently
 /// by the driver (per-node enclave state is the unit of attestation). Errors
@@ -52,7 +59,9 @@ class ShardedDatabase : public SqlBackend {
   ShardedDatabase(ShardedOptions options,
                   attestation::HostGuardianService* hgs,
                   const enclave::EnclaveImage* image);
-  ~ShardedDatabase() override;
+
+  /// Decision-log size past which it is cut down to the pending decisions.
+  static constexpr uint64_t kDecisionLogBytes = 16 * 1024;
 
   // ----- SqlBackend -----
   Status ExecuteDdl(const std::string& sql, uint64_t session_id = 0) override;
@@ -108,7 +117,8 @@ class ShardedDatabase : public SqlBackend {
   Result<storage::RecoveryResult> RestartShard(uint32_t i);
   /// Settles every in-doubt transaction on every shard against the 2PC
   /// decision log: logged-commit gtids finish via CommitPrepared, everything
-  /// else is presumed abort. Truncates the decision log once all are settled.
+  /// else is presumed abort. Empties the decision log once all are settled,
+  /// which also lifts its poison. Run it with no commit in flight.
   Status RecoverInDoubt();
   /// Cross-shard transactions that went through full 2PC (gauge for tests
   /// and BENCH_shard.json).
@@ -173,13 +183,14 @@ class ShardedDatabase : public SqlBackend {
                                       std::vector<sql::ResultSet> parts);
   /// Commits a global transaction: direct commit for <=1 writer, 2PC else.
   Status CommitGlobal(uint64_t gtid, GlobalTxn txn);
-  /// Durably records the COMMIT decision for `gtid` (presumed abort: only
-  /// commits are logged).
-  Status LogCommitDecision(uint64_t gtid, const std::vector<uint32_t>& shards);
-  /// The gtids with a durable COMMIT decision.
-  Result<std::set<uint64_t>> LoadCommitDecisions();
-  Status TruncateDecisionLog();
-  std::string DecisionLogPath() const;
+  /// Appends the COMMIT decision for `gtid` (presumed abort: only commits
+  /// are logged) and holds it pending. Returns its LSN, for SyncUpTo.
+  Result<uint64_t> LogDecision(uint64_t gtid, Bytes shards);
+  /// Phase 2 committed every writer of `gtid`: its decision may go.
+  void FinishDecision(uint64_t gtid);
+  /// Rewrites the decision log to hold only the pending decisions, unless
+  /// that would drop nothing. Holds decision_mu_.
+  Status CompactDecisionsLocked();
 
   ShardedOptions options_;
   std::vector<std::unique_ptr<Database>> shards_;
@@ -192,9 +203,15 @@ class ShardedDatabase : public SqlBackend {
   std::map<uint64_t, GlobalTxn> gtxns_;
   uint64_t next_gtid_ = 1;
 
+  /// 2pc.log: attached by Open() with a data dir, in memory without one.
+  storage::Wal decisions_;
+  /// Covers each decision's append together with pending_decisions_, so a
+  /// compaction never cuts a decision it has not seen. Syncs run outside
+  /// it, so concurrent decisions share an fsync.
   std::mutex decision_mu_;
-  int decision_fd_ = -1;               // O_APPEND fd (durable mode)
-  std::set<uint64_t> mem_decisions_;   // in-memory mode decision "log"
+  /// gtid -> writer shard ids, for each decision whose phase 2 has not
+  /// finished (in doubt included).
+  std::map<uint64_t, Bytes> pending_decisions_;
   std::atomic<uint64_t> two_phase_commits_{0};
 };
 

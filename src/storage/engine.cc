@@ -142,13 +142,7 @@ uint64_t StorageEngine::Begin(uint64_t gtid) {
     active_.emplace(id, ActiveTxn{});
   }
   if (gtid != 0) locks_.Enlist(id, gtid);
-  LogRecord rec;
-  rec.txn_id = id;
-  rec.type = LogRecordType::kBegin;
-  // A failed begin-record append is harmless: recovery derives transaction
-  // existence from the op records, and this txn's first op will surface the
-  // same injected fault to the caller.
-  (void)wal_.Append(rec);
+  // Nothing is logged: recovery finds a transaction from its op records.
   return id;
 }
 

@@ -9,13 +9,13 @@
 
 namespace aedb::storage::fsio {
 
-/// Durable-file protocol helpers shared by the WAL, the checkpoint writer and
-/// the DDL journal. The invariant every caller relies on: after any of these
-/// return OK, a kill -9 (or power cut, modulo the device) at ANY later point
-/// leaves the named file either absent (never created) or exactly the bytes
-/// written — never a half-renamed or unlinked-but-cached state. That takes
-/// fsync of the file AND of its containing directory (the rename/create is
-/// directory metadata).
+/// Durable-file protocol helpers shared by every Wal (wal.log, ddl.log,
+/// 2pc.log) and the checkpoint writer. The invariant every caller relies on:
+/// after any of these return OK, a kill -9 (or power cut, modulo the device)
+/// at ANY later point leaves the named file either absent (never created) or
+/// exactly the bytes written — never a half-renamed or unlinked-but-cached
+/// state. That takes fsync of the file AND of its containing directory (the
+/// rename/create is directory metadata).
 
 /// Total fsync/fdatasync calls issued through this module plus Wal — the
 /// durability cost gauge surfaced by Database::Stats (ROADMAP item 2's group

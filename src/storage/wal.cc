@@ -59,22 +59,6 @@ Result<uint64_t> FrameLsn(Slice body) {
 
 uint32_t FrameChecksum(Slice body) { return Fnv1a(body); }
 
-void AppendFramedBlob(Bytes* out, Slice body) {
-  PutU32(out, static_cast<uint32_t>(body.size()));
-  PutU32(out, Fnv1a(body));
-  out->insert(out->end(), body.data(), body.data() + body.size());
-}
-
-FramedBlobs ParseFramedBlobs(Slice image) {
-  FramedBlobs out;
-  out.bytes_consumed = WalkFrames(image, [&out](Slice body, size_t) {
-    out.blobs.push_back(body.ToBytes());
-    return true;
-  });
-  out.torn_tail = out.bytes_consumed != image.size();
-  return out;
-}
-
 void LogRecord::SerializeTo(Bytes* out) const {
   PutU64(out, lsn);
   PutU64(out, txn_id);
@@ -90,8 +74,7 @@ Result<LogRecord> LogRecord::Deserialize(Slice in, size_t* offset) {
   AEDB_ASSIGN_OR_RETURN(rec.txn_id, GetU64(in, offset));
   if (*offset >= in.size()) return Status::Corruption("truncated log record");
   rec.type = static_cast<LogRecordType>(in[(*offset)++]);
-  if (rec.type < LogRecordType::kBegin ||
-      rec.type > LogRecordType::kPrepare) {
+  if (rec.type < LogRecordType::kBegin || rec.type > LogRecordType::kDdl) {
     return Status::Corruption("unknown log record type");
   }
   AEDB_ASSIGN_OR_RETURN(rec.object_id, GetU32(in, offset));
@@ -187,7 +170,9 @@ Result<uint64_t> Wal::Append(LogRecord record) {
   Bytes body;
   record.SerializeTo(&body);
   const size_t start = image_.size();
-  AppendFramedBlob(&image_, body);
+  PutU32(&image_, static_cast<uint32_t>(body.size()));
+  PutU32(&image_, Fnv1a(body));
+  image_.insert(image_.end(), body.begin(), body.end());
   const size_t frame_size = image_.size() - start;
 
   Status st = Status::OK();
@@ -269,9 +254,12 @@ Status Wal::SyncUpTo(uint64_t lsn) {
     // Everything appended so far rides this barrier.
     uint64_t covered = next_lsn_ - 1;
     // fsync outside mu_ — this is what lets followers append their commit
-    // records while the leader syncs, forming the next cohort. The dup
-    // guards against the append fd being replaced concurrently (rewrites
-    // only run quiesced, but an fd number must never be reused under us).
+    // records while the leader syncs, forming the next cohort. A rewrite
+    // (TruncateBefore, LoadImage) can run meanwhile and replace the append
+    // fd, so sync a dup: an fd number must never be reused under us. The
+    // barrier stays sound: every record up to `covered` was appended before
+    // that rewrite took mu_, so the rewrite, which fsyncs its new file
+    // before the rename, keeps it durable unless it cut it on purpose.
     int fd = ::dup(fd_);
     lock.unlock();
     int rc = fd >= 0 ? ::fsync(fd) : -1;

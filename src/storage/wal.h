@@ -11,6 +11,8 @@
 namespace aedb::storage {
 
 enum class LogRecordType : uint8_t {
+  /// No longer written (recovery finds a transaction from its op records);
+  /// recovery still skips it, so logs that hold one replay.
   kBegin = 1,
   kCommit = 2,
   kAbort = 3,
@@ -30,6 +32,10 @@ enum class LogRecordType : uint8_t {
   /// neither commits nor undoes it — the txn is re-registered in-doubt and
   /// waits for the coordinator's decision (CommitPrepared / Abort).
   kPrepare = 9,
+  /// A DDL statement in `ddl.log`, written before it executes (payload1 = the
+  /// catalog's next table, index and CEK ids as three u32s, then the SQL
+  /// text). A `kCommit` right after it marks the statement acknowledged.
+  kDdl = 10,
 };
 
 /// One WAL record. Row images and index keys are stored exactly as they live
@@ -66,26 +72,20 @@ struct WalLoadResult {
 
 /// The WAL's frame checksum (FNV-1a 32-bit). Not cryptographic — it only
 /// needs to tell "frame ends at a clean boundary" from "torn mid-write".
+/// The checkpoint file reuses it.
 uint32_t FrameChecksum(Slice body);
 
-/// Frames an opaque body with the WAL's [u32 len][u32 checksum] header. The
-/// DDL journal and checkpoint file reuse this so every durable artifact in
-/// the data directory shares one torn-tail discipline.
-void AppendFramedBlob(Bytes* out, Slice body);
-
-/// Parse result for a framed-blob stream (the DDL journal's on-disk form).
-struct FramedBlobs {
-  std::vector<Bytes> blobs;
-  size_t bytes_consumed = 0;
-  bool torn_tail = false;
-};
-FramedBlobs ParseFramedBlobs(Slice image);
-
-/// Append-only write-ahead log. Its only in-memory form is `image_`, the
-/// framed bytes that are, or would be, on disk, torn tail included: the
-/// recovery source (Snapshot parses it, so in-process recovery replays what a
-/// crash would leave) and the adversary-observable "disk" form, scanned by
-/// leakage tests and cut at arbitrary prefixes by the torture harness.
+/// Append-only log of `LogRecord`s. Every append-only file in a data
+/// directory is one: a shard's `wal.log` (data ops), its `ddl.log` (`kDdl`
+/// statements and their `kCommit` markers) and the 2PC coordinator's
+/// `2pc.log` (`kCommit` decisions). So framing, torn-tail truncation, fsync,
+/// group commit, fault points and the poison rule have one implementation.
+///
+/// A log's only in-memory form is `image_`, the framed bytes that are, or
+/// would be, on disk, torn tail included: the recovery source (Snapshot
+/// parses it, so in-process recovery replays what a crash would leave) and
+/// the adversary-observable "disk" form, scanned by leakage tests and cut at
+/// arbitrary prefixes by the torture harness.
 ///
 /// Two backing modes share identical framing and semantics:
 ///   - In-memory (default): the log lives only in `image_`; Sync does
@@ -107,7 +107,8 @@ FramedBlobs ParseFramedBlobs(Slice image);
 /// and is dropped, everything before it replays. No intact frame ever
 /// follows a torn one: a torn write poisons the log (see poisoned()).
 ///
-/// Fault points (see fault/fault.h):
+/// Fault points (see fault/fault.h), shared by every Wal: each fires in
+/// whichever log appends or syncs next.
 ///   wal/append       Append fails before writing anything.
 ///   wal/torn_append  Append writes only the first `arg` bytes of the frame
 ///                    (default: half) to the image/file and fails — simulates
@@ -187,7 +188,8 @@ class Wal {
   /// and everything from the first bad frame on. File-backed: rewrites the
   /// log file atomically; a crash between the checkpoint publish and this
   /// rewrite only leaves already-checkpointed records in the file, which
-  /// recovery filters out by LSN.
+  /// recovery filters out by LSN. May run while other threads Append and
+  /// SyncUpTo (see SyncUpTo).
   Status TruncateBefore(uint64_t lsn);
 
   /// Intact frames in the image.

@@ -716,6 +716,37 @@ TEST_F(DurableDatabaseTest, CommittedDmlAgainstUnmarkedCreateTableRecovers) {
   EXPECT_EQ(rows->rows[0][0].str(), "kept");
 }
 
+// ddl.log is a Wal, so a torn write poisons it: later DDL is refused until a
+// reopen drops the torn tail, while DML, which logs to wal.log, still
+// commits. Were DDL acked behind the partial frame, no reopen would read it.
+TEST_F(DurableDatabaseTest, TornDdlWritePoisonsTheDdlLog) {
+  TempDir dir;
+  Boot(dir.path());
+  ASSERT_TRUE(driver_->ExecuteDdl("CREATE TABLE A (Id INT)").ok());
+  fault::FaultRegistry::Global().Arm(
+      "wal/torn_append", fault::FaultSpec::OneShot(Status::Internal("torn")));
+  EXPECT_FALSE(driver_->ExecuteDdl("CREATE TABLE B (Id INT)").ok());
+  EXPECT_EQ(fault::FaultRegistry::Global().fires("wal/torn_append"), 1u);
+  EXPECT_FALSE(db_->catalog().GetTable("B").ok());
+  EXPECT_FALSE(driver_->ExecuteDdl("CREATE TABLE C (Id INT)").ok());
+  auto ins = driver_->Query("INSERT INTO A (Id) VALUES (@i)",
+                            {{"i", Value::Int32(7)}});
+  ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+  EXPECT_EQ(db_->Stats().wal_file_errors, 1u);
+  driver_.reset();
+  db_.reset();
+
+  Boot(dir.path());
+  EXPECT_GT(db_->Stats().torn_bytes_dropped, 0u);
+  auto rows = driver_->Query("SELECT Id FROM A");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].i32(), 7);
+  EXPECT_FALSE(db_->catalog().GetTable("B").ok());
+  Status created = driver_->ExecuteDdl("CREATE TABLE C (Id INT)");
+  EXPECT_TRUE(created.ok()) << created.ToString();
+}
+
 TEST_F(DurableDatabaseTest, CrashBetweenPublishAndTruncateRecovers) {
   TempDir dir;
   Boot(dir.path());

@@ -22,6 +22,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -34,6 +35,7 @@
 #include "net/socket_transport.h"
 #include "process_supervisor.h"
 #include "server/router.h"
+#include "storage/fsio.h"
 #include "temp_dir.h"
 
 #ifndef AEDB_SERVERD_PATH
@@ -87,12 +89,13 @@ class ShardTortureTest : public ::testing::Test {
                                        hgs_->signing_public(), dopts);
   }
 
-  /// Warehouse rows w=1 (shard 0) and w=2 (shard 1), W_YTD = 0.
-  void SetupLedger() {
+  /// Warehouse rows w=1..`warehouses`, W_YTD = 0. Odd ids live on shard 0,
+  /// even ids on shard 1.
+  void SetupLedger(int warehouses = 2) {
     ASSERT_TRUE(
         driver_->ExecuteDdl("CREATE TABLE Warehouse (W_ID INT, W_YTD INT)")
             .ok());
-    for (int w = 1; w <= 2; ++w) {
+    for (int w = 1; w <= warehouses; ++w) {
       auto r =
           driver_->Query("INSERT INTO Warehouse (W_ID, W_YTD) VALUES (@w, 0)",
                          {{"w", Value::Int32(w)}});
@@ -100,19 +103,40 @@ class ShardTortureTest : public ::testing::Test {
     }
   }
 
-  /// One cross-shard transaction: set both warehouses' W_YTD to `v`.
-  Status CrossShardSet(int v) {
-    uint64_t txn = driver_->Begin();
-    for (int w = 1; w <= 2; ++w) {
+  /// Sets W_YTD = `v` on warehouses `w0` and `w0 + 1`, one per shard, in
+  /// `txn`, and leaves it open.
+  Status UpdatePair(uint64_t txn, int v, int w0 = 1) {
+    for (int w = w0; w <= w0 + 1; ++w) {
       auto r = driver_->Query("UPDATE Warehouse SET W_YTD = @v WHERE W_ID = @w",
                               {{"v", Value::Int32(v)}, {"w", Value::Int32(w)}},
                               txn);
-      if (!r.ok()) {
-        (void)driver_->Rollback(txn);
-        return r.status();
-      }
+      if (!r.ok()) return r.status();
+    }
+    return Status::OK();
+  }
+
+  /// One cross-shard transaction: set both warehouses' W_YTD to `v`.
+  Status CrossShardSet(int v, int w0 = 1) {
+    uint64_t txn = driver_->Begin();
+    Status st = UpdatePair(txn, v, w0);
+    if (!st.ok()) {
+      (void)driver_->Rollback(txn);
+      return st;
     }
     return driver_->Commit(txn);
+  }
+
+  /// Commits `txn` with `point` armed one-shot, firing on its third hit: a
+  /// two-shard commit's two prepares come first, then the decision.
+  Status CommitFaultingTheDecision(uint64_t txn, const char* point) {
+    FaultSpec spec = FaultSpec::OneShot(Status::Internal("injected"));
+    spec.skip = 2;
+    ScopedFault f(point, spec);
+    return driver_->Commit(txn);
+  }
+
+  size_t InDoubt(uint32_t shard) {
+    return sharded_->shard(shard)->engine().InDoubtTxns().size();
   }
 
   /// Both warehouses' W_YTD, read straight off each shard's engine (the
@@ -197,6 +221,111 @@ TEST_F(ShardTortureTest, CoordinatorCrashAfterDecisionCommitsOnRecovery) {
   EXPECT_TRUE(sharded_->shard(1)->engine().InDoubtTxns().empty());
   // Normal traffic resumes.
   ASSERT_TRUE(CrossShardSet(43).ok());
+}
+
+// The decision log is a Wal. A decision append that tears leaves nothing a
+// reader can see, so the commit aborts on both shards. The tear poisons the
+// log: later cross-shard commits abort too (single-shard ones never log a
+// decision) until RecoverInDoubt() rewrites it.
+TEST_F(ShardTortureTest, TornDecisionAbortsAndPoisonsTheDecisionLog) {
+  Build(2);
+  SetupLedger();
+  uint64_t txn = driver_->Begin();
+  ASSERT_TRUE(UpdatePair(txn, 5).ok());
+  Status st = CommitFaultingTheDecision(txn, "wal/torn_append");
+  EXPECT_EQ(st.code(), StatusCode::kTransactionAborted) << st.ToString();
+  int w1 = -1, w2 = -1;
+  ReadBoth(&w1, &w2);
+  EXPECT_EQ(w1, 0);
+  EXPECT_EQ(w2, 0);
+  EXPECT_EQ(InDoubt(0), 0u);
+  EXPECT_EQ(InDoubt(1), 0u);
+  EXPECT_EQ(sharded_->Stats().wal_file_errors, 1u);
+
+  st = CrossShardSet(6);
+  EXPECT_EQ(st.code(), StatusCode::kTransactionAborted) << st.ToString();
+  auto single =
+      driver_->Query("UPDATE Warehouse SET W_YTD = @v WHERE W_ID = @w",
+                     {{"v", Value::Int32(9)}, {"w", Value::Int32(1)}});
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ReadBoth(&w1, &w2);
+  EXPECT_EQ(w1, 9);
+  EXPECT_EQ(w2, 0);
+
+  ASSERT_TRUE(sharded_->RecoverInDoubt().ok());
+  st = CrossShardSet(11);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ReadBoth(&w1, &w2);
+  EXPECT_EQ(w1, 11);
+  EXPECT_EQ(w2, 11);
+}
+
+// A decision whose append landed but whose sync failed may be on disk. If
+// the writers were rolled back, a crash could leave one's abort on disk and
+// not the other's, and recovery would commit the second by the decision. So
+// every writer stays in doubt, and recovery commits both.
+TEST_F(ShardTortureTest, FailedDecisionBarrierLeavesWritersInDoubt) {
+  TempDir dir;
+  Build(2, dir.path());
+  SetupLedger();
+  uint64_t txn = driver_->Begin();
+  ASSERT_TRUE(UpdatePair(txn, 7).ok());
+  Status st = CommitFaultingTheDecision(txn, "wal/sync");
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+  EXPECT_EQ(InDoubt(0), 1u);
+  EXPECT_EQ(InDoubt(1), 1u);
+
+  ASSERT_TRUE(sharded_->RecoverInDoubt().ok());
+  int w1 = -1, w2 = -1;
+  ReadBoth(&w1, &w2);
+  EXPECT_EQ(w1, 7);
+  EXPECT_EQ(w2, 7);
+  EXPECT_EQ(InDoubt(0), 0u);
+  EXPECT_EQ(InDoubt(1), 0u);
+}
+
+// A decision is needed only until phase 2 has committed every writer, so
+// 2pc.log is cut back to the pending decisions each time it passes
+// kDecisionLogBytes. A decision left in doubt rides along across every cut.
+TEST_F(ShardTortureTest, DecisionLogStaysBoundedAcrossAnInDoubtDecision) {
+  TempDir dir;
+  Build(2, dir.path());
+  SetupLedger(4);
+  {
+    ScopedFault f("2pc/coordinator_crash",
+                  FaultSpec::OneShot(Status::Internal("injected")));
+    Status st = CrossShardSet(42);
+    ASSERT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+  }
+  const std::string log = dir.path() + "/2pc.log";
+  auto log_bytes = [&log] {
+    auto bytes = storage::fsio::ReadFileBytes(log);
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    return bytes.ok() ? bytes->size() : 0;
+  };
+  const size_t record_bytes = log_bytes();  // the in-doubt decision alone
+  ASSERT_GT(record_bytes, 0u);
+
+  // Warehouses 3 and 4: the in-doubt transaction holds 1's and 2's locks.
+  const size_t commits =
+      3 * ShardedDatabase::kDecisionLogBytes / record_bytes + 10;
+  size_t largest = 0, previous = 0, cuts = 0;
+  for (size_t i = 0; i < commits; ++i) {
+    Status st = CrossShardSet(static_cast<int>(i), /*w0=*/3);
+    ASSERT_TRUE(st.ok()) << "commit " << i << ": " << st.ToString();
+    const size_t now = log_bytes();
+    if (now < previous) ++cuts;
+    largest = std::max(largest, now);
+    previous = now;
+  }
+  EXPECT_GE(cuts, 3u);
+  EXPECT_LE(largest, ShardedDatabase::kDecisionLogBytes + record_bytes);
+
+  ASSERT_TRUE(sharded_->RecoverInDoubt().ok());
+  int w1 = -1, w2 = -1;
+  ReadBoth(&w1, &w2);
+  EXPECT_EQ(w1, 42) << "the carried decision was lost on shard 0";
+  EXPECT_EQ(w2, 42) << "the carried decision was lost on shard 1";
 }
 
 // Same crash, but now each shard also crash/restarts (WAL replay) before the
