@@ -1,7 +1,8 @@
 // §4.6 ablation: synchronous enclave calls (one call-gate transition per
-// expression) vs the queued worker-thread design with spin-polling, at a
-// realistic VBS transition cost — plus the batched call-gate entry points
-// (one transition per row-morsel instead of one per row).
+// morsel) vs the queued worker-thread design with spin-polling, at a
+// realistic VBS transition cost, across morsel sizes. Every case crosses the
+// call gate through the batch entry points; a morsel of one row (or one
+// cell) is the row-at-a-time system.
 //
 // Besides the Google Benchmark suite, the binary runs a batch-size sweep at
 // transition_cost_ns = 5000 and writes machine-readable results to
@@ -75,18 +76,6 @@ struct Rig {
   }
 };
 
-void BM_SynchronousEval(benchmark::State& state) {
-  static Rig* rig = new Rig(static_cast<uint64_t>(state.range(0)));
-  std::vector<Value> inputs = {Value::Binary(rig->cell_a),
-                               Value::Binary(rig->cell_b)};
-  for (auto _ : state) {
-    auto r = rig->enclave->EvalRegistered(rig->handle, inputs);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel("one transition per eval");
-}
-BENCHMARK(BM_SynchronousEval)->Arg(3000)->Unit(benchmark::kMicrosecond);
-
 void BM_WorkerPoolEval(benchmark::State& state) {
   static Rig* rig = new Rig(3000);
   static EnclaveWorkerPool* pool = [] {
@@ -94,26 +83,16 @@ void BM_WorkerPoolEval(benchmark::State& state) {
     opts.num_threads = static_cast<int>(2);
     return new EnclaveWorkerPool(rig->enclave.get(), opts);
   }();
-  std::vector<Value> inputs = {Value::Binary(rig->cell_a),
-                               Value::Binary(rig->cell_b)};
+  std::vector<std::vector<Value>> morsel = {
+      {Value::Binary(rig->cell_a), Value::Binary(rig->cell_b)}};
   for (auto _ : state) {
-    auto r = pool->SubmitEval(rig->handle, inputs);
+    auto r = pool->SubmitEvalBatch(rig->handle, morsel);
     benchmark::DoNotOptimize(r);
   }
   state.SetLabel("queued; spinning worker amortizes transitions; wakeups=" +
                  std::to_string(pool->wakeups()));
 }
 BENCHMARK(BM_WorkerPoolEval)->Unit(benchmark::kMicrosecond);
-
-void BM_CompareCells(benchmark::State& state) {
-  static Rig* rig = new Rig(0);
-  for (auto _ : state) {
-    auto r = rig->enclave->CompareCells(1, rig->cell_a, rig->cell_b);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel("range-index comparison (decrypt x2 + compare)");
-}
-BENCHMARK(BM_CompareCells)->Unit(benchmark::kMicrosecond);
 
 void BM_BatchedEval(benchmark::State& state) {
   static Rig* rig = new Rig(3000);
@@ -146,26 +125,18 @@ BENCHMARK(BM_CompareCellsBatch)->Arg(1)->Arg(64)->Unit(
 
 // ---------------------------------------------------------------------------
 // Batch-size sweep: rows (or cells) per second at transition_cost_ns = 5000
-// for batch sizes 1..256, written to a JSON file. Batch size 1 uses the
-// scalar entry points so it is literally the row-at-a-time system.
+// for batch sizes 1..256, written to a JSON file. Batch size 1 sends
+// morsels of one, so it is the row-at-a-time system.
 
 double EvalRowsPerSec(Rig& rig, size_t batch, size_t total_rows) {
-  std::vector<Value> row = {Value::Binary(rig.cell_a),
-                            Value::Binary(rig.cell_b)};
+  std::vector<std::vector<Value>> morsel(
+      batch, {Value::Binary(rig.cell_a), Value::Binary(rig.cell_b)});
   auto start = std::chrono::steady_clock::now();
   size_t done = 0;
-  if (batch == 1) {
-    for (; done < total_rows; ++done) {
-      auto r = rig.enclave->EvalRegistered(rig.handle, row);
-      if (!r.ok()) return -1.0;
-    }
-  } else {
-    std::vector<std::vector<Value>> morsel(batch, row);
-    while (done < total_rows) {
-      auto r = rig.enclave->EvalRegisteredBatch(rig.handle, morsel);
-      if (!r.ok()) return -1.0;
-      done += batch;
-    }
+  while (done < total_rows) {
+    auto r = rig.enclave->EvalRegisteredBatch(rig.handle, morsel);
+    if (!r.ok()) return -1.0;
+    done += batch;
   }
   double secs = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
@@ -174,20 +145,13 @@ double EvalRowsPerSec(Rig& rig, size_t batch, size_t total_rows) {
 }
 
 double CompareCellsPerSec(Rig& rig, size_t batch, size_t total_cells) {
+  std::vector<Slice> cells(batch, Slice(rig.cell_b));
   auto start = std::chrono::steady_clock::now();
   size_t done = 0;
-  if (batch == 1) {
-    for (; done < total_cells; ++done) {
-      auto r = rig.enclave->CompareCells(1, rig.cell_a, rig.cell_b);
-      if (!r.ok()) return -1.0;
-    }
-  } else {
-    std::vector<Slice> cells(batch, Slice(rig.cell_b));
-    while (done < total_cells) {
-      auto r = rig.enclave->CompareCellsBatch(1, rig.cell_a, cells);
-      if (!r.ok()) return -1.0;
-      done += batch;
-    }
+  while (done < total_cells) {
+    auto r = rig.enclave->CompareCellsBatch(1, rig.cell_a, cells);
+    if (!r.ok()) return -1.0;
+    done += batch;
   }
   double secs = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)

@@ -33,7 +33,9 @@ class EnclaveRoutedComparator : public Comparator {
   EnclaveRoutedComparator(enclave::Enclave* enclave, uint32_t cek)
       : enclave_(enclave), cek_(cek) {}
   Result<int> Compare(Slice a, Slice b) const override {
-    return enclave_->CompareCells(cek_, a, b);
+    std::vector<int> c;
+    AEDB_ASSIGN_OR_RETURN(c, enclave_->CompareCellsBatch(cek_, a, {b}));
+    return c[0];
   }
   const char* Name() const override { return "enclave"; }
 

@@ -120,10 +120,10 @@ int RunDemo(net::Server& server, const server::SqlBackend& db,
               static_cast<unsigned long long>(s.bytes_in.load()),
               static_cast<unsigned long long>(s.bytes_out.load()));
   const server::DatabaseStats ds = db.Stats();
-  std::printf("demo: enclave batching: %llu batch calls, %llu batched values, "
-              "%llu transitions\n",
-              static_cast<unsigned long long>(ds.enclave_batch_evals),
-              static_cast<unsigned long long>(ds.enclave_batched_values),
+  std::printf("demo: enclave: %llu evals, %llu comparisons, %llu "
+              "transitions\n",
+              static_cast<unsigned long long>(ds.enclave_evals),
+              static_cast<unsigned long long>(ds.enclave_comparisons),
               static_cast<unsigned long long>(ds.enclave_transitions));
   return 0;
 }

@@ -54,12 +54,14 @@ if [[ "${1:-}" == "--asan" ]]; then
   # durability_test drives the file-backed WAL's attach, truncate, rewrite
   # and reopen paths, where truncation slices the log image in place.
   # shard_torture_test's in-process half drives the 2PC decision log's
-  # appends, tears, compaction rewrites and truncation.
+  # appends, tears, compaction rewrites and truncation. enclave_test,
+  # es_test and batch_equiv_test cross the call gate with morsels of one
+  # row and one cell, whose Slice vectors point into the caller's buffers.
   run cmake --build build-asan -j "$JOBS" --target fault_test \
       fault_torture_test storage_test net_test durability_test \
-      shard_torture_test
+      shard_torture_test enclave_test es_test batch_equiv_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R 'fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test' \
+      -R '^(fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test|enclave_test|es_test|batch_equiv_test)$' \
       --output-on-failure
 fi
 

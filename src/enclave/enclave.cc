@@ -280,25 +280,6 @@ Result<std::vector<Value>> Enclave::EvalProgram(
   return evaluator.Eval(program, inputs);
 }
 
-Result<std::vector<Value>> Enclave::EvalRegistered(
-    uint64_t handle, const std::vector<Value>& inputs, uint64_t session_id,
-    std::string_view authorizing_query) {
-  ChargeTransition();
-  return EvalRegisteredResident(handle, inputs, session_id, authorizing_query);
-}
-
-Result<std::vector<Value>> Enclave::EvalRegisteredResident(
-    uint64_t handle, const std::vector<Value>& inputs, uint64_t session_id,
-    std::string_view authorizing_query) {
-  stats_.calls.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock lock(state_mu_);
-  auto it = registered_.find(handle);
-  if (it == registered_.end()) {
-    return Status::NotFound("unknown expression handle");
-  }
-  return EvalProgram(it->second, inputs, session_id, authorizing_query);
-}
-
 Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatch(
     uint64_t handle, const std::vector<std::vector<Value>>& batch,
     uint64_t session_id, std::string_view authorizing_query) {
@@ -312,7 +293,6 @@ Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
     uint64_t handle, const std::vector<std::vector<Value>>& batch,
     uint64_t session_id, std::string_view authorizing_query) {
   stats_.calls.fetch_add(1, std::memory_order_relaxed);
-  stats_.batch_evals.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock lock(state_mu_);
   auto it = registered_.find(handle);
   if (it == registered_.end()) {
@@ -322,7 +302,7 @@ Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
   out.reserve(batch.size());
   for (const std::vector<Value>& inputs : batch) {
     // A fault fired mid-batch must surface as a clean statement error with
-    // no partially applied morsel — tests/fault_test exercises this.
+    // no partially applied morsel — tests/batch_equiv_test exercises this.
     AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("enclave/batch_partial_failure"));
     // EvalProgram re-runs the authorization check per row: batching
     // amortizes the boundary crossing, never the security checks.
@@ -330,58 +310,14 @@ Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
     AEDB_ASSIGN_OR_RETURN(
         row, EvalProgram(it->second, inputs, session_id, authorizing_query));
     out.push_back(std::move(row));
-    stats_.batched_values.fetch_add(1, std::memory_order_relaxed);
   }
   return out;
-}
-
-Result<std::vector<Value>> Enclave::Eval(Slice program_bytes,
-                                         const std::vector<Value>& inputs,
-                                         uint64_t session_id,
-                                         std::string_view authorizing_query) {
-  ChargeTransition();
-  stats_.calls.fetch_add(1, std::memory_order_relaxed);
-  // Reconstruct the program inside the enclave (deep copy via serialization,
-  // §4.4): the enclave never evaluates an object residing in host memory.
-  es::EsProgram program;
-  AEDB_ASSIGN_OR_RETURN(program, es::EsProgram::Deserialize(program_bytes));
-  if (program.RequiresEnclave()) {
-    return Status::SecurityError("nested TMEval rejected by enclave");
-  }
-  std::shared_lock lock(state_mu_);
-  return EvalProgram(program, inputs, session_id, authorizing_query);
-}
-
-Result<int> Enclave::CompareCells(uint32_t cek_id, Slice cell_a, Slice cell_b) {
-  ChargeTransition();
-  stats_.calls.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock lock(state_mu_);
-  auto it = cek_table_.find(cek_id);
-  if (it == cek_table_.end()) {
-    return Status::KeyNotInEnclave("CEK " + std::to_string(cek_id) +
-                                   " not installed in enclave");
-  }
-  Bytes plain_a, plain_b;
-  AEDB_ASSIGN_OR_RETURN(plain_a, it->second->Decrypt(cell_a));
-  AEDB_ASSIGN_OR_RETURN(plain_b, it->second->Decrypt(cell_b));
-  size_t off = 0;
-  Value va, vb;
-  AEDB_ASSIGN_OR_RETURN(va, Value::Decode(plain_a, &off));
-  off = 0;
-  AEDB_ASSIGN_OR_RETURN(vb, Value::Decode(plain_b, &off));
-  stats_.comparisons.fetch_add(1, std::memory_order_relaxed);
-  // Index ordering needs a total order: NULLs sort first.
-  if (va.is_null() && vb.is_null()) return 0;
-  if (va.is_null()) return -1;
-  if (vb.is_null()) return 1;
-  return va.Compare(vb);
 }
 
 Result<std::vector<int>> Enclave::CompareCellsBatch(
     uint32_t cek_id, Slice probe, const std::vector<Slice>& cells) {
   ChargeTransition();
   stats_.calls.fetch_add(1, std::memory_order_relaxed);
-  stats_.batch_evals.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock lock(state_mu_);
   auto it = cek_table_.find(cek_id);
   if (it == cek_table_.end()) {
@@ -402,10 +338,9 @@ Result<std::vector<int>> Enclave::CompareCellsBatch(
     off = 0;
     Value vc;
     AEDB_ASSIGN_OR_RETURN(vc, Value::Decode(plain, &off));
-    // Every individual ordering disclosed is charged to the leak counter —
-    // identical leak accounting to N scalar CompareCells calls.
+    // Every individual ordering disclosed is charged to the leak counter,
+    // whatever the number of cells that shared the crossing.
     stats_.comparisons.fetch_add(1, std::memory_order_relaxed);
-    stats_.batched_values.fetch_add(1, std::memory_order_relaxed);
     if (vp.is_null() && vc.is_null()) {
       out.push_back(0);
     } else if (vp.is_null()) {

@@ -86,14 +86,10 @@ struct EnclaveStats {
   std::atomic<uint64_t> evals{0};
   std::atomic<uint64_t> comparisons{0};
   std::atomic<uint64_t> transitions{0};
-  /// Batched call-gate entries (EvalRegisteredBatch / CompareCellsBatch)...
-  std::atomic<uint64_t> batch_evals{0};
-  /// ...and the total rows/cells they carried across the boundary.
-  std::atomic<uint64_t> batched_values{0};
 
   /// Derived amortization gauge: encrypted values processed (evals +
-  /// comparisons) per boundary crossing. Row-at-a-time execution pins this
-  /// near 1; batching is what pushes it up (paper §4.6).
+  /// comparisons) per boundary crossing. Morsels of one row pin this near 1;
+  /// larger morsels are what push it up (paper §4.6).
   double ValuesPerTransition() const {
     uint64_t t = transitions.load(std::memory_order_relaxed);
     if (t == 0) return 0.0;
@@ -109,9 +105,14 @@ struct EnclaveStats {
 /// is private state with no accessors, so the "host" cannot read it by
 /// construction.
 ///
+/// Every evaluation crosses the call gate as a morsel: a registered
+/// expression runs over a batch of rows (a single row is a morsel of one)
+/// and a comparison is a one-cell CompareCellsBatch, so each kind of work
+/// has exactly one entry point and one transition per crossing.
+///
 /// Concurrency follows the paper §4.6: state changes (key installs, session
 /// creation, expression registration) are serialized through a single mutex
-/// ("handled by a single enclave thread"); Eval paths take shared ownership.
+/// ("handled by a single enclave thread"); evaluation takes shared ownership.
 class Enclave {
  public:
   /// Use VbsPlatform::LoadEnclave; constructor is public for the platform.
@@ -142,56 +143,36 @@ class Enclave {
   // ----- expression services -----
 
   /// Registers a serialized ES program; returns the handle used by later
-  /// EvalRegistered calls ("an expression is registered once in the enclave
-  /// and invoked subsequently using the handle", §3).
+  /// EvalRegisteredBatch calls ("an expression is registered once in the
+  /// enclave and invoked subsequently using the handle", §3). The program is
+  /// deserialized inside the enclave (a deep copy, §4.4), and one that itself
+  /// needs the enclave (nested TMEval) is refused here.
   Result<uint64_t> RegisterExpression(Slice program_bytes);
 
-  /// Evaluates a registered expression. For programs that produce ciphertext
-  /// the server must pass the authorizing session and the raw query text; the
-  /// enclave hashes the text and checks the client authorized it.
-  Result<std::vector<types::Value>> EvalRegistered(
-      uint64_t handle, const std::vector<types::Value>& inputs,
-      uint64_t session_id = 0, std::string_view authorizing_query = {});
-
-  /// Same as EvalRegistered but without charging a call-gate transition:
-  /// used by resident enclave worker threads (EnclaveWorkerPool), which are
-  /// already inside the enclave while processing the queue.
-  Result<std::vector<types::Value>> EvalRegisteredResident(
-      uint64_t handle, const std::vector<types::Value>& inputs,
-      uint64_t session_id = 0, std::string_view authorizing_query = {});
-
-  /// Batched entry point: evaluates a registered expression over every row
-  /// of `batch` (one inputs vector per row) while charging a SINGLE call-gate
-  /// transition for the whole batch — the §4.6 amortization. Rows are
-  /// evaluated in order with the exact per-row semantics of EvalRegistered,
-  /// including the per-row authorization check for ciphertext-producing
-  /// programs; the first row that fails aborts the batch with that row's
-  /// error, matching what a row-at-a-time loop would have surfaced.
+  /// Evaluates a registered expression over every row of `batch` (one inputs
+  /// vector per row) while charging a SINGLE call-gate transition for the
+  /// whole morsel — the §4.6 amortization. Rows are evaluated in order, each
+  /// with the full per-row checks: for programs that produce ciphertext the
+  /// server must pass the authorizing session and the raw query text, which
+  /// the enclave hashes and checks against what the client authorized. The
+  /// first row that fails aborts the batch with that row's error.
   Result<std::vector<std::vector<types::Value>>> EvalRegisteredBatch(
       uint64_t handle, const std::vector<std::vector<types::Value>>& batch,
       uint64_t session_id = 0, std::string_view authorizing_query = {});
 
   /// Transition-free variant of EvalRegisteredBatch for resident enclave
-  /// worker threads (EnclaveWorkerPool::SubmitEvalBatch).
+  /// worker threads (EnclaveWorkerPool::SubmitEvalBatch), which are already
+  /// inside the enclave while processing the queue.
   Result<std::vector<std::vector<types::Value>>> EvalRegisteredBatchResident(
       uint64_t handle, const std::vector<std::vector<types::Value>>& batch,
       uint64_t session_id = 0, std::string_view authorizing_query = {});
 
-  /// One-shot evaluation of a serialized program (used by TMEval stubs).
-  Result<std::vector<types::Value>> Eval(
-      Slice program_bytes, const std::vector<types::Value>& inputs,
-      uint64_t session_id = 0, std::string_view authorizing_query = {});
-
-  /// Fast path for B+-tree maintenance: three-way comparison of two
-  /// encrypted cells under one CEK (paper §3.1.2 / Figure 4). Returns the
-  /// plaintext ordering in the clear — the authorized range-index leak.
-  Result<int> CompareCells(uint32_t cek_id, Slice cell_a, Slice cell_b);
-
-  /// Batched comparison for index seeks: decrypts `probe` once and compares
-  /// it against every cell in `cells`, charging ONE transition for the whole
-  /// node. Returns cmp(probe, cells[i]) for each i; each comparison is
-  /// individually accounted in the leak counter, so the operational leak is
-  /// byte-for-byte what N CompareCells calls would have disclosed.
+  /// Three-way comparison of encrypted cells under one CEK for B+-tree
+  /// maintenance and seeks (paper §3.1.2 / Figure 4): decrypts `probe` once
+  /// and returns cmp(probe, cells[i]) for each i, charging ONE transition.
+  /// NULLs sort first. Each comparison is counted in the leak counter — the
+  /// authorized range-index leak is one plaintext ordering per cell — so a
+  /// single comparison is a one-cell batch.
   Result<std::vector<int>> CompareCellsBatch(uint32_t cek_id, Slice probe,
                                              const std::vector<Slice>& cells);
 

@@ -32,15 +32,8 @@ EnclaveWorkerPool::~EnclaveWorkerPool() {
   cv_.notify_all();
   for (auto& t : threads_) t.join();
   for (auto& item : orphaned) {
-    FailItem(item.get(), Status::FailedPrecondition("worker pool shut down"));
-  }
-}
-
-void EnclaveWorkerPool::FailItem(WorkItem* item, Status st) {
-  if (item->is_batch) {
-    item->batch_promise.set_value(st);
-  } else {
-    item->promise.set_value(st);
+    item->promise.set_value(
+        Status::FailedPrecondition("worker pool shut down"));
   }
 }
 
@@ -48,9 +41,9 @@ size_t EnclaveWorkerPool::ShedExpiredLocked(Clock::time_point now) {
   size_t shed = 0;
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (ItemExpired((*it)->deadline, now)) {
-      FailItem(it->get(), Status::DeadlineExceeded(
-                              "morsel shed: query deadline exceeded while "
-                              "queued for the enclave"));
+      (*it)->promise.set_value(Status::DeadlineExceeded(
+          "morsel shed: query deadline exceeded while queued for the "
+          "enclave"));
       it = queue_.erase(it);
       ++shed;
     } else {
@@ -88,21 +81,6 @@ Status EnclaveWorkerPool::Enqueue(std::unique_ptr<WorkItem> item) {
   return Status::OK();
 }
 
-Result<std::vector<types::Value>> EnclaveWorkerPool::SubmitEval(
-    uint64_t handle, std::vector<types::Value> inputs, uint64_t session_id,
-    std::string authorizing_query, Clock::time_point deadline) {
-  auto item = std::make_unique<WorkItem>();
-  item->handle = handle;
-  item->inputs = std::move(inputs);
-  item->session_id = session_id;
-  item->authorizing_query = std::move(authorizing_query);
-  item->deadline = deadline;
-  std::future<Result<std::vector<types::Value>>> future =
-      item->promise.get_future();
-  AEDB_RETURN_IF_ERROR(Enqueue(std::move(item)));
-  return future.get();
-}
-
 Result<std::vector<std::vector<types::Value>>>
 EnclaveWorkerPool::SubmitEvalBatch(uint64_t handle,
                                    std::vector<std::vector<types::Value>> batch,
@@ -112,12 +90,11 @@ EnclaveWorkerPool::SubmitEvalBatch(uint64_t handle,
   auto item = std::make_unique<WorkItem>();
   item->handle = handle;
   item->batch = std::move(batch);
-  item->is_batch = true;
   item->session_id = session_id;
   item->authorizing_query = std::move(authorizing_query);
   item->deadline = deadline;
   std::future<Result<std::vector<std::vector<types::Value>>>> future =
-      item->batch_promise.get_future();
+      item->promise.get_future();
   AEDB_RETURN_IF_ERROR(Enqueue(std::move(item)));
   return future.get();
 }
@@ -161,10 +138,9 @@ void EnclaveWorkerPool::WorkerLoop() {
           queue_.pop_front();
           lock.unlock();
           expired_dropped_.fetch_add(1, std::memory_order_relaxed);
-          FailItem(dead.get(),
-                   Status::DeadlineExceeded(
-                       "morsel dropped: query deadline exceeded before "
-                       "enclave re-entry"));
+          dead->promise.set_value(Status::DeadlineExceeded(
+              "morsel dropped: query deadline exceeded before enclave "
+              "re-entry"));
           lock.lock();
         }
         if (queue_.empty()) {
@@ -189,20 +165,12 @@ void EnclaveWorkerPool::WorkerLoop() {
     // transition is already amortized, but the enclave-side compute isn't.
     if (ItemExpired(item->deadline, Clock::now())) {
       expired_dropped_.fetch_add(1, std::memory_order_relaxed);
-      FailItem(item.get(), Status::DeadlineExceeded(
-                               "morsel dropped: query deadline exceeded "
-                               "before enclave eval"));
+      item->promise.set_value(Status::DeadlineExceeded(
+          "morsel dropped: query deadline exceeded before enclave eval"));
       continue;
     }
-    if (item->is_batch) {
-      item->batch_promise.set_value(enclave_->EvalRegisteredBatchResident(
-          item->handle, item->batch, item->session_id,
-          item->authorizing_query));
-    } else {
-      item->promise.set_value(enclave_->EvalRegisteredResident(
-          item->handle, item->inputs, item->session_id,
-          item->authorizing_query));
-    }
+    item->promise.set_value(enclave_->EvalRegisteredBatchResident(
+        item->handle, item->batch, item->session_id, item->authorizing_query));
   }
 }
 

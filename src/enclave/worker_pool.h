@@ -22,7 +22,9 @@ namespace aedb::enclave {
 /// Enclave worker threads consume them; after draining the queue a worker
 /// spins for `spin_duration_us` polling for more work before "exiting the
 /// enclave" and sleeping. A heavily used enclave therefore stays resident
-/// (no transition cost per item); an idle one releases its core.
+/// (no transition cost per item); an idle one releases its core. Every work
+/// item is one morsel — the rows of one registered expression — evaluated by
+/// EvalRegisteredBatchResident.
 ///
 /// Overload control: the queue is optionally bounded (`max_queue_depth`).
 /// When full, already-expired queued morsels are shed first (their waiters
@@ -49,16 +51,10 @@ class EnclaveWorkerPool {
   EnclaveWorkerPool(const EnclaveWorkerPool&) = delete;
   EnclaveWorkerPool& operator=(const EnclaveWorkerPool&) = delete;
 
-  /// Enqueues an EvalRegistered call; blocks until the result is ready.
-  /// (Host workers in SQL block on the expression result anyway; the win is
-  /// that the *enclave transition* is amortized, not the wait.)
-  Result<std::vector<types::Value>> SubmitEval(
-      uint64_t handle, std::vector<types::Value> inputs,
-      uint64_t session_id = 0, std::string authorizing_query = {},
-      Clock::time_point deadline = Clock::time_point::max());
-
-  /// Enqueues one EvalRegisteredBatch call covering a whole morsel; the
-  /// consuming worker stays resident, so an entire batch rides on (at most)
+  /// Enqueues one EvalRegisteredBatch call covering a whole morsel (a single
+  /// row is a morsel of one) and blocks until the result is ready. Host
+  /// workers in SQL block on the expression result anyway; the win is that
+  /// the consuming worker stays resident, so the morsel rides on (at most)
   /// one wake-up transition.
   Result<std::vector<std::vector<types::Value>>> SubmitEvalBatch(
       uint64_t handle, std::vector<std::vector<types::Value>> batch,
@@ -86,25 +82,19 @@ class EnclaveWorkerPool {
  private:
   struct WorkItem {
     uint64_t handle;
-    // Exactly one of `inputs` (scalar item) or `batch` is active.
-    std::vector<types::Value> inputs;
     std::vector<std::vector<types::Value>> batch;
-    bool is_batch = false;
     uint64_t session_id;
     std::string authorizing_query;
     Clock::time_point deadline = Clock::time_point::max();
-    std::promise<Result<std::vector<types::Value>>> promise;
-    std::promise<Result<std::vector<std::vector<types::Value>>>> batch_promise;
+    std::promise<Result<std::vector<std::vector<types::Value>>>> promise;
   };
 
   void WorkerLoop();
   bool PopItem(std::unique_ptr<WorkItem>* item);
-  /// Fails the item's waiter with `st` (whichever promise is active).
-  static void FailItem(WorkItem* item, Status st);
   /// Completes expired queued items with kDeadlineExceeded, oldest first.
   /// Returns how many were shed. Caller holds mu_.
   size_t ShedExpiredLocked(Clock::time_point now);
-  /// Enqueues or rejects with kOverloaded; shared by both Submit paths.
+  /// Enqueues or rejects with kOverloaded.
   Status Enqueue(std::unique_ptr<WorkItem> item);
 
   Enclave* enclave_;

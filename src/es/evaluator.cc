@@ -121,24 +121,6 @@ Status JoinTaint(uint32_t a, uint32_t b, uint32_t* out) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Default batched invoker: row-at-a-time loop. Real enclave-backed invokers
-// override this with a single call-gate crossing.
-
-Result<std::vector<std::vector<Value>>> EnclaveInvoker::EvalInEnclaveBatch(
-    Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
-    uint32_t n_outputs) {
-  std::vector<std::vector<Value>> out;
-  out.reserve(batch_inputs.size());
-  for (const std::vector<Value>& inputs : batch_inputs) {
-    std::vector<Value> row;
-    AEDB_ASSIGN_OR_RETURN(row,
-                          EvalInEnclave(program_bytes, inputs, n_outputs));
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Row-at-a-time interpreter.
 
 Result<std::vector<Value>> EsEvaluator::Eval(const EsProgram& program,
@@ -302,20 +284,21 @@ Result<std::vector<Value>> EsEvaluator::Eval(const EsProgram& program,
         if (stack.size() < ins.n_inputs) {
           return Status::Corruption("ES stack underflow at TMEval");
         }
-        std::vector<Value> sub_inputs(ins.n_inputs);
+        std::vector<std::vector<Value>> sub_batch(1);
+        sub_batch[0].resize(ins.n_inputs);
         for (uint32_t i = ins.n_inputs; i-- > 0;) {
-          sub_inputs[i] = std::move(stack.back().value);
+          sub_batch[0][i] = std::move(stack.back().value);
           stack.pop_back();
         }
-        std::vector<Value> sub_outputs;
+        std::vector<std::vector<Value>> sub_outputs;
         AEDB_ASSIGN_OR_RETURN(
-            sub_outputs,
-            ctx_.enclave->EvalInEnclave(ins.subprogram, sub_inputs,
-                                        ins.n_outputs));
-        if (sub_outputs.size() != ins.n_outputs) {
+            sub_outputs, ctx_.enclave->EvalInEnclaveBatch(
+                             ins.subprogram, sub_batch, ins.n_outputs));
+        if (sub_outputs.size() != 1 ||
+            sub_outputs[0].size() != ins.n_outputs) {
           return Status::Internal("enclave returned wrong output arity");
         }
-        for (Value& v : sub_outputs) stack.push_back(Slot{std::move(v), 0});
+        for (Value& v : sub_outputs[0]) stack.push_back(Slot{std::move(v), 0});
         break;
       }
     }

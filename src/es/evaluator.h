@@ -26,25 +26,19 @@ class CellCryptoProvider {
                                             const types::Value& plain) = 0;
 };
 
-/// Host-side hook that ships a kTMEval subprogram into the enclave.
+/// Host-side hook that ships a kTMEval subprogram into the enclave. Its one
+/// entry point evaluates the subprogram over every row of `batch_inputs`
+/// (one inputs vector per row) and returns one outputs vector per row, in
+/// order, crossing the call gate once for the whole morsel (paper §4.6
+/// amortization). The row interpreter sends a morsel of one.
 class EnclaveInvoker {
  public:
   virtual ~EnclaveInvoker() = default;
 
-  virtual Result<std::vector<types::Value>> EvalInEnclave(
-      Slice program_bytes, const std::vector<types::Value>& inputs,
-      uint32_t n_outputs) = 0;
-
-  /// Batched variant: evaluates the same subprogram over every row of
-  /// `batch_inputs` (one inputs vector per row) and returns one outputs
-  /// vector per row, in order. Implementations backed by a real enclave
-  /// override this to cross the call gate once for the whole batch (paper
-  /// §4.6 amortization); the default preserves row-at-a-time semantics by
-  /// looping EvalInEnclave.
   virtual Result<std::vector<std::vector<types::Value>>> EvalInEnclaveBatch(
       Slice program_bytes,
       const std::vector<std::vector<types::Value>>& batch_inputs,
-      uint32_t n_outputs);
+      uint32_t n_outputs) = 0;
 };
 
 /// Evaluation environment.

@@ -27,16 +27,16 @@ class EnclaveComparator : public storage::Comparator {
   EnclaveComparator(enclave::Enclave* enclave, uint32_t cek_id)
       : enclave_(enclave), cek_id_(cek_id) {}
 
+  /// One comparison is a one-cell batch: one transition, two decrypts.
   Result<int> Compare(Slice a, Slice b) const override {
-    if (enclave_ == nullptr) {
-      return Status::KeyNotInEnclave("no enclave configured");
-    }
-    return enclave_->CompareCells(cek_id_, a, b);
+    std::vector<int> c;
+    AEDB_ASSIGN_OR_RETURN(c, CompareBatch(a, {b}));
+    return c[0];
   }
   const char* Name() const override { return "enclave"; }
 
-  /// Each scalar Compare pays a call-gate transition, so batching a node's
-  /// keys into one CompareCellsBatch crossing is a clear win here (and only
+  /// Each Compare pays a call-gate transition, so batching a node's keys
+  /// into one CompareCellsBatch crossing is a clear win here (and only
   /// here — plaintext comparators keep binary search).
   bool PrefersBatch() const override { return true; }
   Result<std::vector<int>> CompareBatch(
@@ -62,11 +62,9 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
   ServerInvoker(enclave::Enclave* enclave, enclave::EnclaveWorkerPool* pool)
       : enclave_(enclave), pool_(pool) {}
 
-  void set_pool(enclave::EnclaveWorkerPool* pool) { pool_ = pool; }
-
-  Result<std::vector<Value>> EvalInEnclave(Slice program_bytes,
-                                           const std::vector<Value>& inputs,
-                                           uint32_t n_outputs) override {
+  Result<std::vector<std::vector<Value>>> EvalInEnclaveBatch(
+      Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
+      uint32_t n_outputs) override {
     (void)n_outputs;
     if (enclave_ == nullptr) {
       return Status::FailedPrecondition(
@@ -82,44 +80,12 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
     uint64_t handle;
     AEDB_ASSIGN_OR_RETURN(handle, HandleFor(program_bytes));
     if (pool_ != nullptr) {
-      return pool_->SubmitEval(handle, inputs, /*session_id=*/0,
-                               /*authorizing_query=*/{}, deadline);
-    }
-    return enclave_->EvalRegistered(handle, inputs);
-  }
-
-  Result<std::vector<std::vector<Value>>> EvalInEnclaveBatch(
-      Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
-      uint32_t n_outputs) override {
-    (void)n_outputs;
-    if (enclave_ == nullptr) {
-      return Status::FailedPrecondition(
-          "query requires an enclave but none is configured");
-    }
-    if (batch_inputs.size() == 1) {
-      // Degenerate batch: take the literal scalar path so batch size 1 is
-      // indistinguishable from row-at-a-time execution.
-      std::vector<std::vector<Value>> out(1);
-      AEDB_ASSIGN_OR_RETURN(
-          out[0], EvalInEnclave(program_bytes, batch_inputs[0], n_outputs));
-      return out;
-    }
-    // Expired morsels are dropped before paying a transition (see above).
-    auto deadline = enclave::EnclaveWorkerPool::Clock::time_point::max();
-    if (const QueryContext* q = QueryContext::Current(); q != nullptr) {
-      AEDB_RETURN_IF_ERROR(q->Check());
-      deadline = q->deadline();
-    }
-    uint64_t handle;
-    AEDB_ASSIGN_OR_RETURN(handle, HandleFor(program_bytes));
-    if (pool_ != nullptr) {
       return pool_->SubmitEvalBatch(handle, batch_inputs, /*session_id=*/0,
                                     /*authorizing_query=*/{}, deadline);
     }
     return enclave_->EvalRegisteredBatch(handle, batch_inputs);
   }
 
- private:
   /// Registers each distinct program once; later calls reuse the handle.
   Result<uint64_t> HandleFor(Slice program_bytes) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -133,6 +99,7 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
     return handle;
   }
 
+ private:
   enclave::Enclave* enclave_;
   enclave::EnclaveWorkerPool* pool_;
   std::mutex mu_;
@@ -188,9 +155,6 @@ DatabaseStats Database::Stats() const {
     out.enclave_evals = s.evals.load(std::memory_order_relaxed);
     out.enclave_comparisons = s.comparisons.load(std::memory_order_relaxed);
     out.enclave_transitions = s.transitions.load(std::memory_order_relaxed);
-    out.enclave_batch_evals = s.batch_evals.load(std::memory_order_relaxed);
-    out.enclave_batched_values =
-        s.batched_values.load(std::memory_order_relaxed);
     out.values_per_transition = s.ValuesPerTransition();
   }
   out.queries_admitted = queries_admitted_.load(std::memory_order_relaxed);
@@ -526,52 +490,69 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
   }
 
   uint64_t txn = engine_.Begin();
+  // Delete + reinsert one row with its converted cell, maintaining the
+  // surviving indexes.
+  auto rewrite = [&](const storage::Rid& rid, const std::vector<Value>& row,
+                     Value cell) -> Status {
+    for (const sql::IndexDef* index : catalog_.TableIndexes(table->id)) {
+      AEDB_RETURN_IF_ERROR(engine_.IndexDelete(
+          txn, index->id,
+          sql::Executor::IndexKeyFor(table->columns[index->column],
+                                     row[index->column]),
+          rid));
+    }
+    AEDB_RETURN_IF_ERROR(engine_.HeapDelete(txn, table->id, rid));
+    std::vector<Value> new_row = row;
+    new_row[column] = std::move(cell);
+    storage::Rid new_rid;
+    AEDB_ASSIGN_OR_RETURN(
+        new_rid, engine_.HeapInsert(txn, table->id, sql::EncodeRow(new_row)));
+    for (const sql::IndexDef* index : catalog_.TableIndexes(table->id)) {
+      AEDB_RETURN_IF_ERROR(engine_.IndexInsert(
+          txn, index->id,
+          sql::Executor::IndexKeyFor(table->columns[index->column],
+                                     new_row[index->column]),
+          new_rid));
+    }
+    return Status::OK();
+  };
+  // Rewrite every row, converting the one cell through the enclave a morsel
+  // at a time: the program is registered once, then each morsel of
+  // eval_batch_size rows costs one transition. The enclave still checks the
+  // statement's authorization on every row.
   Status st = engine_.LockTable(txn, table->id);
+  std::vector<std::pair<storage::Rid, std::vector<Value>>> rows;
   if (st.ok()) {
-    // Rewrite every row, transforming the one cell through the enclave.
-    std::vector<std::pair<storage::Rid, std::vector<Value>>> rows;
-    Status inner = Status::OK();
     engine_.table(table->id)->Scan([&](const storage::Rid& rid, Slice record) {
       auto row = sql::DecodeRow(record, table->columns.size());
       if (!row.ok()) {
-        inner = row.status();
+        st = row.status();
         return false;
       }
       rows.emplace_back(rid, std::move(row).value());
       return true;
     });
-    st = inner;
-    for (auto& [rid, row] : rows) {
-      if (!st.ok()) break;
-      auto transformed =
-          enclave_->Eval(program_bytes, {row[column]}, session_id, sql_text);
-      if (!transformed.ok()) {
-        st = transformed.status();
-        break;
-      }
-      std::vector<Value> new_row = row;
-      new_row[column] = (*transformed)[0];
-      // Delete + reinsert, maintaining the surviving indexes.
-      for (const sql::IndexDef* index : catalog_.TableIndexes(table->id)) {
-        Bytes key = sql::Executor::IndexKeyFor(table->columns[index->column],
-                                               row[index->column]);
-        st = engine_.IndexDelete(txn, index->id, key, rid);
-        if (!st.ok()) break;
-      }
-      if (!st.ok()) break;
-      st = engine_.HeapDelete(txn, table->id, rid);
-      if (!st.ok()) break;
-      auto new_rid = engine_.HeapInsert(txn, table->id, sql::EncodeRow(new_row));
-      if (!new_rid.ok()) {
-        st = new_rid.status();
-        break;
-      }
-      for (const sql::IndexDef* index : catalog_.TableIndexes(table->id)) {
-        Bytes key = sql::Executor::IndexKeyFor(table->columns[index->column],
-                                               new_row[index->column]);
-        st = engine_.IndexInsert(txn, index->id, key, *new_rid);
-        if (!st.ok()) break;
-      }
+  }
+  uint64_t handle = 0;
+  if (st.ok() && !rows.empty()) {
+    auto registered = invoker_->HandleFor(program_bytes);
+    st = registered.status();
+    if (st.ok()) handle = *registered;
+  }
+  const size_t morsel = executor_->batch_size();
+  for (size_t begin = 0; st.ok() && begin < rows.size(); begin += morsel) {
+    const size_t end = std::min(rows.size(), begin + morsel);
+    std::vector<std::vector<Value>> cells;
+    cells.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      cells.push_back({rows[i].second[column]});
+    }
+    auto converted =
+        enclave_->EvalRegisteredBatch(handle, cells, session_id, sql_text);
+    st = converted.status();
+    for (size_t i = begin; st.ok() && i < end; ++i) {
+      st = rewrite(rows[i].first, rows[i].second,
+                   std::move((*converted)[i - begin][0]));
     }
   }
   if (!st.ok()) {

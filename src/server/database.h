@@ -77,8 +77,6 @@ struct DatabaseStats {
   uint64_t enclave_evals = 0;
   uint64_t enclave_comparisons = 0;
   uint64_t enclave_transitions = 0;
-  uint64_t enclave_batch_evals = 0;
-  uint64_t enclave_batched_values = 0;
   /// Amortization gauge: (evals + comparisons) / transitions.
   double values_per_transition = 0.0;
   // Overload-control gauges (PR 4).

@@ -830,8 +830,6 @@ DatabaseStats ShardedDatabase::Stats() const {
     out.enclave_evals += s.enclave_evals;
     out.enclave_comparisons += s.enclave_comparisons;
     out.enclave_transitions += s.enclave_transitions;
-    out.enclave_batch_evals += s.enclave_batch_evals;
-    out.enclave_batched_values += s.enclave_batched_values;
     out.queries_admitted += s.queries_admitted;
     out.queries_rejected += s.queries_rejected;
     out.queries_expired += s.queries_expired;

@@ -168,15 +168,16 @@ Status StorageEngine::Commit(uint64_t txn_id) {
   // WAL rule: append the commit record, THEN fsync — the one Sync makes the
   // data records and the commit record durable together, so an acked commit
   // survives power loss, not just process death (a record sitting in the OS
-  // page cache outlives kill -9 but not the machine). A failure at either
-  // step means the commit never happened — undo the in-memory effects so
-  // runtime state matches what recovery would rebuild. A failed append
-  // leaves no kCommit in the log (a torn one is cut off). If the append
-  // landed but the sync failed, the abort's compensation records and kAbort
-  // follow kCommit, and redo replays the txn to net zero. The exception is
-  // a real fsync error: it poisons the log, which then refuses them, so the
-  // txn's fate is in doubt, as after any failed fsync, until a checkpoint
-  // captures the undone state and truncates kCommit away.
+  // page cache outlives kill -9 but not the machine). On a failure at either
+  // step the in-memory effects are undone so runtime state matches what
+  // recovery rebuilds when the log can say so. A refused or torn append
+  // leaves no kCommit in the log (a torn one is cut off): the txn aborted.
+  // If the append landed but the sync failed, the abort's compensation
+  // records and kAbort follow kCommit, and redo replays the txn to net
+  // zero — unless the log refuses them: a real fsync error poisons it, and
+  // so does a tear in a compensation record. Recovery then finds kCommit
+  // and replays the txn as committed, so the caller is told the outcome is
+  // unknown (kUnavailable), never that the txn aborted.
   LogRecord rec;
   rec.txn_id = txn_id;
   rec.type = LogRecordType::kCommit;
@@ -192,6 +193,10 @@ Status StorageEngine::Commit(uint64_t txn_id) {
       active_.emplace(txn_id, ActiveTxn{std::move(ops)});
     }
     (void)Abort(txn_id);
+    if (appended.ok()) {
+      return Status::Unavailable("commit outcome unknown: " +
+                                 durable.message());
+    }
     return Status::TransactionAborted("commit not durable: " +
                                       durable.message());
   }

@@ -266,12 +266,13 @@ TEST_F(DurabilityTest, CommitRecordIsAppendedBeforeTheDurabilitySync) {
   // Fail the commit-point fsync. The commit record must ALREADY be in the
   // log when the sync runs — syncing first and appending after would ack
   // commits whose record was never fsynced — so the failed commit leaves
-  // [ops.., kCommit, CLRs.., kAbort] behind.
+  // [ops.., kCommit, CLRs.., kAbort] behind, and answers that its outcome
+  // is unknown: kCommit is in the log.
   fault::FaultSpec spec;
   spec.trigger = fault::FaultSpec::Trigger::kOneShot;
   fault::FaultRegistry::Global().Arm("wal/sync", spec);
   Status st = engine->Commit(txn);
-  EXPECT_TRUE(st.IsTransactionAborted()) << st.ToString();
+  EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
   int commit_at = -1;
   int abort_at = -1;
   std::vector<LogRecord> log = engine->wal().Snapshot();
@@ -283,8 +284,8 @@ TEST_F(DurabilityTest, CommitRecordIsAppendedBeforeTheDurabilitySync) {
   ASSERT_GE(commit_at, 0) << "kCommit was not appended before the sync";
   ASSERT_GE(abort_at, 0);
   EXPECT_LT(commit_at, abort_at);
-  // Redo of that suffix nets the txn to zero: recovery agrees with the
-  // TransactionAborted ack even though a kCommit record exists.
+  // Redo of that suffix nets the txn to zero: here recovery settles the
+  // unknown outcome as aborted even though a kCommit record exists.
   ASSERT_TRUE(engine->Recover().ok());
   size_t live = 0;
   engine->table(kTable)->Scan([&](const Rid&, Slice) {

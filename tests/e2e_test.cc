@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "client/driver.h"
+#include "client/transport.h"
 #include "crypto/drbg.h"
 #include "server/database.h"
 
@@ -16,6 +18,28 @@ using server::ServerOptions;
 using types::EncKind;
 using types::TypeId;
 using types::Value;
+
+/// In-process transport that counts the enclave transitions the server
+/// spends executing enclave DDL, apart from the driver's own attestation,
+/// key-install and authorization calls.
+class DdlTransitionMeter : public client::InProcessTransport {
+ public:
+  explicit DdlTransitionMeter(Database* db)
+      : InProcessTransport(db), database_(db) {}
+
+  Status ExecuteDdlOnShard(uint32_t shard, const std::string& sql,
+                           uint64_t session_id) override {
+    const uint64_t before = database_->Stats().enclave_transitions;
+    Status st = InProcessTransport::ExecuteDdlOnShard(shard, sql, session_id);
+    transitions += database_->Stats().enclave_transitions - before;
+    return st;
+  }
+
+  uint64_t transitions = 0;
+
+ private:
+  Database* database_;
+};
 
 /// Full deployment fixture: key vault, HGS, enclave author, server, driver.
 class E2eTest : public ::testing::Test {
@@ -271,6 +295,49 @@ TEST_F(E2eTest, InitialEncryptionThroughEnclave) {
     if (haystack.find(needle) != std::string_view::npos) found = true;
   });
   EXPECT_FALSE(found);
+}
+
+// ALTER COLUMN converts the column in morsels: one registration, then one
+// transition per eval_batch_size (default 256) rows, not one per row.
+TEST_F(E2eTest, InitialEncryptionCrossesTheGateOncePerMorsel) {
+  ProvisionAndCreateSchema();
+  constexpr int kRows = 600;
+  ASSERT_TRUE(
+      driver_->ExecuteDdl("CREATE TABLE Wide (Id INT, Ssn VARCHAR(11))").ok());
+  auto ssn = [](int i) { return "900-00-" + std::to_string(1000 + i); };
+  for (int i = 0; i < kRows; ++i) {
+    auto r = driver_->Query("INSERT INTO Wide (Id, Ssn) VALUES (@i, @s)",
+                            {{"i", Value::Int32(i)},
+                             {"s", Value::String(ssn(i))}});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+
+  DriverOptions opts;
+  opts.enclave_policy.trusted_author_id = image_.AuthorId();
+  auto meter = std::make_unique<DdlTransitionMeter>(db_.get());
+  DdlTransitionMeter* metered = meter.get();
+  Driver admin(std::move(meter), &registry_, hgs_->signing_public(), opts);
+  Status st = admin.ExecuteEnclaveDdl(
+      "ALTER TABLE Wide ALTER COLUMN Ssn VARCHAR(11) ENCRYPTED WITH ("
+      "COLUMN_ENCRYPTION_KEY = MyCEK, ENCRYPTION_TYPE = Randomized, "
+      "ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256')");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  // ceil(600 / 256) = 3 morsels, plus registering the conversion program.
+  EXPECT_GE(metered->transitions, 3u);
+  EXPECT_LE(metered->transitions, 4u);
+
+  // A fresh driver (no cached describe, keys or session) reads every row
+  // back unchanged.
+  Driver reader(db_.get(), &registry_, hgs_->signing_public(), opts);
+  auto rows = reader.Query("SELECT Id, Ssn FROM Wide");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), static_cast<size_t>(kRows));
+  std::set<int> ids;
+  for (const auto& row : rows->rows) {
+    ids.insert(row[0].i32());
+    EXPECT_EQ(row[1].str(), ssn(row[0].i32()));
+  }
+  EXPECT_EQ(ids.size(), static_cast<size_t>(kRows));
 }
 
 TEST_F(E2eTest, UnauthorizedInitialEncryptionRejected) {

@@ -125,6 +125,30 @@ class EnclaveTest : public ::testing::Test {
     return EncryptionType::Encrypted(EncKind::kRandomized, kCekId, true);
   }
 
+  /// One comparison: a one-cell CompareCellsBatch.
+  Result<int> CompareOne(const Value& a, const Value& b) {
+    Bytes cell_a = Cell(a);
+    Bytes cell_b = Cell(b);
+    std::vector<int> c;
+    AEDB_ASSIGN_OR_RETURN(
+        c, enclave_->CompareCellsBatch(kCekId, cell_a, {cell_b}));
+    return c[0];
+  }
+
+  /// Registers `program` and evaluates it over one row: a morsel of one.
+  Result<std::vector<Value>> EvalOne(const es::EsProgram& program,
+                                     std::vector<Value> inputs,
+                                     std::string_view authorizing_query = {}) {
+    uint64_t handle;
+    AEDB_ASSIGN_OR_RETURN(handle,
+                          enclave_->RegisterExpression(program.Serialize()));
+    std::vector<std::vector<Value>> out;
+    AEDB_ASSIGN_OR_RETURN(
+        out, enclave_->EvalRegisteredBatch(handle, {std::move(inputs)},
+                                           session_id_, authorizing_query));
+    return std::move(out[0]);
+  }
+
   crypto::RsaPrivateKey author_key_;
   std::unique_ptr<VbsPlatform> platform_;
   EnclaveImage image_;
@@ -158,28 +182,60 @@ TEST_F(EnclaveTest, SessionRejectsDegenerateDh) {
 TEST_F(EnclaveTest, InstallAndCompareCells) {
   OpenSessionWithKey();
   EXPECT_TRUE(enclave_->HasCek(kCekId));
-  auto c = enclave_->CompareCells(kCekId, Cell(Value::Int64(5)),
-                                  Cell(Value::Int64(9)));
+  auto c = CompareOne(Value::Int64(5), Value::Int64(9));
   ASSERT_TRUE(c.ok());
   EXPECT_LT(*c, 0);
-  auto c2 = enclave_->CompareCells(kCekId, Cell(Value::String("b")),
-                                   Cell(Value::String("b")));
+  auto c2 = CompareOne(Value::String("b"), Value::String("b"));
   ASSERT_TRUE(c2.ok());
   EXPECT_EQ(*c2, 0);
 }
 
 TEST_F(EnclaveTest, CompareCellsNullsSortFirst) {
   OpenSessionWithKey();
-  auto c = enclave_->CompareCells(kCekId, Cell(Value::Null(TypeId::kInt64)),
-                                  Cell(Value::Int64(-100)));
+  auto c = CompareOne(Value::Null(TypeId::kInt64), Value::Int64(-100));
   ASSERT_TRUE(c.ok());
   EXPECT_LT(*c, 0);
 }
 
 TEST_F(EnclaveTest, CompareWithoutKeyFails) {
-  auto c = enclave_->CompareCells(kCekId, Cell(Value::Int64(1)),
-                                  Cell(Value::Int64(2)));
+  auto c = CompareOne(Value::Int64(1), Value::Int64(2));
   EXPECT_TRUE(c.status().IsKeyNotInEnclave());
+}
+
+// A row is a morsel of one and a comparison a one-cell batch: each still
+// costs exactly one transition and counts exactly one eval or comparison.
+TEST_F(EnclaveTest, MorselOfOneCostsOneTransition) {
+  OpenSessionWithKey();
+  es::EsProgram p;
+  p.GetData(0, TypeId::kInt64, Rnd());
+  p.GetData(1, TypeId::kInt64, Rnd());
+  p.Comp(es::CompareOp::kLt);
+  p.SetData(0, TypeId::kBool);
+  auto handle = enclave_->RegisterExpression(p.Serialize());
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  const EnclaveStats& stats = enclave_->stats();
+
+  uint64_t transitions = stats.transitions.load();
+  uint64_t evals = stats.evals.load();
+  uint64_t comparisons = stats.comparisons.load();
+  auto r = enclave_->EvalRegisteredBatch(
+      *handle, {{Value::Binary(Cell(Value::Int64(1))),
+                 Value::Binary(Cell(Value::Int64(2)))}});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_TRUE((*r)[0][0].bool_v());
+  EXPECT_EQ(stats.transitions.load(), transitions + 1);
+  EXPECT_EQ(stats.evals.load(), evals + 1);
+  EXPECT_EQ(stats.comparisons.load(), comparisons);
+
+  transitions = stats.transitions.load();
+  evals = stats.evals.load();
+  auto c = CompareOne(Value::Int64(3), Value::Int64(2));
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_GT(*c, 0);
+  EXPECT_EQ(stats.transitions.load(), transitions + 1);
+  EXPECT_EQ(stats.comparisons.load(), comparisons + 1);
+  EXPECT_EQ(stats.evals.load(), evals);
 }
 
 TEST_F(EnclaveTest, ReplayedInstallRejected) {
@@ -216,11 +272,11 @@ TEST_F(EnclaveTest, EvalRegisteredExpression) {
   p.SetData(0, TypeId::kBool);
   auto handle = enclave_->RegisterExpression(p.Serialize());
   ASSERT_TRUE(handle.ok());
-  auto r = enclave_->EvalRegistered(
-      *handle, {Value::Binary(Cell(Value::String("SMITH"))),
-                Value::Binary(Cell(Value::String("SMITH")))});
+  auto r = enclave_->EvalRegisteredBatch(
+      *handle, {{Value::Binary(Cell(Value::String("SMITH"))),
+                 Value::Binary(Cell(Value::String("SMITH")))}});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE((*r)[0].bool_v());
+  EXPECT_TRUE((*r)[0][0].bool_v());
   EXPECT_GE(enclave_->stats().evals.load(), 1u);
 }
 
@@ -232,7 +288,7 @@ TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
   std::string ddl = "ALTER TABLE T ALTER COLUMN value ENCRYPTED";
 
   // Without client authorization: denied.
-  auto r = enclave_->Eval(p.Serialize(), {Value::Int64(7)}, session_id_, ddl);
+  auto r = EvalOne(p, {Value::Int64(7)}, ddl);
   EXPECT_TRUE(r.status().IsPermissionDenied()) << r.status().ToString();
 
   // Client signs the query hash into the session; now it runs.
@@ -246,7 +302,7 @@ TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
   ++next_nonce_;
   ASSERT_TRUE(st.ok()) << st.ToString();
 
-  auto r2 = enclave_->Eval(p.Serialize(), {Value::Int64(7)}, session_id_, ddl);
+  auto r2 = EvalOne(p, {Value::Int64(7)}, ddl);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   // Round trip: the produced cell decrypts to the input under the CEK.
   crypto::CellCodec codec(cek_);
@@ -256,8 +312,7 @@ TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
   EXPECT_TRUE(*Value::Decode(*back, &off) == Value::Int64(7));
 
   // A *different* query text is still denied.
-  auto r3 = enclave_->Eval(p.Serialize(), {Value::Int64(7)}, session_id_,
-                           "ALTER TABLE Other ...");
+  auto r3 = EvalOne(p, {Value::Int64(7)}, "ALTER TABLE Other ...");
   EXPECT_TRUE(r3.status().IsPermissionDenied());
 }
 
@@ -266,8 +321,7 @@ TEST_F(EnclaveTest, ClearKeysSimulatesRestart) {
   EXPECT_TRUE(enclave_->HasCek(kCekId));
   enclave_->ClearKeys();
   EXPECT_FALSE(enclave_->HasCek(kCekId));
-  auto c = enclave_->CompareCells(kCekId, Cell(Value::Int64(1)),
-                                  Cell(Value::Int64(2)));
+  auto c = CompareOne(Value::Int64(1), Value::Int64(2));
   EXPECT_TRUE(c.status().IsKeyNotInEnclave());
 }
 
@@ -281,7 +335,6 @@ TEST_F(EnclaveTest, NestedTMEvalRejected) {
   outer.SetData(0, TypeId::kInt32);
   EXPECT_TRUE(
       enclave_->RegisterExpression(outer.Serialize()).status().IsSecurityError());
-  EXPECT_TRUE(enclave_->Eval(outer.Serialize(), {}).status().IsSecurityError());
 }
 
 TEST_F(EnclaveTest, WorkerPoolEvaluates) {
@@ -298,11 +351,11 @@ TEST_F(EnclaveTest, WorkerPoolEvaluates) {
   opts.num_threads = 2;
   EnclaveWorkerPool pool(enclave_.get(), opts);
   for (int i = 0; i < 50; ++i) {
-    auto r = pool.SubmitEval(
-        *handle, {Value::Binary(Cell(Value::Int64(i))),
-                  Value::Binary(Cell(Value::Int64(25)))});
+    auto r = pool.SubmitEvalBatch(
+        *handle, {{Value::Binary(Cell(Value::Int64(i))),
+                   Value::Binary(Cell(Value::Int64(25)))}});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ((*r)[0].bool_v(), i < 25);
+    EXPECT_EQ((*r)[0][0].bool_v(), i < 25);
   }
 }
 
@@ -314,7 +367,8 @@ TEST_F(EnclaveTest, TransitionCostCharged) {
   auto& e = *loaded;
   uint64_t before = e->stats().transitions.load();
   (void)e->HasCek(1);  // not an ecall; no charge
-  auto r = e->CompareCells(1, Bytes{}, Bytes{});
+  Bytes empty;
+  auto r = e->CompareCellsBatch(1, empty, {empty});
   (void)r;
   EXPECT_EQ(e->stats().transitions.load(), before + 1);
 }

@@ -310,23 +310,32 @@ TEST(EsEvaluatorTest, GetDataTypeMismatch) {
   EXPECT_FALSE(RunProgram(p, {Value::Int32(1)}).ok());
 }
 
-// TMEval host→"enclave" routing via a test invoker.
+// TMEval host→"enclave" routing via a test invoker. `calls` counts
+// crossings, one per morsel, whatever its size.
 class TestInvoker : public EnclaveInvoker {
  public:
   explicit TestInvoker(TestCrypto* crypto) : crypto_(crypto) {}
-  Result<std::vector<Value>> EvalInEnclave(Slice program_bytes,
-                                           const std::vector<Value>& inputs,
-                                           uint32_t) override {
+  Result<std::vector<std::vector<Value>>> EvalInEnclaveBatch(
+      Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
+      uint32_t) override {
     ++calls;
+    last_batch_size = batch_inputs.size();
     EsProgram p;
     AEDB_ASSIGN_OR_RETURN(p, EsProgram::Deserialize(program_bytes));
     EvalContext ctx;
     ctx.crypto = crypto_;
     EsEvaluator ev(ctx);
-    return ev.Eval(p, inputs);
+    std::vector<std::vector<Value>> out;
+    for (const std::vector<Value>& inputs : batch_inputs) {
+      std::vector<Value> row;
+      AEDB_ASSIGN_OR_RETURN(row, ev.Eval(p, inputs));
+      out.push_back(std::move(row));
+    }
+    return out;
   }
   TestCrypto* crypto_;
   int calls = 0;
+  size_t last_batch_size = 0;
 };
 
 TEST(EsEvaluatorTest, TMEvalRoutesToEnclave) {
@@ -353,6 +362,7 @@ TEST(EsEvaluatorTest, TMEvalRoutesToEnclave) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE((*r)[0].bool_v());
   EXPECT_EQ(invoker.calls, 1);
+  EXPECT_EQ(invoker.last_batch_size, 1u);  // the row crossed as a morsel of one
 }
 
 TEST(EsEvaluatorTest, TMEvalWithoutEnclaveFails) {
@@ -453,33 +463,9 @@ TEST(EsEvaluatorTest, EvalBatchEnforcesTaint) {
   EXPECT_TRUE(r.status().IsSecurityError()) << r.status().ToString();
 }
 
-// Counts batched vs scalar crossings so the "one transition per morsel"
-// contract is testable at the es layer.
-class BatchCountingInvoker : public TestInvoker {
- public:
-  using TestInvoker::TestInvoker;
-  Result<std::vector<std::vector<Value>>> EvalInEnclaveBatch(
-      Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
-      uint32_t n_outputs) override {
-    ++batch_calls;
-    last_batch_size = batch_inputs.size();
-    std::vector<std::vector<Value>> out;
-    for (const auto& inputs : batch_inputs) {
-      std::vector<Value> row;
-      AEDB_ASSIGN_OR_RETURN(row,
-                            EvalInEnclave(program_bytes, inputs, n_outputs));
-      out.push_back(std::move(row));
-    }
-    calls = 0;  // scalar calls made on the invoker's own behalf don't count
-    return out;
-  }
-  int batch_calls = 0;
-  size_t last_batch_size = 0;
-};
-
 TEST(EsEvaluatorTest, EvalBatchCrossesEnclaveOncePerMorsel) {
   TestCrypto crypto;
-  BatchCountingInvoker invoker(&crypto);
+  TestInvoker invoker(&crypto);
   EvalContext host_ctx;
   host_ctx.enclave = &invoker;
 
@@ -502,7 +488,7 @@ TEST(EsEvaluatorTest, EvalBatchCrossesEnclaveOncePerMorsel) {
   EsEvaluator ev(host_ctx);
   auto r = ev.EvalBatch(host, rows);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(invoker.batch_calls, 1);  // nine rows, one crossing
+  EXPECT_EQ(invoker.calls, 1);  // nine rows, one crossing
   EXPECT_EQ(invoker.last_batch_size, 9u);
   for (int i = 0; i < 9; ++i) {
     EXPECT_EQ((*r)[i][0].bool_v(), i < 5) << "row " << i;

@@ -368,7 +368,9 @@ TEST_F(EngineFaultTest, SyncFailureAtCommitAbortsAndUndoes) {
   FaultRegistry::Global().Arm("wal/sync",
                               FaultSpec::OneShot(Status::Internal("fsync")));
   Status st = engine->Commit(txn);
-  EXPECT_EQ(st.code(), StatusCode::kTransactionAborted) << st.ToString();
+  // kCommit landed before the failed barrier: the outcome is unknown to the
+  // caller, even though here the abort's compensation records settle it.
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
   EXPECT_EQ(engine->table(kTable)->live_rows(), 0u);  // effects undone
 
   // The application-level contract: restart the transaction and it works.
@@ -382,6 +384,35 @@ TEST_F(EngineFaultTest, SyncFailureAtCommitAbortsAndUndoes) {
   engine2->wal().LoadImage(engine->wal().RawBytes());
   ASSERT_TRUE(engine2->Recover().ok());
   EXPECT_EQ(engine2->table(kTable)->live_rows(), 1u);
+}
+
+/// The barrier fails after kCommit landed, and the abort's first
+/// compensation record tears, so the log keeps kCommit with nothing after
+/// it: recovery replays the txn as committed although its effects were
+/// undone in memory. The commit must not answer kTransactionAborted — the
+/// caller could retry it into a double apply — but kUnavailable.
+TEST_F(EngineFaultTest, FailedCommitBarrierAnswersOutcomeUnknown) {
+  auto engine = MakeEngine();
+  uint64_t txn = engine->Begin();
+  ASSERT_TRUE(engine->HeapInsert(txn, kTable, B("in-doubt")).ok());
+
+  FaultRegistry::Global().Arm("wal/sync",
+                              FaultSpec::OneShot(Status::Internal("fsync")));
+  FaultSpec torn = FaultSpec::OneShot(Status::Internal("crash"));
+  torn.skip = 1;  // let kCommit land; tear the first compensation record
+  FaultRegistry::Global().Arm("wal/torn_append", torn);
+  Status st = engine->Commit(txn);
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+  EXPECT_EQ(FaultRegistry::Global().fires("wal/torn_append"), 1u);
+  EXPECT_TRUE(engine->wal().poisoned());
+  EXPECT_EQ(engine->table(kTable)->live_rows(), 0u);  // undone in memory
+
+  // Restart from the log: either outcome is a truthful answer to
+  // kUnavailable.
+  auto restarted = MakeEngine();
+  restarted->wal().LoadImage(engine->wal().RawBytes());
+  ASSERT_TRUE(restarted->Recover().ok());
+  EXPECT_LE(restarted->table(kTable)->live_rows(), 1u);
 }
 
 /// A tear mid-transaction poisons the log, so the abort's compensation

@@ -172,9 +172,10 @@ class PoolOverloadTest : public ::testing::Test {
     crypto::CellCodec codec(cek_);
     return codec.Encrypt(v.Encode(), crypto::EncryptionScheme::kRandomized);
   }
-  std::vector<Value> Inputs(int64_t a, int64_t b) {
-    return {Value::Binary(Cell(Value::Int64(a))),
-            Value::Binary(Cell(Value::Int64(b)))};
+  /// A morsel of one row.
+  std::vector<std::vector<Value>> Inputs(int64_t a, int64_t b) {
+    return {{Value::Binary(Cell(Value::Int64(a))),
+             Value::Binary(Cell(Value::Int64(b)))}};
   }
 
   crypto::RsaPrivateKey author_key_;
@@ -200,8 +201,8 @@ TEST_F(PoolOverloadTest, ExpiredMorselDroppedWithoutEnclaveTransition) {
   // Deadline already in the past: the sleeping worker must shed it *before*
   // re-entering the enclave (it is outside while asleep), so no transition
   // and no eval are ever paid for this morsel.
-  auto r = pool.SubmitEval(handle_, Inputs(1, 2), 0, {},
-                           Clock::now() - std::chrono::milliseconds(1));
+  auto r = pool.SubmitEvalBatch(handle_, Inputs(1, 2), 0, {},
+                                Clock::now() - std::chrono::milliseconds(1));
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
   EXPECT_EQ(pool.expired_dropped(), 1u);
@@ -209,9 +210,9 @@ TEST_F(PoolOverloadTest, ExpiredMorselDroppedWithoutEnclaveTransition) {
   EXPECT_EQ(enclave_->stats().evals.load(), evals0);
 
   // A live morsel afterwards still evaluates (the pool is healthy).
-  auto ok = pool.SubmitEval(handle_, Inputs(1, 2));
+  auto ok = pool.SubmitEvalBatch(handle_, Inputs(1, 2));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_TRUE((*ok)[0].bool_v());
+  EXPECT_TRUE((*ok)[0][0].bool_v());
 }
 
 TEST_F(PoolOverloadTest, FullQueueRejectsTypedOverloaded) {
@@ -232,7 +233,7 @@ TEST_F(PoolOverloadTest, FullQueueRejectsTypedOverloaded) {
   // the bounded queue.
   for (int i = 0; i < 3; ++i) {
     waiters.emplace_back([&] {
-      auto r = pool.SubmitEval(handle_, Inputs(1, 2));
+      auto r = pool.SubmitEvalBatch(handle_, Inputs(1, 2));
       if (r.ok()) ok_count.fetch_add(1);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -240,7 +241,7 @@ TEST_F(PoolOverloadTest, FullQueueRejectsTypedOverloaded) {
 
   // Queue is now full: this submission must be rejected immediately, typed.
   auto t0 = Clock::now();
-  auto r = pool.SubmitEval(handle_, Inputs(3, 4));
+  auto r = pool.SubmitEvalBatch(handle_, Inputs(3, 4));
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsOverloaded()) << r.status().ToString();
   EXPECT_LT(ElapsedMs(t0), 150.0) << "rejection was not fail-fast";
@@ -264,19 +265,19 @@ TEST_F(PoolOverloadTest, ShedOldestExpiredMakesRoomWhenFull) {
 
   // Item A occupies the worker; item B (tiny budget) fills the queue and
   // expires while waiting.
-  std::thread a([&] { (void)pool.SubmitEval(handle_, Inputs(1, 2)); });
+  std::thread a([&] { (void)pool.SubmitEvalBatch(handle_, Inputs(1, 2)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Status b_status;
   std::thread b([&] {
-    auto r = pool.SubmitEval(handle_, Inputs(1, 2), 0, {},
-                             Clock::now() + std::chrono::milliseconds(5));
+    auto r = pool.SubmitEvalBatch(handle_, Inputs(1, 2), 0, {},
+                                  Clock::now() + std::chrono::milliseconds(5));
     b_status = r.status();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   // Queue is full (B) but B has expired: shed-oldest-expired makes room and
   // C is accepted instead of rejected.
-  auto c = pool.SubmitEval(handle_, Inputs(1, 2));
+  auto c = pool.SubmitEvalBatch(handle_, Inputs(1, 2));
   EXPECT_TRUE(c.ok()) << c.status().ToString();
   a.join();
   b.join();
