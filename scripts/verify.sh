@@ -57,11 +57,13 @@ if [[ "${1:-}" == "--asan" ]]; then
   # appends, tears, compaction rewrites and truncation. enclave_test,
   # es_test and batch_equiv_test cross the call gate with morsels of one
   # row and one cell, whose Slice vectors point into the caller's buffers.
+  # sql_test drives the row decoder's column-set path, which steps over
+  # skipped columns by the lengths stored in page bytes.
   run cmake --build build-asan -j "$JOBS" --target fault_test \
       fault_torture_test storage_test net_test durability_test \
-      shard_torture_test enclave_test es_test batch_equiv_test
+      shard_torture_test enclave_test es_test batch_equiv_test sql_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R '^(fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test|enclave_test|es_test|batch_equiv_test)$' \
+      -R '^(fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test|enclave_test|es_test|batch_equiv_test|sql_test)$' \
       --output-on-failure
 fi
 

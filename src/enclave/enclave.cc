@@ -72,6 +72,7 @@ class EnclaveCellCrypto : public es::CellCryptoProvider {
                              types::TypeId expected_type,
                              const Value& wire) override {
     (void)expected_type;
+    ++decrypts_;
     if (wire.is_null() || wire.type() != types::TypeId::kBinary) {
       return Status::Corruption("encrypted datum must arrive as a binary cell");
     }
@@ -98,8 +99,12 @@ class EnclaveCellCrypto : public es::CellCryptoProvider {
     return Value::Binary(it->second->Encrypt(plain.Encode(), enc.scheme()));
   }
 
+  /// DecryptDatum calls so far, failed ones included.
+  uint64_t decrypts() const { return decrypts_; }
+
  private:
   Enclave* enclave_;
+  uint64_t decrypts_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -253,33 +258,6 @@ Result<uint64_t> Enclave::RegisterExpression(Slice program_bytes) {
   return handle;
 }
 
-Result<std::vector<Value>> Enclave::EvalProgram(
-    const es::EsProgram& program, const std::vector<Value>& inputs,
-    uint64_t session_id, std::string_view authorizing_query) {
-  bool authorized = false;
-  if (program.RequiresConversionAuthorization()) {
-    // The Encrypt oracle (and every other enclave type conversion) is gated:
-    // the server must present the query text the client signed into this
-    // session (paper §3.2).
-    Session* session;
-    AEDB_ASSIGN_OR_RETURN(session, FindSession(session_id));
-    Bytes hash = crypto::Sha256::Hash(Slice(authorizing_query));
-    if (session->authorized_query_hashes.count(hash) == 0) {
-      return Status::PermissionDenied(
-          "client did not authorize this encryption statement");
-    }
-    authorized = true;
-  }
-  EnclaveCellCrypto cell_crypto(this);
-  es::EvalContext ctx;
-  ctx.crypto = &cell_crypto;
-  ctx.enclave = nullptr;
-  ctx.encryption_authorized = authorized;
-  es::EsEvaluator evaluator(ctx);
-  stats_.evals.fetch_add(1, std::memory_order_relaxed);
-  return evaluator.Eval(program, inputs);
-}
-
 Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatch(
     uint64_t handle, const std::vector<std::vector<Value>>& batch,
     uint64_t session_id, std::string_view authorizing_query) {
@@ -298,19 +276,41 @@ Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
   if (it == registered_.end()) {
     return Status::NotFound("unknown expression handle");
   }
-  std::vector<std::vector<Value>> out;
-  out.reserve(batch.size());
-  for (const std::vector<Value>& inputs : batch) {
-    // A fault fired mid-batch must surface as a clean statement error with
-    // no partially applied morsel — tests/batch_equiv_test exercises this.
-    AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("enclave/batch_partial_failure"));
-    // EvalProgram re-runs the authorization check per row: batching
-    // amortizes the boundary crossing, never the security checks.
-    std::vector<Value> row;
-    AEDB_ASSIGN_OR_RETURN(
-        row, EvalProgram(it->second, inputs, session_id, authorizing_query));
-    out.push_back(std::move(row));
+  const es::EsProgram& program = it->second;
+  if (batch.empty()) return std::vector<std::vector<Value>>{};
+  bool authorized = false;
+  if (program.RequiresConversionAuthorization()) {
+    // The Encrypt oracle (and every other enclave type conversion) is gated:
+    // the server must present the query text the client signed into this
+    // session (paper §3.2). The shared state lock is held for the whole
+    // morsel, so one verdict holds for every row of it.
+    Session* session;
+    AEDB_ASSIGN_OR_RETURN(session, FindSession(session_id));
+    Bytes hash = crypto::Sha256::Hash(Slice(authorizing_query));
+    if (session->authorized_query_hashes.count(hash) == 0) {
+      return Status::PermissionDenied(
+          "client did not authorize this encryption statement");
+    }
+    authorized = true;
   }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    // Passed once per row before the morsel is evaluated: a fault fired
+    // here is a clean statement error with no row of the morsel evaluated —
+    // tests/batch_equiv_test exercises this.
+    AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("enclave/batch_partial_failure"));
+  }
+  stats_.evals.fetch_add(batch.size(), std::memory_order_relaxed);
+  // Column-major over the morsel: each instruction runs across every row
+  // before the next, with the same per-row type, taint and MAC checks as a
+  // morsel of one.
+  EnclaveCellCrypto cell_crypto(this);
+  es::EvalContext ctx;
+  ctx.crypto = &cell_crypto;
+  ctx.enclave = nullptr;
+  ctx.encryption_authorized = authorized;
+  es::EsEvaluator evaluator(ctx);
+  auto out = evaluator.EvalBatch(program, batch);
+  stats_.decrypts.fetch_add(cell_crypto.decrypts(), std::memory_order_relaxed);
   return out;
 }
 

@@ -86,6 +86,10 @@ struct EnclaveStats {
   std::atomic<uint64_t> evals{0};
   std::atomic<uint64_t> comparisons{0};
   std::atomic<uint64_t> transitions{0};
+  /// Cells decrypted by expression evaluation, failed MAC checks included.
+  /// A lane whose cell repeats the previous lane's reuses its plaintext and
+  /// is not counted, so a morsel-constant parameter counts once per morsel.
+  std::atomic<uint64_t> decrypts{0};
 
   /// Derived amortization gauge: encrypted values processed (evals +
   /// comparisons) per boundary crossing. Morsels of one row pin this near 1;
@@ -151,11 +155,12 @@ class Enclave {
 
   /// Evaluates a registered expression over every row of `batch` (one inputs
   /// vector per row) while charging a SINGLE call-gate transition for the
-  /// whole morsel — the §4.6 amortization. Rows are evaluated in order, each
-  /// with the full per-row checks: for programs that produce ciphertext the
-  /// server must pass the authorizing session and the raw query text, which
-  /// the enclave hashes and checks against what the client authorized. The
-  /// first row that fails aborts the batch with that row's error.
+  /// whole morsel — the §4.6 amortization. The morsel runs column-major
+  /// (es::EsEvaluator::EvalBatch) with the full per-row type, taint and MAC
+  /// checks. For programs that produce ciphertext the server must pass the
+  /// authorizing session and the raw query text, which the enclave hashes
+  /// and checks against what the client authorized, once per morsel. If any
+  /// row fails, the batch fails with the error of the lowest failing row.
   Result<std::vector<std::vector<types::Value>>> EvalRegisteredBatch(
       uint64_t handle, const std::vector<std::vector<types::Value>>& batch,
       uint64_t session_id = 0, std::string_view authorizing_query = {});
@@ -205,9 +210,6 @@ class Enclave {
 
   Result<Session*> FindSession(uint64_t session_id);
   Result<Bytes> OpenSealed(Session* session, uint64_t nonce, Slice sealed);
-  Result<std::vector<types::Value>> EvalProgram(
-      const es::EsProgram& program, const std::vector<types::Value>& inputs,
-      uint64_t session_id, std::string_view authorizing_query);
 
   // --- trusted state (never exposed) ---
   EnclaveConfig config_;

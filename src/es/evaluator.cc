@@ -18,6 +18,12 @@ bool TypeCompatible(TypeId declared, const Value& v) {
   return declared_numeric && v.IsNumeric();
 }
 
+/// True when `a` is a binary cell with exactly the bytes of `b`.
+bool SameCell(const Value& a, const Value& b) {
+  return !a.is_null() && a.type() == TypeId::kBinary && !b.is_null() &&
+         b.type() == TypeId::kBinary && a.bin() == b.bin();
+}
+
 // ---------------------------------------------------------------------------
 // Scalar kernels shared by the row interpreter and the batch interpreter.
 // Each encodes the per-value semantics of exactly one opcode, so the two
@@ -388,7 +394,12 @@ Result<std::vector<std::vector<Value>>> EsEvaluator::EvalBatch(
           }
           col.taint_cek = ins.enc.cek_id;
         }
+        // Whether lane i-1 passed its MAC check, decrypt and type check at
+        // this instruction.
+        bool prev_decoded = false;
         for (size_t i = 0; i < n; ++i) {
+          const bool reusable = prev_decoded;
+          prev_decoded = false;
           if (failed[i]) continue;
           if (ins.index >= rows[i].size()) {
             fail_row(i, Status::InvalidArgument(
@@ -397,6 +408,15 @@ Result<std::vector<std::vector<Value>>> EsEvaluator::EvalBatch(
           }
           const Value& wire = rows[i][ins.index];
           if (ins.enc.is_encrypted()) {
+            // A cell byte-for-byte equal to the previous lane's decrypts to
+            // the same plaintext, so a morsel-constant parameter is decrypted
+            // once. The host holds both ciphertexts already: sharing the
+            // decryption tells it nothing. Never reuse from a failed lane.
+            if (reusable && SameCell(wire, rows[i - 1][ins.index])) {
+              col.v[i] = col.v[i - 1];
+              prev_decoded = true;
+              continue;
+            }
             auto plain = ctx_.crypto->DecryptDatum(ins.enc, ins.data_type, wire);
             if (!plain.ok()) {
               fail_row(i, plain.status());
@@ -408,6 +428,7 @@ Result<std::vector<std::vector<Value>>> EsEvaluator::EvalBatch(
               continue;
             }
             col.v[i] = std::move(*plain);
+            prev_decoded = true;
           } else {
             if (!TypeCompatible(ins.data_type, wire)) {
               fail_row(i, Status::TypeCheckError("GetData type mismatch"));

@@ -83,6 +83,12 @@ class EsEvaluator {
   /// the lowest-numbered failing row hit first — exactly the error a
   /// row-at-a-time loop would have surfaced. A batch of one row delegates to
   /// Eval, making batch size 1 the literal row-at-a-time degenerate case.
+  ///
+  /// An encrypted GetData lane whose cell is byte-for-byte equal to the
+  /// previous lane's reuses that lane's plaintext, provided the previous lane
+  /// passed its MAC check, decrypt and type check at the same instruction.
+  /// Encryption at SetData stays per lane: randomized cells get a fresh IV
+  /// each.
   Result<std::vector<std::vector<types::Value>>> EvalBatch(
       const EsProgram& program,
       const std::vector<std::vector<types::Value>>& rows);

@@ -204,11 +204,18 @@ Bytes EncodeRow(const std::vector<types::Value>& row) {
   return out;
 }
 
-Result<std::vector<types::Value>> DecodeRow(Slice record, size_t num_columns) {
+Result<std::vector<types::Value>> DecodeRow(Slice record, size_t num_columns,
+                                            const ColumnSet* columns) {
   std::vector<types::Value> row;
   row.reserve(num_columns);
   size_t off = 0;
   for (size_t i = 0; i < num_columns; ++i) {
+    if (columns != nullptr && i < columns->size() && !(*columns)[i]) {
+      types::TypeId t;
+      AEDB_ASSIGN_OR_RETURN(t, types::Value::Skip(record, &off));
+      row.push_back(types::Value::Null(t));
+      continue;
+    }
     types::Value v;
     AEDB_ASSIGN_OR_RETURN(v, types::Value::Decode(record, &off));
     row.push_back(std::move(v));

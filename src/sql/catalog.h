@@ -104,10 +104,18 @@ class Catalog {
   uint32_t next_cek_id_ = 1;
 };
 
+/// A set of a table's columns, by column index: the ones a statement reads.
+using ColumnSet = std::vector<bool>;
+
 /// Row serialization: a row is the concatenation of encoded Values; encrypted
 /// columns are kBinary values whose payload is the AEAD cell.
 Bytes EncodeRow(const std::vector<types::Value>& row);
-Result<std::vector<types::Value>> DecodeRow(Slice record, size_t num_columns);
+/// Decodes a row of `num_columns` values. With `columns`, only the columns in
+/// the set are built; every other slot becomes a NULL of its stored type.
+/// Either way every column's tag and length is checked, and the record must
+/// end after the last column.
+Result<std::vector<types::Value>> DecodeRow(Slice record, size_t num_columns,
+                                            const ColumnSet* columns = nullptr);
 
 }  // namespace aedb::sql
 

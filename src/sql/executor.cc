@@ -135,6 +135,33 @@ void FingerprintExpr(const Expr* e, Bytes* out) {
   FingerprintExpr(e->c.get(), out);
 }
 
+void MarkColumns(const Expr* e, ColumnSet* columns) {
+  if (e == nullptr) return;
+  if (e->kind == Expr::Kind::kColumn && e->table_slot == 0) {
+    (*columns)[static_cast<size_t>(e->column_index)] = true;
+  }
+  MarkColumns(e->a.get(), columns);
+  MarkColumns(e->b.get(), columns);
+  MarkColumns(e->c.get(), columns);
+}
+
+/// The columns a single-table SELECT reads: its select list, WHERE, GROUP BY
+/// and ORDER BY. `*` reads every column.
+ColumnSet ReadColumns(const SelectStmt& sel, size_t num_columns) {
+  ColumnSet columns(num_columns, sel.select_all);
+  for (const SelectItem& item : sel.items) {
+    if (!item.star) columns[static_cast<size_t>(item.column_index)] = true;
+  }
+  MarkColumns(sel.where.get(), &columns);
+  if (!sel.group_by.empty()) {
+    columns[static_cast<size_t>(sel.group_by_index)] = true;
+  }
+  if (!sel.order_by.empty()) {
+    columns[static_cast<size_t>(sel.order_by_index)] = true;
+  }
+  return columns;
+}
+
 std::string ProgramCacheKey(const Expr* expr, const InputLayout& layout,
                             const std::vector<BoundParam>& params,
                             bool value_expr) {
@@ -236,10 +263,11 @@ Result<std::vector<char>> Executor::EvalPredicateBatch(
 }
 
 Result<std::vector<Value>> Executor::FetchRow(const TableDef& table,
-                                              const Rid& rid) {
+                                              const Rid& rid,
+                                              const ColumnSet* columns) {
   Bytes record;
   AEDB_ASSIGN_OR_RETURN(record, engine_->table(table.id)->Read(rid));
-  return DecodeRow(record, table.columns.size());
+  return DecodeRow(record, table.columns.size(), columns);
 }
 
 Result<Executor::Candidates> Executor::PlanAccess(
@@ -325,7 +353,8 @@ Result<Executor::Candidates> Executor::PlanAccess(
 Result<std::vector<std::pair<Rid, std::vector<Value>>>>
 Executor::CollectMatches(const BoundStatement& bound, const Expr* where,
                          const TableDef& table,
-                         const std::vector<Value>& params) {
+                         const std::vector<Value>& params,
+                         const ColumnSet* columns) {
   InputLayout layout;
   layout.table_columns = table.columns.size();
   es::EsProgram always_true;
@@ -357,38 +386,40 @@ Executor::CollectMatches(const BoundStatement& bound, const Expr* where,
   // evaluate the predicate over the whole morsel at once — every encrypted
   // atom in it costs one enclave transition per morsel instead of one per
   // row. A failed batch drops the entire morsel (no partial application).
+  // Each buffered row is its filter input (row values, then parameters);
+  // a matching row drops the parameters again.
   std::vector<std::pair<Rid, std::vector<Value>>> matches;
-  std::vector<std::pair<Rid, std::vector<Value>>> morsel;
+  std::vector<Rid> morsel_rids;
+  std::vector<std::vector<Value>> morsel;
   const size_t batch_size = batch_size_;
+  morsel_rids.reserve(std::min<size_t>(batch_size, 1024));
   morsel.reserve(std::min<size_t>(batch_size, 1024));
 
   auto flush = [&]() -> Status {
     if (morsel.empty()) return Status::OK();
     AEDB_RETURN_IF_ERROR(CheckQueryDeadline());
-    std::vector<std::vector<Value>> inputs;
-    inputs.reserve(morsel.size());
-    for (auto& [rid, row] : morsel) {
-      std::vector<Value> in = row;
-      in.insert(in.end(), params.begin(), params.end());
-      inputs.push_back(std::move(in));
-    }
     std::vector<char> pass;
-    AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(*filter, inputs));
+    AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(*filter, morsel));
     for (size_t i = 0; i < morsel.size(); ++i) {
-      if (pass[i]) matches.push_back(std::move(morsel[i]));
+      if (!pass[i]) continue;
+      morsel[i].resize(table.columns.size());
+      matches.emplace_back(morsel_rids[i], std::move(morsel[i]));
     }
+    morsel_rids.clear();
     morsel.clear();
     return Status::OK();
   };
   auto consider = [&](const Rid& rid, std::vector<Value> row) -> Status {
-    morsel.emplace_back(rid, std::move(row));
+    row.insert(row.end(), params.begin(), params.end());
+    morsel_rids.push_back(rid);
+    morsel.push_back(std::move(row));
     if (morsel.size() >= batch_size) return flush();
     return Status::OK();
   };
 
   if (candidates.use_index) {
     for (const Rid& rid : candidates.rids) {
-      auto row = FetchRow(table, rid);
+      auto row = FetchRow(table, rid, columns);
       if (!row.ok()) {
         if (row.status().IsNotFound()) continue;  // dangling index entry
         return row.status();
@@ -398,7 +429,7 @@ Executor::CollectMatches(const BoundStatement& bound, const Expr* where,
   } else {
     Status inner = Status::OK();
     engine_->table(table.id)->Scan([&](const Rid& rid, Slice record) {
-      auto row = DecodeRow(record, table.columns.size());
+      auto row = DecodeRow(record, table.columns.size(), columns);
       if (!row.ok()) {
         inner = row.status();
         return false;
@@ -426,9 +457,12 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
   // Gather matching (combined) rows.
   std::vector<std::vector<Value>> rows;
   if (bound.join_table == nullptr) {
+    // Decode only the columns the statement reads; the other slots stay
+    // typed NULLs that nothing below looks at.
+    const ColumnSet columns = ReadColumns(sel, table.columns.size());
     std::vector<std::pair<Rid, std::vector<Value>>> matches;
-    AEDB_ASSIGN_OR_RETURN(matches,
-                          CollectMatches(bound, sel.where.get(), table, params));
+    AEDB_ASSIGN_OR_RETURN(matches, CollectMatches(bound, sel.where.get(), table,
+                                                  params, &columns));
     rows.reserve(matches.size());
     for (auto& [rid, row] : matches) rows.push_back(std::move(row));
   } else {
@@ -550,12 +584,15 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
   if (has_agg || !sel.group_by.empty()) {
     // Aggregation (optionally grouped). Group keys are encoded values —
     // byte-equal iff value-equal (DET cells included).
-    struct Acc {
-      int64_t count = 0;
+    struct ItemAcc {  // one per select item
       int64_t count_col = 0;
       double sum = 0;
       bool sum_is_double = false;
       Value min, max;
+    };
+    struct Acc {
+      int64_t count = 0;
+      std::vector<ItemAcc> items;
       Value group_value;
     };
     size_t group_slot = 0;
@@ -572,20 +609,25 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
       Acc& acc = groups[key];
       if (grouped) acc.group_value = row[group_slot];
       ++acc.count;
-      for (const SelectItem& item : sel.items) {
+      acc.items.resize(sel.items.size());
+      for (size_t k = 0; k < sel.items.size(); ++k) {
+        const SelectItem& item = sel.items[k];
         if (item.agg == AggFunc::kNone || item.star) continue;
         const Value& v = row[slot_of(item)];
         if (v.is_null()) continue;
-        ++acc.count_col;
+        ItemAcc& ia = acc.items[k];
+        ++ia.count_col;
         if (v.IsNumeric()) {
-          acc.sum += v.AsDouble();
-          if (v.type() == TypeId::kDouble) acc.sum_is_double = true;
+          ia.sum += v.AsDouble();
+          if (v.type() == TypeId::kDouble) ia.sum_is_double = true;
         }
-        if (acc.min.is_null() || *v.Compare(acc.min) < 0) acc.min = v;
-        if (acc.max.is_null() || *v.Compare(acc.max) > 0) acc.max = v;
+        if (ia.min.is_null() || *v.Compare(ia.min) < 0) ia.min = v;
+        if (ia.max.is_null() || *v.Compare(ia.max) > 0) ia.max = v;
       }
     }
-    if (!grouped && groups.empty()) groups[Bytes{}];  // empty input: one row
+    if (!grouped && groups.empty()) {  // empty input: one row
+      groups[Bytes{}].items.resize(sel.items.size());
+    }
     for (const SelectItem& item : sel.items) {
       result.columns.push_back(item.alias.empty()
                                    ? (item.star ? "COUNT(*)" : item.column)
@@ -599,29 +641,31 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
     }
     for (auto& [key, acc] : groups) {
       std::vector<Value> out_row;
-      for (const SelectItem& item : sel.items) {
+      for (size_t k = 0; k < sel.items.size(); ++k) {
+        const SelectItem& item = sel.items[k];
+        const ItemAcc& ia = acc.items[k];
         switch (item.agg) {
           case AggFunc::kNone:
             out_row.push_back(acc.group_value);
             break;
           case AggFunc::kCount:
-            out_row.push_back(Value::Int64(item.star ? acc.count : acc.count_col));
+            out_row.push_back(Value::Int64(item.star ? acc.count : ia.count_col));
             break;
           case AggFunc::kSum:
-            out_row.push_back(acc.sum_is_double
-                                  ? Value::Double(acc.sum)
-                                  : Value::Int64(static_cast<int64_t>(acc.sum)));
+            out_row.push_back(ia.sum_is_double
+                                  ? Value::Double(ia.sum)
+                                  : Value::Int64(static_cast<int64_t>(ia.sum)));
             break;
           case AggFunc::kMin:
-            out_row.push_back(acc.min);
+            out_row.push_back(ia.min);
             break;
           case AggFunc::kMax:
-            out_row.push_back(acc.max);
+            out_row.push_back(ia.max);
             break;
           case AggFunc::kAvg:
-            out_row.push_back(acc.count_col == 0
+            out_row.push_back(ia.count_col == 0
                                   ? Value::Null(TypeId::kDouble)
-                                  : Value::Double(acc.sum / acc.count_col));
+                                  : Value::Double(ia.sum / ia.count_col));
             break;
         }
       }

@@ -98,15 +98,19 @@ class Executor {
       const Expr* expr, const InputLayout& layout,
       const std::vector<BoundParam>& params, bool value_expr);
 
-  /// Reads and decodes a row.
+  /// Reads and decodes a row: only `columns` when given (see DecodeRow).
   Result<std::vector<types::Value>> FetchRow(const TableDef& table,
-                                             const storage::Rid& rid);
+                                             const storage::Rid& rid,
+                                             const ColumnSet* columns = nullptr);
 
-  /// Collects (rid, row) pairs matching the filter.
+  /// Collects (rid, row) pairs matching the filter, decoding only `columns`
+  /// when given (see DecodeRow). The set must hold every column `where`
+  /// reads.
   Result<std::vector<std::pair<storage::Rid, std::vector<types::Value>>>>
   CollectMatches(const BoundStatement& bound, const Expr* where,
                  const TableDef& table,
-                 const std::vector<types::Value>& params);
+                 const std::vector<types::Value>& params,
+                 const ColumnSet* columns = nullptr);
 
   Status MaintainIndexesOnInsert(const TableDef& table,
                                  const std::vector<types::Value>& row,

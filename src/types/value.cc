@@ -234,9 +234,14 @@ Result<Value> Value::Decode(Slice in, size_t* offset) {
       return Double(d);
     }
     case TypeId::kString: {
-      Bytes raw;
-      AEDB_ASSIGN_OR_RETURN(raw, GetLengthPrefixed(in, offset));
-      return String(std::string(raw.begin(), raw.end()));
+      uint32_t len;
+      AEDB_ASSIGN_OR_RETURN(len, GetU32(in, offset));
+      if (len > in.size() - *offset) {
+        return Status::Corruption("length-prefixed payload past end");
+      }
+      std::string s(reinterpret_cast<const char*>(in.data()) + *offset, len);
+      *offset += len;
+      return String(std::move(s));
     }
     case TypeId::kBinary: {
       Bytes raw;
@@ -245,6 +250,44 @@ Result<Value> Value::Decode(Slice in, size_t* offset) {
     }
   }
   return Status::Corruption("unreachable decode");
+}
+
+// Not a building block of Decode, which sits on every plaintext index
+// comparison: Skip checks the same header, length and bounds on its own.
+Result<TypeId> Value::Skip(Slice in, size_t* offset) {
+  if (*offset + 2 > in.size()) return Status::Corruption("value header past end");
+  TypeId t = static_cast<TypeId>(in[*offset]);
+  if (t < TypeId::kBool || t > TypeId::kBinary) {
+    return Status::Corruption("unknown value type tag");
+  }
+  bool null = in[*offset + 1] != 0;
+  *offset += 2;
+  if (null) return t;
+  size_t size = 0;
+  switch (t) {
+    case TypeId::kBool:
+      size = 1;
+      break;
+    case TypeId::kInt32:
+      size = 4;
+      break;
+    case TypeId::kInt64:
+    case TypeId::kDouble:
+      size = 8;
+      break;
+    case TypeId::kString:
+    case TypeId::kBinary: {
+      uint32_t len;
+      AEDB_ASSIGN_OR_RETURN(len, GetU32(in, offset));
+      size = len;
+      break;
+    }
+  }
+  if (size > in.size() - *offset) {
+    return Status::Corruption("value payload past end");
+  }
+  *offset += size;
+  return t;
 }
 
 std::string Value::ToString() const {

@@ -77,6 +77,10 @@ class Value {
   Bytes Encode() const;
   void EncodeTo(Bytes* out) const;
   static Result<Value> Decode(Slice in, size_t* offset);
+  /// Checks the encoding at *offset as Decode does (type tag, length,
+  /// payload within `in`) and steps past it without building the value.
+  /// Returns the type tag.
+  static Result<TypeId> Skip(Slice in, size_t* offset);
 
   std::string ToString() const;
 

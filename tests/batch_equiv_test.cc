@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -320,6 +321,109 @@ TEST(BatchEquivTest, MidBatchFaultLeavesNoPartialMorsel) {
       {{"new", Value::Int64(777)}, {"min", Value::Int64(0)}});
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_EQ(retry->rows[0][0].i64(), kRows);
+}
+
+// A single-table SELECT decodes only the columns it reads. Each query below
+// reads a column through one clause alone — WHERE, ORDER BY, GROUP BY, an
+// aggregate, an index probe — and must equal SELECT * projected on the
+// client.
+TEST(BatchEquivTest, ColumnSubsetSelectsMatchSelectStar) {
+  using Row = std::vector<Value>;
+  for (size_t batch_size : kBatchSizes) {
+    SCOPED_TRACE("batch size " + std::to_string(batch_size));
+    Deployment dep(batch_size);
+    dep.CreateSchemaAndLoad(kRows);
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_TRUE(
+        dep.driver->ExecuteDdl("CREATE INDEX idx_bal ON Account (AcctBal)")
+            .ok());
+    ASSERT_TRUE(
+        dep.driver->ExecuteDdl("CREATE INDEX idx_branch ON Account (Branch)")
+            .ok());
+    auto star = dep.driver->Query("SELECT * FROM Account");
+    ASSERT_TRUE(star.ok()) << star.status().ToString();
+    ASSERT_EQ(star->rows.size(), static_cast<size_t>(kRows));
+    // SELECT * columns: AcctID, Branch, AcctBal, Owner.
+    std::vector<Row> all = star->rows;
+
+    auto query = [&](const std::string& sql,
+                     std::vector<std::pair<std::string, Value>> params)
+        -> sql::ResultSet {
+      auto r = dep.driver->Query(sql, params);
+      EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      return r.ok() ? *r : sql::ResultSet{};
+    };
+    auto canonical = [](const std::vector<Row>& rows) {
+      sql::ResultSet rs;
+      rs.rows = rows;
+      return Canonical(rs);
+    };
+
+    // Owner only through WHERE (heap scan: no index on Owner).
+    std::vector<Row> expected;
+    for (const Row& r : all) {
+      if (types::SqlLike(r[3].str(), "SMI%")) expected.push_back({r[0]});
+    }
+    EXPECT_EQ(Canonical(query("SELECT AcctID FROM Account WHERE Owner LIKE @p",
+                              {{"p", Value::String("SMI%")}})),
+              canonical(expected));
+
+    // AcctID only through ORDER BY; the order itself is compared.
+    std::vector<Row> by_id = all;
+    std::sort(by_id.begin(), by_id.end(), [](const Row& a, const Row& b) {
+      return a[0].i32() > b[0].i32();
+    });
+    expected.clear();
+    for (size_t i = 0; i < 7; ++i) expected.push_back({by_id[i][3]});
+    sql::ResultSet ordered =
+        query("SELECT Owner FROM Account ORDER BY AcctID DESC LIMIT 7", {});
+    ASSERT_EQ(ordered.rows.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(ValueRepr(ordered.rows[i][0]), ValueRepr(expected[i][0])) << i;
+    }
+
+    // Branch only through GROUP BY.
+    std::map<std::string, int64_t> per_branch;
+    for (const Row& r : all) ++per_branch[r[1].str()];
+    expected.clear();
+    for (const auto& [branch, count] : per_branch) {
+      expected.push_back({Value::Int64(count)});
+    }
+    EXPECT_EQ(Canonical(query(
+                  "SELECT COUNT(*) FROM Account GROUP BY Branch", {})),
+              canonical(expected));
+
+    // AcctID only through aggregates, Owner only through WHERE.
+    int64_t sum = 0;
+    int32_t max = 0;
+    for (const Row& r : all) {
+      if (!types::SqlLike(r[3].str(), "%1")) continue;
+      sum += r[0].i32();
+      max = std::max(max, r[0].i32());
+    }
+    EXPECT_EQ(Canonical(query("SELECT SUM(AcctID), MAX(AcctID) FROM Account "
+                              "WHERE Owner LIKE @p",
+                              {{"p", Value::String("%1")}})),
+              canonical({{Value::Int64(sum), Value::Int32(max)}}));
+
+    // Branch only through an equality-index probe (DET), AcctBal only
+    // through a range-index probe (RND, enclave comparisons).
+    expected.clear();
+    for (const Row& r : all) {
+      if (r[1].str() == "Zurich") expected.push_back({r[3]});
+    }
+    EXPECT_EQ(Canonical(query("SELECT Owner FROM Account WHERE Branch = @b",
+                              {{"b", Value::String("Zurich")}})),
+              canonical(expected));
+    expected.clear();
+    for (const Row& r : all) {
+      if (r[2].i64() >= 100 && r[2].i64() <= 300) expected.push_back({r[0]});
+    }
+    EXPECT_EQ(Canonical(query(
+                  "SELECT AcctID FROM Account WHERE AcctBal BETWEEN @lo AND @hi",
+                  {{"lo", Value::Int64(100)}, {"hi", Value::Int64(300)}})),
+              canonical(expected));
+  }
 }
 
 TEST(BatchEquivTest, JoinResidualIdenticalAcrossBatchSizes) {

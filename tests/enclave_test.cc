@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/sha256.h"
@@ -123,6 +126,49 @@ class EnclaveTest : public ::testing::Test {
 
   EncryptionType Rnd() {
     return EncryptionType::Encrypted(EncKind::kRandomized, kCekId, true);
+  }
+
+  EncryptionType Det() {
+    return EncryptionType::Encrypted(EncKind::kDeterministic, kCekId, true);
+  }
+
+  /// The client signs `query` into the session: programs that produce
+  /// ciphertext may then run on behalf of that query text.
+  void AuthorizeStatement(std::string_view query) {
+    Bytes plain;
+    PutU64(&plain, next_nonce_);
+    Bytes hash = crypto::Sha256::Hash(Slice(query));
+    plain.insert(plain.end(), hash.begin(), hash.end());
+    Status st = enclave_->AuthorizeEncryption(
+        session_id_, next_nonce_,
+        channel_->Encrypt(plain, crypto::EncryptionScheme::kRandomized));
+    ++next_nonce_;
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
+  /// Registers `C LIKE @p` as the scan workload compiles it: input 0 is the
+  /// column cell, input 1 the parameter cell.
+  uint64_t RegisterLike() {
+    es::EsProgram p;
+    p.GetData(0, TypeId::kString, Rnd());
+    p.GetData(1, TypeId::kString, Rnd());
+    p.Like();
+    p.SetData(0, TypeId::kBool);
+    auto handle = enclave_->RegisterExpression(p.Serialize());
+    EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+    return handle.ok() ? *handle : 0;
+  }
+
+  /// A 256-row morsel of `LIKE` inputs: a distinct column cell per row, each
+  /// paired with a copy of one parameter cell.
+  std::vector<std::vector<Value>> LikeMorsel(const Bytes& param) {
+    std::vector<std::vector<Value>> morsel;
+    for (int i = 0; i < 256; ++i) {
+      morsel.push_back(
+          {Value::Binary(Cell(Value::String("Street" + std::to_string(i)))),
+           Value::Binary(param)});
+    }
+    return morsel;
   }
 
   /// One comparison: a one-cell CompareCellsBatch.
@@ -292,15 +338,7 @@ TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
   EXPECT_TRUE(r.status().IsPermissionDenied()) << r.status().ToString();
 
   // Client signs the query hash into the session; now it runs.
-  Bytes plain;
-  PutU64(&plain, next_nonce_);
-  Bytes hash = crypto::Sha256::Hash(Slice(std::string_view(ddl)));
-  plain.insert(plain.end(), hash.begin(), hash.end());
-  Status st = enclave_->AuthorizeEncryption(
-      session_id_, next_nonce_,
-      channel_->Encrypt(plain, crypto::EncryptionScheme::kRandomized));
-  ++next_nonce_;
-  ASSERT_TRUE(st.ok()) << st.ToString();
+  AuthorizeStatement(ddl);
 
   auto r2 = EvalOne(p, {Value::Int64(7)}, ddl);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
@@ -314,6 +352,115 @@ TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
   // A *different* query text is still denied.
   auto r3 = EvalOne(p, {Value::Int64(7)}, "ALTER TABLE Other ...");
   EXPECT_TRUE(r3.status().IsPermissionDenied());
+}
+
+// A morsel runs column-major: the parameter cell every row repeats is
+// decrypted once, the distinct column cells once each.
+TEST_F(EnclaveTest, MorselDecryptsARepeatedParameterOnce) {
+  OpenSessionWithKey();
+  uint64_t handle = RegisterLike();
+  auto morsel = LikeMorsel(Cell(Value::String("Street1%")));
+  const EnclaveStats& stats = enclave_->stats();
+  uint64_t decrypts = stats.decrypts.load();
+  uint64_t evals = stats.evals.load();
+  uint64_t transitions = stats.transitions.load();
+  auto r = enclave_->EvalRegisteredBatch(handle, morsel);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), morsel.size());
+  for (size_t i = 0; i < morsel.size(); ++i) {
+    std::string street = "Street" + std::to_string(i);
+    EXPECT_EQ((*r)[i][0].bool_v(), types::SqlLike(street, "Street1%")) << i;
+  }
+  EXPECT_EQ(stats.decrypts.load(), decrypts + 256 + 1);
+  // The leakage counters keep their per-row meaning.
+  EXPECT_EQ(stats.evals.load(), evals + 256);
+  EXPECT_EQ(stats.transitions.load(), transitions + 1);
+}
+
+// One row's parameter cell has a flipped byte: the morsel fails with exactly
+// the status a morsel of that one row returns.
+TEST_F(EnclaveTest, FlippedParameterFailsLikeAMorselOfOne) {
+  OpenSessionWithKey();
+  uint64_t handle = RegisterLike();
+  auto morsel = LikeMorsel(Cell(Value::String("Street1%")));
+  Bytes flipped = morsel[100][1].bin();
+  flipped[flipped.size() / 2] ^= 0x01;
+  morsel[100][1] = Value::Binary(flipped);
+
+  auto one = enclave_->EvalRegisteredBatch(handle, {morsel[100]});
+  ASSERT_FALSE(one.ok());
+  auto all = enclave_->EvalRegisteredBatch(handle, morsel);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), one.status().code());
+  EXPECT_EQ(all.status().message(), one.status().message());
+  EXPECT_TRUE(all.status().IsSecurityError()) << all.status().ToString();
+}
+
+// A lane is reused only from a previous lane that passed its MAC check,
+// decrypt and type check at the same instruction.
+TEST_F(EnclaveTest, NothingIsReusedFromAFailedLane) {
+  OpenSessionWithKey();
+  uint64_t handle = RegisterLike();
+  const EnclaveStats& stats = enclave_->stats();
+  {
+    // Rows 100 and 101 carry the same flipped parameter cell: row 101 is
+    // decrypted, and fails, on its own, and so is row 102 after it.
+    auto morsel = LikeMorsel(Cell(Value::String("Street1%")));
+    Bytes flipped = morsel[100][1].bin();
+    flipped[flipped.size() / 2] ^= 0x01;
+    morsel[100][1] = Value::Binary(flipped);
+    morsel[101][1] = Value::Binary(flipped);
+    uint64_t decrypts = stats.decrypts.load();
+    auto r = enclave_->EvalRegisteredBatch(handle, morsel);
+    EXPECT_TRUE(r.status().IsSecurityError()) << r.status().ToString();
+    // 256 column cells; parameter cells at rows 0, 100, 101 and 102.
+    EXPECT_EQ(stats.decrypts.load(), decrypts + 256 + 4);
+  }
+  {
+    // Row 100 fails at its column cell and never reaches the parameter:
+    // row 101 cannot reuse a parameter row 100 did not decrypt.
+    auto morsel = LikeMorsel(Cell(Value::String("Street1%")));
+    Bytes flipped = morsel[100][0].bin();
+    flipped[flipped.size() / 2] ^= 0x01;
+    morsel[100][0] = Value::Binary(flipped);
+    uint64_t decrypts = stats.decrypts.load();
+    auto r = enclave_->EvalRegisteredBatch(handle, morsel);
+    EXPECT_TRUE(r.status().IsSecurityError()) << r.status().ToString();
+    // 256 column cells; parameter cells at rows 0 and 101.
+    EXPECT_EQ(stats.decrypts.load(), decrypts + 256 + 2);
+  }
+}
+
+// The DET-to-RND conversion ALTER COLUMN registers: one morsel of equal
+// plaintexts (so byte-equal DET cells, decrypted once) still comes out as
+// distinct randomized cells, because encryption stays per row.
+TEST_F(EnclaveTest, RndConversionGivesEqualPlaintextsDistinctCells) {
+  OpenSessionWithKey();
+  es::EsProgram p;
+  p.GetData(0, TypeId::kString, Det());
+  p.SetData(0, TypeId::kString, Rnd());
+  auto handle = enclave_->RegisterExpression(p.Serialize());
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  std::string ddl =
+      "ALTER TABLE T ALTER COLUMN c VARCHAR(20) ENCRYPTED WITH (...)";
+  AuthorizeStatement(ddl);
+
+  Bytes det = Cell(Value::String("SMITH"), crypto::EncryptionScheme::kDeterministic);
+  std::vector<std::vector<Value>> morsel(256, {Value::Binary(det)});
+  uint64_t decrypts = enclave_->stats().decrypts.load();
+  auto r = enclave_->EvalRegisteredBatch(*handle, morsel, session_id_, ddl);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(enclave_->stats().decrypts.load(), decrypts + 1);
+  std::set<Bytes> cells;
+  crypto::CellCodec codec(cek_);
+  for (const auto& row : *r) {
+    cells.insert(row[0].bin());
+    auto back = codec.Decrypt(row[0].bin());
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    size_t off = 0;
+    EXPECT_TRUE(*Value::Decode(*back, &off) == Value::String("SMITH"));
+  }
+  EXPECT_EQ(cells.size(), morsel.size());
 }
 
 TEST_F(EnclaveTest, ClearKeysSimulatesRestart) {

@@ -308,6 +308,33 @@ TEST(CatalogTest, RowCodecRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, row);
   EXPECT_FALSE(DecodeRow(rec, 3).ok());  // trailing bytes detected
+
+  // With a column set only its columns are built; the skipped slots are
+  // NULLs of their stored types.
+  const ColumnSet columns = {true, false, false, true};
+  auto some = DecodeRow(rec, 4, &columns);
+  ASSERT_TRUE(some.ok()) << some.status().ToString();
+  ASSERT_EQ(some->size(), 4u);
+  EXPECT_EQ((*some)[0], row[0]);
+  EXPECT_TRUE((*some)[1].is_null());
+  EXPECT_EQ((*some)[1].type(), TypeId::kString);
+  EXPECT_TRUE((*some)[2].is_null());
+  EXPECT_EQ((*some)[2].type(), TypeId::kInt64);
+  EXPECT_EQ((*some)[3], row[3]);
+  EXPECT_FALSE(DecodeRow(rec, 3, &columns).ok());  // trailing bytes detected
+
+  // A skipped column is still checked. Column 1 ("x") starts at byte 6:
+  // tag, NULL flag, then a 4-byte length at bytes 8-11.
+  auto corrupt = [&](size_t at, std::initializer_list<uint8_t> bytes) {
+    Bytes bad = rec;
+    for (uint8_t b : bytes) bad[at++] = b;
+    return DecodeRow(bad, 4, &columns).status().code();
+  };
+  EXPECT_EQ(corrupt(6, {0x7f}), StatusCode::kCorruption);  // bad tag
+  EXPECT_EQ(corrupt(8, {0xe8, 0x03}), StatusCode::kCorruption);  // 1000 bytes
+  EXPECT_EQ(corrupt(8, {0xff, 0xff, 0xff, 0xff}), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeRow(Slice(rec.data(), 9), 4, &columns).status().code(),
+            StatusCode::kCorruption);  // length cut short
 }
 
 TEST(CatalogTest, CaseInsensitiveLookups) {

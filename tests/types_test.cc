@@ -78,6 +78,15 @@ TEST(ValueTest, DecodeRejectsGarbage) {
   Bytes empty;
   off = 0;
   EXPECT_FALSE(Value::Decode(empty, &off).ok());
+  // A string whose length runs past the end of the buffer.
+  Bytes cut = Value::String("abcdef").Encode();
+  cut.pop_back();
+  off = 0;
+  EXPECT_TRUE(Value::Decode(cut, &off).status().code() ==
+              StatusCode::kCorruption);
+  off = 0;
+  EXPECT_TRUE(Value::Skip(cut, &off).status().code() ==
+              StatusCode::kCorruption);
 }
 
 TEST(ValueTest, ToStringForms) {
