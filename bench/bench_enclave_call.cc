@@ -4,8 +4,9 @@
 // call gate through the batch entry points; a morsel of one row (or one
 // cell) is the row-at-a-time system.
 //
-// Every evaluated morsel has the shape of a scan's: a distinct column cell
-// per row and one parameter cell repeated on every row.
+// Every evaluated morsel has the shape of a scan's: a column of distinct
+// RND cells, one per row, and the parameter as a one-value column that every
+// row shares.
 //
 // Besides the Google Benchmark suite, the binary repeats a batch-size sweep
 // at transition_cost_ns = 5000 and writes the median and min-max per size
@@ -86,15 +87,17 @@ struct Rig {
     }
   }
 
-  /// `n` rows comparing a distinct column cell with the parameter cell_a.
-  std::vector<std::vector<Value>> Morsel(size_t n) const {
-    std::vector<std::vector<Value>> morsel;
-    morsel.reserve(n);
+  /// The columns of `n` rows comparing a distinct column cell with the
+  /// parameter cell_a, a one-value column.
+  es::Columns MorselColumns(size_t n) const {
+    es::Columns columns(2);
+    columns[0].reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      morsel.push_back({Value::Binary(column_cells[i % column_cells.size()]),
-                        Value::Binary(cell_a)});
+      columns[0].push_back(
+          Value::Binary(column_cells[i % column_cells.size()]));
     }
-    return morsel;
+    columns[1].push_back(Value::Binary(cell_a));
+    return columns;
   }
 };
 
@@ -105,8 +108,8 @@ void BM_WorkerPoolEval(benchmark::State& state) {
     opts.num_threads = static_cast<int>(2);
     return new EnclaveWorkerPool(rig->enclave.get(), opts);
   }();
-  std::vector<std::vector<Value>> morsel = {
-      {Value::Binary(rig->cell_a), Value::Binary(rig->cell_b)}};
+  const es::Columns columns = rig->MorselColumns(1);
+  const es::Morsel morsel = es::Morsel::Of(1, columns);
   for (auto _ : state) {
     auto r = pool->SubmitEvalBatch(rig->handle, morsel);
     benchmark::DoNotOptimize(r);
@@ -119,9 +122,10 @@ BENCHMARK(BM_WorkerPoolEval)->Unit(benchmark::kMicrosecond);
 void BM_BatchedEval(benchmark::State& state) {
   static Rig* rig = new Rig(3000);
   const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<Value>> batch = rig->Morsel(n);
+  const es::Columns columns = rig->MorselColumns(n);
+  const es::Morsel morsel = es::Morsel::Of(n, columns);
   for (auto _ : state) {
-    auto r = rig->enclave->EvalRegisteredBatch(rig->handle, batch);
+    auto r = rig->enclave->EvalRegisteredBatch(rig->handle, morsel);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
@@ -151,7 +155,8 @@ BENCHMARK(BM_CompareCellsBatch)->Arg(1)->Arg(64)->Unit(
 // row-at-a-time system.
 
 double EvalRowsPerSec(Rig& rig, size_t batch, size_t total_rows) {
-  std::vector<std::vector<Value>> morsel = rig.Morsel(batch);
+  const es::Columns columns = rig.MorselColumns(batch);
+  const es::Morsel morsel = es::Morsel::Of(batch, columns);
   auto start = std::chrono::steady_clock::now();
   size_t done = 0;
   while (done < total_rows) {
@@ -269,9 +274,9 @@ int RunBatchSweep(const std::string& json_path) {
   std::fprintf(f, "  \"rows_per_measurement\": %zu,\n", kRowsPerMeasurement);
   std::fprintf(f, "  \"sweeps\": %d,\n", kSweeps);
   std::fprintf(f,
-               "  \"morsel\": \"eval: a distinct RND column cell per row "
-               "against one repeated RND parameter cell; compare: one probe "
-               "against the batch's cells\",\n");
+               "  \"morsel\": \"eval: a column of distinct RND cells, one "
+               "per row, against a one-value RND parameter column every row "
+               "shares; compare: one probe against the batch's cells\",\n");
   std::fprintf(f, "  \"eval_rows_per_sec\": {");
   for (size_t i = 0; i <= last; ++i) {
     std::fprintf(f, "%s\n    \"%zu\": ", i ? "," : "", sizes[i]);

@@ -55,16 +55,22 @@ if [[ "${1:-}" == "--asan" ]]; then
   # and reopen paths, where truncation slices the log image in place.
   # shard_torture_test's in-process half drives the 2PC decision log's
   # appends, tears, compaction rewrites and truncation. enclave_test,
-  # es_test and batch_equiv_test cross the call gate with morsels of one
-  # row and one cell, whose Slice vectors point into the caller's buffers.
-  # sql_test drives the row decoder's column-set path, which steps over
-  # skipped columns by the lengths stored in page bytes.
+  # es_test and batch_equiv_test cross the call gate with column-major
+  # morsels, whose columns view the caller's values (a comparison's Slice
+  # vector likewise points into the caller's buffers). sql_test drives the
+  # row decoders' column-set paths, which step over skipped columns by the
+  # lengths stored in page bytes. An enclave worker pool item views the
+  # submitter's columns: server_test and overload_test's pool cases queue,
+  # shed, stall and reject such items on every early-completion path.
   run cmake --build build-asan -j "$JOBS" --target fault_test \
       fault_torture_test storage_test net_test durability_test \
-      shard_torture_test enclave_test es_test batch_equiv_test sql_test
+      shard_torture_test enclave_test es_test batch_equiv_test sql_test \
+      server_test overload_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R '^(fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test|enclave_test|es_test|batch_equiv_test|sql_test)$' \
+      -R '^(fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test|enclave_test|es_test|batch_equiv_test|sql_test|server_test)$' \
       --output-on-failure
+  ASAN_OPTIONS=detect_leaks=0 run ./build-asan/tests/overload_test \
+      --gtest_filter='PoolOverloadTest.*'
 fi
 
 if [[ "${1:-}" == "--overload" ]]; then
@@ -123,8 +129,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # The data-race surface: enclave worker pool, multi-threaded net server
   # (epoll shards + exec pool + connection-scale suite), overload shedding,
   # and the executor's batched enclave submissions (batch_equiv drives every
-  # morsel path at batch sizes 1/3/256). net_scale_test self-shrinks its idle
-  # herd under TSan so the instrumented run stays tractable.
+  # morsel path at batch sizes 1/3/256, and batch 256 through the enclave
+  # worker pool, whose items view the submitter's columns). net_scale_test
+  # self-shrinks its idle herd under TSan so the instrumented run stays
+  # tractable.
   run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAEDB_SANITIZE=thread
   # bufferpool_test rides along for the pool's pin/evict/writeback races and

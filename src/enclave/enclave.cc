@@ -258,18 +258,18 @@ Result<uint64_t> Enclave::RegisterExpression(Slice program_bytes) {
   return handle;
 }
 
-Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatch(
-    uint64_t handle, const std::vector<std::vector<Value>>& batch,
-    uint64_t session_id, std::string_view authorizing_query) {
-  // One transition covers the entire batch — that is the whole point.
+Result<es::Columns> Enclave::EvalRegisteredBatch(
+    uint64_t handle, const es::Morsel& morsel, uint64_t session_id,
+    std::string_view authorizing_query) {
+  // One transition covers the entire morsel — that is the whole point.
   ChargeTransition();
-  return EvalRegisteredBatchResident(handle, batch, session_id,
+  return EvalRegisteredBatchResident(handle, morsel, session_id,
                                      authorizing_query);
 }
 
-Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
-    uint64_t handle, const std::vector<std::vector<Value>>& batch,
-    uint64_t session_id, std::string_view authorizing_query) {
+Result<es::Columns> Enclave::EvalRegisteredBatchResident(
+    uint64_t handle, const es::Morsel& morsel, uint64_t session_id,
+    std::string_view authorizing_query) {
   stats_.calls.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock lock(state_mu_);
   auto it = registered_.find(handle);
@@ -277,7 +277,7 @@ Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
     return Status::NotFound("unknown expression handle");
   }
   const es::EsProgram& program = it->second;
-  if (batch.empty()) return std::vector<std::vector<Value>>{};
+  if (morsel.rows == 0) return es::Columns(program.num_outputs());
   bool authorized = false;
   if (program.RequiresConversionAuthorization()) {
     // The Encrypt oracle (and every other enclave type conversion) is gated:
@@ -293,15 +293,15 @@ Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
     }
     authorized = true;
   }
-  for (size_t i = 0; i < batch.size(); ++i) {
+  for (size_t i = 0; i < morsel.rows; ++i) {
     // Passed once per row before the morsel is evaluated: a fault fired
     // here is a clean statement error with no row of the morsel evaluated —
     // tests/batch_equiv_test exercises this.
     AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("enclave/batch_partial_failure"));
   }
-  stats_.evals.fetch_add(batch.size(), std::memory_order_relaxed);
+  stats_.evals.fetch_add(morsel.rows, std::memory_order_relaxed);
   // Column-major over the morsel: each instruction runs across every row
-  // before the next, with the same per-row type, taint and MAC checks as a
+  // before the next, with the same per-cell type, taint and MAC checks as a
   // morsel of one.
   EnclaveCellCrypto cell_crypto(this);
   es::EvalContext ctx;
@@ -309,7 +309,7 @@ Result<std::vector<std::vector<Value>>> Enclave::EvalRegisteredBatchResident(
   ctx.enclave = nullptr;
   ctx.encryption_authorized = authorized;
   es::EsEvaluator evaluator(ctx);
-  auto out = evaluator.EvalBatch(program, batch);
+  auto out = evaluator.EvalBatch(program, morsel);
   stats_.decrypts.fetch_add(cell_crypto.decrypts(), std::memory_order_relaxed);
   return out;
 }

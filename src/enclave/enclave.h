@@ -87,8 +87,8 @@ struct EnclaveStats {
   std::atomic<uint64_t> comparisons{0};
   std::atomic<uint64_t> transitions{0};
   /// Cells decrypted by expression evaluation, failed MAC checks included.
-  /// A lane whose cell repeats the previous lane's reuses its plaintext and
-  /// is not counted, so a morsel-constant parameter counts once per morsel.
+  /// A parameter rides as one cell shared by the whole morsel, so it counts
+  /// once per morsel.
   std::atomic<uint64_t> decrypts{0};
 
   /// Derived amortization gauge: encrypted values processed (evals +
@@ -110,9 +110,9 @@ struct EnclaveStats {
 /// construction.
 ///
 /// Every evaluation crosses the call gate as a morsel: a registered
-/// expression runs over a batch of rows (a single row is a morsel of one)
-/// and a comparison is a one-cell CompareCellsBatch, so each kind of work
-/// has exactly one entry point and one transition per crossing.
+/// expression runs over a column-major es::Morsel (a single row is a morsel
+/// of one) and a comparison is a one-cell CompareCellsBatch, so each kind of
+/// work has exactly one entry point and one transition per crossing.
 ///
 /// Concurrency follows the paper §4.6: state changes (key installs, session
 /// creation, expression registration) are serialized through a single mutex
@@ -153,24 +153,25 @@ class Enclave {
   /// needs the enclave (nested TMEval) is refused here.
   Result<uint64_t> RegisterExpression(Slice program_bytes);
 
-  /// Evaluates a registered expression over every row of `batch` (one inputs
-  /// vector per row) while charging a SINGLE call-gate transition for the
-  /// whole morsel — the §4.6 amortization. The morsel runs column-major
-  /// (es::EsEvaluator::EvalBatch) with the full per-row type, taint and MAC
-  /// checks. For programs that produce ciphertext the server must pass the
+  /// Evaluates a registered expression over every row of `morsel` while
+  /// charging a SINGLE call-gate transition for the whole morsel — the §4.6
+  /// amortization — and returns one column per program output. The morsel
+  /// runs column-major (es::EsEvaluator::EvalBatch) with the full per-cell
+  /// type, taint and MAC checks; a shared column (a parameter) is decrypted
+  /// once. For programs that produce ciphertext the server must pass the
   /// authorizing session and the raw query text, which the enclave hashes
   /// and checks against what the client authorized, once per morsel. If any
-  /// row fails, the batch fails with the error of the lowest failing row.
-  Result<std::vector<std::vector<types::Value>>> EvalRegisteredBatch(
-      uint64_t handle, const std::vector<std::vector<types::Value>>& batch,
-      uint64_t session_id = 0, std::string_view authorizing_query = {});
+  /// row fails, the morsel fails with the error of the lowest failing row.
+  Result<es::Columns> EvalRegisteredBatch(
+      uint64_t handle, const es::Morsel& morsel, uint64_t session_id = 0,
+      std::string_view authorizing_query = {});
 
   /// Transition-free variant of EvalRegisteredBatch for resident enclave
   /// worker threads (EnclaveWorkerPool::SubmitEvalBatch), which are already
   /// inside the enclave while processing the queue.
-  Result<std::vector<std::vector<types::Value>>> EvalRegisteredBatchResident(
-      uint64_t handle, const std::vector<std::vector<types::Value>>& batch,
-      uint64_t session_id = 0, std::string_view authorizing_query = {});
+  Result<es::Columns> EvalRegisteredBatchResident(
+      uint64_t handle, const es::Morsel& morsel, uint64_t session_id = 0,
+      std::string_view authorizing_query = {});
 
   /// Three-way comparison of encrypted cells under one CEK for B+-tree
   /// maintenance and seeks (paper §3.1.2 / Figure 4): decrypts `probe` once

@@ -81,20 +81,16 @@ Status EnclaveWorkerPool::Enqueue(std::unique_ptr<WorkItem> item) {
   return Status::OK();
 }
 
-Result<std::vector<std::vector<types::Value>>>
-EnclaveWorkerPool::SubmitEvalBatch(uint64_t handle,
-                                   std::vector<std::vector<types::Value>> batch,
-                                   uint64_t session_id,
-                                   std::string authorizing_query,
-                                   Clock::time_point deadline) {
+Result<es::Columns> EnclaveWorkerPool::SubmitEvalBatch(
+    uint64_t handle, const es::Morsel& morsel, uint64_t session_id,
+    std::string authorizing_query, Clock::time_point deadline) {
   auto item = std::make_unique<WorkItem>();
   item->handle = handle;
-  item->batch = std::move(batch);
+  item->morsel = &morsel;
   item->session_id = session_id;
   item->authorizing_query = std::move(authorizing_query);
   item->deadline = deadline;
-  std::future<Result<std::vector<std::vector<types::Value>>>> future =
-      item->promise.get_future();
+  std::future<Result<es::Columns>> future = item->promise.get_future();
   AEDB_RETURN_IF_ERROR(Enqueue(std::move(item)));
   return future.get();
 }
@@ -170,7 +166,8 @@ void EnclaveWorkerPool::WorkerLoop() {
       continue;
     }
     item->promise.set_value(enclave_->EvalRegisteredBatchResident(
-        item->handle, item->batch, item->session_id, item->authorizing_query));
+        item->handle, *item->morsel, item->session_id,
+        item->authorizing_query));
   }
 }
 

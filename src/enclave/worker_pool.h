@@ -24,7 +24,8 @@ namespace aedb::enclave {
 /// enclave" and sleeping. A heavily used enclave therefore stays resident
 /// (no transition cost per item); an idle one releases its core. Every work
 /// item is one morsel — the rows of one registered expression — evaluated by
-/// EvalRegisteredBatchResident.
+/// EvalRegisteredBatchResident. An item views the submitter's columns,
+/// which stay alive because the submitter waits until its item completes.
 ///
 /// Overload control: the queue is optionally bounded (`max_queue_depth`).
 /// When full, already-expired queued morsels are shed first (their waiters
@@ -55,10 +56,11 @@ class EnclaveWorkerPool {
   /// row is a morsel of one) and blocks until the result is ready. Host
   /// workers in SQL block on the expression result anyway; the win is that
   /// the consuming worker stays resident, so the morsel rides on (at most)
-  /// one wake-up transition.
-  Result<std::vector<std::vector<types::Value>>> SubmitEvalBatch(
-      uint64_t handle, std::vector<std::vector<types::Value>> batch,
-      uint64_t session_id = 0, std::string authorizing_query = {},
+  /// one wake-up transition. The morsel is not copied: the worker reads the
+  /// caller's columns while the caller waits.
+  Result<es::Columns> SubmitEvalBatch(
+      uint64_t handle, const es::Morsel& morsel, uint64_t session_id = 0,
+      std::string authorizing_query = {},
       Clock::time_point deadline = Clock::time_point::max());
 
   /// Number of times a worker had to re-enter the enclave after sleeping —
@@ -82,11 +84,11 @@ class EnclaveWorkerPool {
  private:
   struct WorkItem {
     uint64_t handle;
-    std::vector<std::vector<types::Value>> batch;
+    const es::Morsel* morsel;  // the submitter's, alive until `promise` is set
     uint64_t session_id;
     std::string authorizing_query;
     Clock::time_point deadline = Clock::time_point::max();
-    std::promise<Result<std::vector<std::vector<types::Value>>>> promise;
+    std::promise<Result<es::Columns>> promise;
   };
 
   void WorkerLoop();

@@ -18,12 +18,6 @@ bool TypeCompatible(TypeId declared, const Value& v) {
   return declared_numeric && v.IsNumeric();
 }
 
-/// True when `a` is a binary cell with exactly the bytes of `b`.
-bool SameCell(const Value& a, const Value& b) {
-  return !a.is_null() && a.type() == TypeId::kBinary && !b.is_null() &&
-         b.type() == TypeId::kBinary && a.bin() == b.bin();
-}
-
 // ---------------------------------------------------------------------------
 // Scalar kernels shared by the row interpreter and the batch interpreter.
 // Each encodes the per-value semantics of exactly one opcode, so the two
@@ -125,6 +119,16 @@ Status JoinTaint(uint32_t a, uint32_t b, uint32_t* out) {
 }
 
 }  // namespace
+
+Morsel Morsel::Of(size_t rows, const Columns& columns) {
+  Morsel morsel;
+  morsel.rows = rows;
+  morsel.columns.reserve(columns.size());
+  for (const std::vector<Value>& column : columns) {
+    morsel.columns.emplace_back(column);
+  }
+  return morsel;
+}
 
 // ---------------------------------------------------------------------------
 // Row-at-a-time interpreter.
@@ -290,21 +294,28 @@ Result<std::vector<Value>> EsEvaluator::Eval(const EsProgram& program,
         if (stack.size() < ins.n_inputs) {
           return Status::Corruption("ES stack underflow at TMEval");
         }
-        std::vector<std::vector<Value>> sub_batch(1);
-        sub_batch[0].resize(ins.n_inputs);
+        // A morsel of one: every argument is a one-value column.
+        std::vector<Value> args(ins.n_inputs);
         for (uint32_t i = ins.n_inputs; i-- > 0;) {
-          sub_batch[0][i] = std::move(stack.back().value);
+          args[i] = std::move(stack.back().value);
           stack.pop_back();
         }
-        std::vector<std::vector<Value>> sub_outputs;
+        Morsel morsel;
+        morsel.rows = 1;
+        for (const Value& arg : args) morsel.columns.emplace_back(&arg, 1);
+        Columns sub_outputs;
         AEDB_ASSIGN_OR_RETURN(
-            sub_outputs, ctx_.enclave->EvalInEnclaveBatch(
-                             ins.subprogram, sub_batch, ins.n_outputs));
-        if (sub_outputs.size() != 1 ||
-            sub_outputs[0].size() != ins.n_outputs) {
+            sub_outputs, ctx_.enclave->EvalInEnclaveBatch(ins.subprogram,
+                                                          morsel, ins.n_outputs));
+        if (sub_outputs.size() != ins.n_outputs) {
           return Status::Internal("enclave returned wrong output arity");
         }
-        for (Value& v : sub_outputs[0]) stack.push_back(Slot{std::move(v), 0});
+        for (std::vector<Value>& column : sub_outputs) {
+          if (column.size() != 1) {
+            return Status::Internal("enclave returned wrong batch arity");
+          }
+          stack.push_back(Slot{std::move(column[0]), 0});
+        }
         break;
       }
     }
@@ -319,133 +330,154 @@ Result<std::vector<Value>> EsEvaluator::Eval(const EsProgram& program,
 }
 
 // ---------------------------------------------------------------------------
-// Batch interpreter: the stack holds columns (one value per row) instead of
-// scalars. Structural failures (stack underflow, bad indices, taint
-// violations, missing enclave) are data-independent and abort the whole
-// batch — identical to what every row would have reported. Data-dependent
-// failures are tracked per row; the batch completes for the surviving rows
-// and the error surfaced is the first error of the lowest failing row, which
-// is what the row loop would have returned.
+// Batch interpreter: the stack holds columns instead of scalars. A column has
+// one value per row, or one value every row shares — a constant, a parameter,
+// or anything computed from shared values alone — which is computed once.
+// Every failure belongs to rows: a check on one lane fails that row; a
+// failing shared value, and a structural failure (stack underflow, bad
+// indices, taint violations, missing enclave), fails every row still running.
+// Failed rows drop out, the morsel completes for the rest, and the error
+// surfaced is the first error of the lowest failing row, which is what the
+// row loop would have returned.
 
-Result<std::vector<std::vector<Value>>> EsEvaluator::EvalBatch(
-    const EsProgram& program, const std::vector<std::vector<Value>>& rows) {
-  const size_t n = rows.size();
-  std::vector<std::vector<Value>> outputs;
+namespace {
+
+/// One stack slot of the batch interpreter. It reads an input column in
+/// place, or owns the values it computed.
+struct BatchSlot {
+  std::vector<Value> owned;
+  std::span<const Value> input;  // non-empty: this input column, in place
+  uint32_t taint_cek = 0;        // 0 = untainted (plaintext provenance)
+
+  std::span<const Value> values() const {
+    return input.empty() ? std::span<const Value>(owned) : input;
+  }
+  /// One value for every row (the batch path only runs morsels of 2+ rows).
+  bool shared() const { return values().size() == 1; }
+  const Value& at(size_t row) const {
+    std::span<const Value> v = values();
+    return v[v.size() == 1 ? 0 : row];
+  }
+};
+
+}  // namespace
+
+Result<Columns> EsEvaluator::EvalBatch(const EsProgram& program,
+                                       const Morsel& morsel) {
+  const size_t n = morsel.rows;
+  for (const std::span<const Value>& column : morsel.columns) {
+    if (column.size() != 1 && column.size() != n) {
+      return Status::InvalidArgument(
+          "morsel column holds neither one value nor one per row");
+    }
+  }
+  Columns outputs(program.num_outputs());
   if (n == 0) return outputs;
   if (n == 1) {
     // Degenerate case: the row path, instruction for instruction.
+    std::vector<Value> inputs;
+    inputs.reserve(morsel.columns.size());
+    for (const std::span<const Value>& column : morsel.columns) {
+      inputs.push_back(column[0]);
+    }
     std::vector<Value> out;
-    AEDB_ASSIGN_OR_RETURN(out, Eval(program, rows[0]));
-    outputs.push_back(std::move(out));
+    AEDB_ASSIGN_OR_RETURN(out, Eval(program, inputs));
+    for (size_t k = 0; k < out.size(); ++k) {
+      outputs[k].push_back(std::move(out[k]));
+    }
     return outputs;
   }
 
-  // One column per stack slot. Taint is per column: it derives from GetData
-  // annotations and taint joins only, never from row data.
-  struct Column {
-    std::vector<Value> v;
-    uint32_t taint_cek = 0;
-  };
-  std::vector<Column> stack;
-  outputs.assign(n, std::vector<Value>(program.num_outputs()));
+  std::vector<BatchSlot> stack;
   std::vector<bool> written(program.num_outputs(), false);
   std::vector<Status> row_error(n, Status::OK());
   std::vector<char> failed(n, 0);
+  size_t running = n;
 
   auto fail_row = [&](size_t i, Status st) {
-    if (!failed[i]) {
-      failed[i] = 1;
-      row_error[i] = std::move(st);
-    }
+    if (failed[i]) return;
+    failed[i] = 1;
+    row_error[i] = std::move(st);
+    --running;
   };
-  auto pop = [&stack]() -> Result<Column> {
+  auto fail_running = [&](const Status& st) {
+    for (size_t i = 0; i < n; ++i) fail_row(i, st);
+  };
+  auto pop = [&stack]() -> Result<BatchSlot> {
     if (stack.empty()) return Status::Corruption("ES stack underflow");
-    Column c = std::move(stack.back());
+    BatchSlot s = std::move(stack.back());
     stack.pop_back();
-    return c;
+    return s;
   };
-  // Applies a binary kernel lane-wise over two popped columns.
-  auto binary_lanes = [&](const Column& a, const Column& b, uint32_t taint,
-                          auto&& kernel) {
-    Column out;
-    out.taint_cek = taint;
-    out.v.resize(n);
+  // Runs `check(row)` on every running row, or once for a shared value, and
+  // fails the rows whose check fails.
+  auto for_lanes = [&](bool shared, auto&& check) {
+    if (shared) {
+      Status st = check(size_t{0});
+      if (!st.ok()) fail_running(st);
+      return;
+    }
     for (size_t i = 0; i < n; ++i) {
       if (failed[i]) continue;
-      auto r = kernel(a.v[i], b.v[i]);
-      if (!r.ok()) {
-        fail_row(i, r.status());
-        continue;
-      }
-      out.v[i] = std::move(*r);
+      Status st = check(i);
+      if (!st.ok()) fail_row(i, std::move(st));
     }
+  };
+  // Pushes a slot holding `kernel(row)` for every running row, or the one
+  // value `kernel(0)` when every operand is shared.
+  auto compute = [&](bool shared, uint32_t taint, auto&& kernel) {
+    BatchSlot out;
+    out.taint_cek = taint;
+    out.owned.resize(shared ? 1 : n);
+    for_lanes(shared, [&](size_t i) -> Status {
+      AEDB_ASSIGN_OR_RETURN(out.owned[i], kernel(i));
+      return Status::OK();
+    });
     stack.push_back(std::move(out));
   };
 
-  for (const Instruction& ins : program.instructions()) {
+  auto step = [&](const Instruction& ins) -> Status {
     switch (ins.op) {
       case OpCode::kGetData: {
-        Column col;
-        col.v.resize(n);
-        if (ins.enc.is_encrypted()) {
-          if (ctx_.crypto == nullptr) {
-            return Status::SecurityError(
-                "host evaluator cannot access encrypted data");
-          }
-          col.taint_cek = ins.enc.cek_id;
+        if (ins.index >= morsel.columns.size()) {
+          return Status::InvalidArgument("GetData input index out of range");
         }
-        // Whether lane i-1 passed its MAC check, decrypt and type check at
-        // this instruction.
-        bool prev_decoded = false;
-        for (size_t i = 0; i < n; ++i) {
-          const bool reusable = prev_decoded;
-          prev_decoded = false;
-          if (failed[i]) continue;
-          if (ins.index >= rows[i].size()) {
-            fail_row(i, Status::InvalidArgument(
-                            "GetData input index out of range"));
-            continue;
-          }
-          const Value& wire = rows[i][ins.index];
-          if (ins.enc.is_encrypted()) {
-            // A cell byte-for-byte equal to the previous lane's decrypts to
-            // the same plaintext, so a morsel-constant parameter is decrypted
-            // once. The host holds both ciphertexts already: sharing the
-            // decryption tells it nothing. Never reuse from a failed lane.
-            if (reusable && SameCell(wire, rows[i - 1][ins.index])) {
-              col.v[i] = col.v[i - 1];
-              prev_decoded = true;
-              continue;
-            }
-            auto plain = ctx_.crypto->DecryptDatum(ins.enc, ins.data_type, wire);
-            if (!plain.ok()) {
-              fail_row(i, plain.status());
-              continue;
-            }
-            if (!TypeCompatible(ins.data_type, *plain)) {
-              fail_row(i,
-                       Status::TypeCheckError("decrypted datum has wrong type"));
-              continue;
-            }
-            col.v[i] = std::move(*plain);
-            prev_decoded = true;
-          } else {
-            if (!TypeCompatible(ins.data_type, wire)) {
-              fail_row(i, Status::TypeCheckError("GetData type mismatch"));
-              continue;
-            }
-            col.v[i] = wire;
-          }
+        const std::span<const Value> in = morsel.columns[ins.index];
+        const bool shared = in.size() == 1;
+        if (!ins.enc.is_encrypted()) {
+          // Plaintext is read in place; only the type check runs per lane.
+          for_lanes(shared, [&](size_t i) -> Status {
+            return TypeCompatible(ins.data_type, in[i])
+                       ? Status::OK()
+                       : Status::TypeCheckError("GetData type mismatch");
+          });
+          BatchSlot col;
+          col.input = in;
+          stack.push_back(std::move(col));
+          return Status::OK();
         }
-        stack.push_back(std::move(col));
-        break;
+        if (ctx_.crypto == nullptr) {
+          return Status::SecurityError(
+              "host evaluator cannot access encrypted data");
+        }
+        compute(shared, ins.enc.cek_id, [&](size_t i) -> Result<Value> {
+          Value plain;
+          AEDB_ASSIGN_OR_RETURN(
+              plain, ctx_.crypto->DecryptDatum(ins.enc, ins.data_type, in[i]));
+          if (!TypeCompatible(ins.data_type, plain)) {
+            return Status::TypeCheckError("decrypted datum has wrong type");
+          }
+          return plain;
+        });
+        return Status::OK();
       }
       case OpCode::kSetData: {
-        Column s;
+        BatchSlot s;
         AEDB_ASSIGN_OR_RETURN(s, pop());
         if (ins.index >= program.num_outputs()) {
           return Status::InvalidArgument("SetData output index out of range");
         }
+        std::vector<Value>& out = outputs[ins.index];
         if (ins.enc.is_encrypted()) {
           if (ctx_.crypto == nullptr) {
             return Status::SecurityError(
@@ -455,37 +487,38 @@ Result<std::vector<std::vector<Value>>> EsEvaluator::EvalBatch(
             return Status::PermissionDenied(
                 "enclave Encrypt requires client authorization");
           }
-          for (size_t i = 0; i < n; ++i) {
-            if (failed[i]) continue;
-            auto enc = ctx_.crypto->EncryptDatum(ins.enc, s.v[i]);
-            if (!enc.ok()) {
-              fail_row(i, enc.status());
-              continue;
-            }
-            outputs[i][ins.index] = std::move(*enc);
-          }
+          // Per row even for a shared value: each randomized cell gets a
+          // fresh IV.
+          out.assign(n, Value());
+          for_lanes(false, [&](size_t i) -> Status {
+            AEDB_ASSIGN_OR_RETURN(out[i],
+                                  ctx_.crypto->EncryptDatum(ins.enc, s.at(i)));
+            return Status::OK();
+          });
         } else {
           if (ctx_.crypto != nullptr && s.taint_cek != 0 &&
               !ctx_.encryption_authorized) {
             return Status::SecurityError(
                 "refusing to emit decrypted data as plaintext");
           }
-          for (size_t i = 0; i < n; ++i) {
-            if (failed[i]) continue;
-            outputs[i][ins.index] = std::move(s.v[i]);
+          if (s.input.empty() && !s.shared()) {
+            out = std::move(s.owned);
+          } else {
+            out.resize(n);
+            for (size_t i = 0; i < n; ++i) out[i] = s.at(i);
           }
         }
         written[ins.index] = true;
-        break;
+        return Status::OK();
       }
       case OpCode::kConst: {
-        Column col;
-        col.v.assign(n, ins.constant);
+        BatchSlot col;
+        col.owned.push_back(ins.constant);
         stack.push_back(std::move(col));
-        break;
+        return Status::OK();
       }
       case OpCode::kComp: {
-        Column b, a;
+        BatchSlot b, a;
         AEDB_ASSIGN_OR_RETURN(b, pop());
         AEDB_ASSIGN_OR_RETURN(a, pop());
         if (a.taint_cek != b.taint_cek) {
@@ -493,97 +526,61 @@ Result<std::vector<std::vector<Value>>> EsEvaluator::EvalBatch(
               "comparison operands have different encryption provenance");
         }
         // Predicate results are the authorized leak: untainted, in the clear.
-        binary_lanes(a, b, 0, [&](const Value& x, const Value& y) {
-          return CompKernel(ins.cmp, x, y);
+        compute(a.shared() && b.shared(), 0, [&](size_t i) {
+          return CompKernel(ins.cmp, a.at(i), b.at(i));
         });
-        break;
+        return Status::OK();
       }
       case OpCode::kLike: {
-        Column pattern, value;
+        BatchSlot pattern, value;
         AEDB_ASSIGN_OR_RETURN(pattern, pop());
         AEDB_ASSIGN_OR_RETURN(value, pop());
         if (value.taint_cek != pattern.taint_cek) {
           return Status::SecurityError(
               "LIKE operands have different encryption provenance");
         }
-        binary_lanes(value, pattern, 0, [](const Value& x, const Value& y) {
-          return LikeKernel(x, y);
+        compute(value.shared() && pattern.shared(), 0, [&](size_t i) {
+          return LikeKernel(value.at(i), pattern.at(i));
         });
-        break;
+        return Status::OK();
       }
       case OpCode::kAdd:
       case OpCode::kSub:
       case OpCode::kMul:
-      case OpCode::kDiv: {
-        Column b, a;
-        AEDB_ASSIGN_OR_RETURN(b, pop());
-        AEDB_ASSIGN_OR_RETURN(a, pop());
-        uint32_t taint;
-        AEDB_RETURN_IF_ERROR(JoinTaint(a.taint_cek, b.taint_cek, &taint));
-        binary_lanes(a, b, taint, [&](const Value& x, const Value& y) {
-          return ArithKernel(ins.op, x, y);
-        });
-        break;
-      }
-      case OpCode::kNeg: {
-        Column a;
-        AEDB_ASSIGN_OR_RETURN(a, pop());
-        Column out;
-        out.taint_cek = a.taint_cek;
-        out.v.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          if (failed[i]) continue;
-          auto r = NegKernel(a.v[i]);
-          if (!r.ok()) {
-            fail_row(i, r.status());
-            continue;
-          }
-          out.v[i] = std::move(*r);
-        }
-        stack.push_back(std::move(out));
-        break;
-      }
+      case OpCode::kDiv:
       case OpCode::kAnd:
       case OpCode::kOr: {
-        Column b, a;
+        BatchSlot b, a;
         AEDB_ASSIGN_OR_RETURN(b, pop());
         AEDB_ASSIGN_OR_RETURN(a, pop());
         uint32_t taint;
         AEDB_RETURN_IF_ERROR(JoinTaint(a.taint_cek, b.taint_cek, &taint));
-        binary_lanes(a, b, taint, [&](const Value& x, const Value& y) {
-          return LogicKernel(ins.op, x, y);
+        const bool logic = ins.op == OpCode::kAnd || ins.op == OpCode::kOr;
+        compute(a.shared() && b.shared(), taint, [&](size_t i) {
+          return logic ? LogicKernel(ins.op, a.at(i), b.at(i))
+                       : ArithKernel(ins.op, a.at(i), b.at(i));
         });
-        break;
+        return Status::OK();
       }
+      case OpCode::kNeg:
       case OpCode::kNot: {
-        Column a;
+        BatchSlot a;
         AEDB_ASSIGN_OR_RETURN(a, pop());
-        Column out;
-        out.taint_cek = a.taint_cek;
-        out.v.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          if (failed[i]) continue;
-          auto r = NotKernel(a.v[i]);
-          if (!r.ok()) {
-            fail_row(i, r.status());
-            continue;
-          }
-          out.v[i] = std::move(*r);
-        }
-        stack.push_back(std::move(out));
-        break;
+        compute(a.shared(), a.taint_cek, [&](size_t i) {
+          return ins.op == OpCode::kNeg ? NegKernel(a.at(i))
+                                        : NotKernel(a.at(i));
+        });
+        return Status::OK();
       }
       case OpCode::kIsNull: {
-        Column a;
+        BatchSlot a;
         AEDB_ASSIGN_OR_RETURN(a, pop());
-        Column out;
-        out.v.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          if (failed[i]) continue;
-          out.v[i] = Value::Bool(a.v[i].is_null());
-        }
-        stack.push_back(std::move(out));
-        break;
+        // Nullness of an authorized predicate operand is part of the
+        // operational leakage surface; result is a clear boolean.
+        compute(a.shared(), 0, [&](size_t i) -> Result<Value> {
+          return Value::Bool(a.at(i).is_null());
+        });
+        return Status::OK();
       }
       case OpCode::kTMEval: {
         if (ctx_.crypto != nullptr) {
@@ -596,53 +593,71 @@ Result<std::vector<std::vector<Value>>> EsEvaluator::EvalBatch(
         if (stack.size() < ins.n_inputs) {
           return Status::Corruption("ES stack underflow at TMEval");
         }
-        std::vector<Column> args(ins.n_inputs);
+        std::vector<BatchSlot> args(ins.n_inputs);
         for (uint32_t i = ins.n_inputs; i-- > 0;) {
           args[i] = std::move(stack.back());
           stack.pop_back();
         }
-        // Gather the surviving rows and cross the boundary ONCE for all of
-        // them — the batch amortization this whole pipeline exists for.
-        std::vector<size_t> active;
-        active.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          if (!failed[i]) active.push_back(i);
-        }
-        std::vector<std::vector<Value>> sub_batch(active.size());
-        for (size_t a = 0; a < active.size(); ++a) {
-          sub_batch[a].resize(ins.n_inputs);
-          for (uint32_t j = 0; j < ins.n_inputs; ++j) {
-            sub_batch[a][j] = std::move(args[j].v[active[a]]);
+        // Cross the boundary ONCE for every running row — the amortization
+        // this whole pipeline exists for. The argument columns travel as
+        // they are, views included; only once some rows have failed are the
+        // running rows' values gathered into new columns.
+        std::vector<size_t> gather;
+        if (running < n) {
+          for (size_t i = 0; i < n; ++i) {
+            if (!failed[i]) gather.push_back(i);
           }
         }
-        std::vector<std::vector<Value>> sub_outputs;
-        if (!active.empty()) {
-          AEDB_ASSIGN_OR_RETURN(
-              sub_outputs, ctx_.enclave->EvalInEnclaveBatch(
-                               ins.subprogram, sub_batch, ins.n_outputs));
-          if (sub_outputs.size() != active.size()) {
+        Columns gathered;
+        gathered.reserve(args.size());
+        Morsel sub;
+        sub.rows = running;
+        for (const BatchSlot& arg : args) {
+          if (gather.empty() || arg.shared()) {
+            sub.columns.push_back(arg.values());
+            continue;
+          }
+          std::vector<Value>& column = gathered.emplace_back();
+          column.reserve(gather.size());
+          for (size_t i : gather) column.push_back(arg.at(i));
+          sub.columns.emplace_back(column);
+        }
+        Columns results;
+        AEDB_ASSIGN_OR_RETURN(results, ctx_.enclave->EvalInEnclaveBatch(
+                                           ins.subprogram, sub, ins.n_outputs));
+        if (results.size() != ins.n_outputs) {
+          return Status::Internal("enclave returned wrong output arity");
+        }
+        for (std::vector<Value>& result : results) {
+          if (result.size() != sub.rows) {
             return Status::Internal("enclave returned wrong batch arity");
           }
-        }
-        for (uint32_t k = 0; k < ins.n_outputs; ++k) {
-          Column col;
-          col.v.resize(n);
-          for (size_t a = 0; a < active.size(); ++a) {
-            if (sub_outputs[a].size() != ins.n_outputs) {
-              return Status::Internal("enclave returned wrong output arity");
+          BatchSlot col;
+          if (gather.empty()) {
+            col.owned = std::move(result);
+          } else {
+            col.owned.resize(n);
+            for (size_t k = 0; k < gather.size(); ++k) {
+              col.owned[gather[k]] = std::move(result[k]);
             }
-            col.v[active[a]] = sub_outputs[a][k];
           }
           stack.push_back(std::move(col));
         }
-        break;
+        return Status::OK();
       }
     }
+    return Status::OK();
+  };
+
+  for (const Instruction& ins : program.instructions()) {
+    Status st = step(ins);
+    if (!st.ok()) fail_running(st);
+    if (running == 0) break;
   }
-  for (size_t i = 0; i < written.size(); ++i) {
-    if (!written[i]) {
-      return Status::Corruption("ES program left output " + std::to_string(i) +
-                                " unwritten");
+  for (size_t k = 0; running > 0 && k < written.size(); ++k) {
+    if (!written[k]) {
+      fail_running(Status::Corruption("ES program left output " +
+                                      std::to_string(k) + " unwritten"));
     }
   }
   for (size_t i = 0; i < n; ++i) {

@@ -1,6 +1,7 @@
 #ifndef AEDB_ES_EVALUATOR_H_
 #define AEDB_ES_EVALUATOR_H_
 
+#include <span>
 #include <vector>
 
 #include "es/program.h"
@@ -26,19 +27,39 @@ class CellCryptoProvider {
                                             const types::Value& plain) = 0;
 };
 
+/// Values by column: one inner vector per column, one value per row.
+using Columns = std::vector<std::vector<types::Value>>;
+
+/// \brief A morsel in column-major form (paper §4.6): `rows` rows and one
+/// column per input slot. A column holds either one value per row or a single
+/// value that every row shares, as a statement parameter does; a column of
+/// one value is shared. The morsel only views its values: they belong to the
+/// caller and must outlive every call that reads them.
+struct Morsel {
+  size_t rows = 0;
+  std::vector<std::span<const types::Value>> columns;
+
+  /// A morsel of `rows` rows over `columns`, each of `rows` values or of one.
+  static Morsel Of(size_t rows, const Columns& columns);
+
+  const types::Value& at(size_t column, size_t row) const {
+    const std::span<const types::Value>& c = columns[column];
+    return c[c.size() == 1 ? 0 : row];
+  }
+};
+
 /// Host-side hook that ships a kTMEval subprogram into the enclave. Its one
-/// entry point evaluates the subprogram over every row of `batch_inputs`
-/// (one inputs vector per row) and returns one outputs vector per row, in
-/// order, crossing the call gate once for the whole morsel (paper §4.6
-/// amortization). The row interpreter sends a morsel of one.
+/// entry point evaluates the subprogram over every row of `morsel` and
+/// returns one column per program output, crossing the call gate once for
+/// the whole morsel (paper §4.6 amortization). The row interpreter sends a
+/// morsel of one.
 class EnclaveInvoker {
  public:
   virtual ~EnclaveInvoker() = default;
 
-  virtual Result<std::vector<std::vector<types::Value>>> EvalInEnclaveBatch(
-      Slice program_bytes,
-      const std::vector<std::vector<types::Value>>& batch_inputs,
-      uint32_t n_outputs) = 0;
+  virtual Result<Columns> EvalInEnclaveBatch(Slice program_bytes,
+                                             const Morsel& morsel,
+                                             uint32_t n_outputs) = 0;
 };
 
 /// Evaluation environment.
@@ -70,28 +91,25 @@ class EsEvaluator {
   Result<std::vector<types::Value>> Eval(const EsProgram& program,
                                          const std::vector<types::Value>& inputs);
 
-  /// Runs `program` over a batch of rows (one inputs vector per row),
-  /// vectorized column-major: every stack slot holds one value per row, and
-  /// each kTMEval stub crosses into the enclave ONCE for the whole batch via
-  /// EnclaveInvoker::EvalInEnclaveBatch. Taint tracking is per slot — taint
-  /// depends only on the program's annotations, never on row data, so one
-  /// taint per column is exact.
+  /// Runs `program` over a morsel, vectorized column-major: every stack slot
+  /// holds one value per row, or one value all rows share, and each kTMEval
+  /// stub crosses into the enclave ONCE for the whole morsel via
+  /// EnclaveInvoker::EvalInEnclaveBatch. Returns program.num_outputs()
+  /// columns of morsel.rows values. Plaintext inputs are read in place, and
+  /// a shared value is evaluated once — so a parameter cell is decrypted once
+  /// per morsel. Encryption at SetData stays per row: randomized cells get a
+  /// fresh IV each. Taint tracking is per slot — taint depends only on the
+  /// program's annotations, never on row data, so one taint per column is
+  /// exact.
   ///
-  /// Row-level semantics match Eval row by row: a row that fails a data-
-  /// dependent check (type mismatch, division by zero) is taken out of the
-  /// batch, the remaining rows complete, and the error reported is the one
+  /// Row-level semantics match Eval row by row: a row that fails a check
+  /// (type mismatch, MAC failure, division by zero) is taken out of the
+  /// morsel, the remaining rows complete, and the error reported is the one
   /// the lowest-numbered failing row hit first — exactly the error a
-  /// row-at-a-time loop would have surfaced. A batch of one row delegates to
-  /// Eval, making batch size 1 the literal row-at-a-time degenerate case.
-  ///
-  /// An encrypted GetData lane whose cell is byte-for-byte equal to the
-  /// previous lane's reuses that lane's plaintext, provided the previous lane
-  /// passed its MAC check, decrypt and type check at the same instruction.
-  /// Encryption at SetData stays per lane: randomized cells get a fresh IV
-  /// each.
-  Result<std::vector<std::vector<types::Value>>> EvalBatch(
-      const EsProgram& program,
-      const std::vector<std::vector<types::Value>>& rows);
+  /// row-at-a-time loop would have surfaced. A shared value that fails fails
+  /// every row still running. A morsel of one row delegates to Eval, making
+  /// morsel size 1 the literal row-at-a-time degenerate case.
+  Result<Columns> EvalBatch(const EsProgram& program, const Morsel& morsel);
 
  private:
   struct Slot {

@@ -125,9 +125,10 @@ void EventLoop::Run() {
   while (running_.load(std::memory_order_acquire)) {
     int timeout_ms = 1000;
     if (tick_ms_ != 0) {
-      auto now = std::chrono::steady_clock::now();
-      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      next_tick - now)
+      // Round up: a truncated wait returns before the tick is due, and the
+      // loop would spin on zero-timeout waits for the rest of the period.
+      auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                      next_tick - std::chrono::steady_clock::now())
                       .count();
       timeout_ms = left <= 0 ? 0 : static_cast<int>(left);
     }

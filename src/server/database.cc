@@ -62,9 +62,9 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
   ServerInvoker(enclave::Enclave* enclave, enclave::EnclaveWorkerPool* pool)
       : enclave_(enclave), pool_(pool) {}
 
-  Result<std::vector<std::vector<Value>>> EvalInEnclaveBatch(
-      Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
-      uint32_t n_outputs) override {
+  Result<es::Columns> EvalInEnclaveBatch(Slice program_bytes,
+                                         const es::Morsel& morsel,
+                                         uint32_t n_outputs) override {
     (void)n_outputs;
     if (enclave_ == nullptr) {
       return Status::FailedPrecondition(
@@ -80,10 +80,10 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
     uint64_t handle;
     AEDB_ASSIGN_OR_RETURN(handle, HandleFor(program_bytes));
     if (pool_ != nullptr) {
-      return pool_->SubmitEvalBatch(handle, batch_inputs, /*session_id=*/0,
+      return pool_->SubmitEvalBatch(handle, morsel, /*session_id=*/0,
                                     /*authorizing_query=*/{}, deadline);
     }
-    return enclave_->EvalRegisteredBatch(handle, batch_inputs);
+    return enclave_->EvalRegisteredBatch(handle, morsel);
   }
 
   /// Registers each distinct program once; later calls reuse the handle.
@@ -518,8 +518,8 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
   };
   // Rewrite every row, converting the one cell through the enclave a morsel
   // at a time: the program is registered once, then each morsel of
-  // eval_batch_size rows costs one transition. The enclave still checks the
-  // statement's authorization on every row.
+  // eval_batch_size rows costs one transition. The enclave checks the
+  // statement's authorization once per morsel.
   Status st = engine_.LockTable(txn, table->id);
   std::vector<std::pair<storage::Rid, std::vector<Value>>> rows;
   if (st.ok()) {
@@ -539,20 +539,22 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
     st = registered.status();
     if (st.ok()) handle = *registered;
   }
-  const size_t morsel = executor_->batch_size();
-  for (size_t begin = 0; st.ok() && begin < rows.size(); begin += morsel) {
-    const size_t end = std::min(rows.size(), begin + morsel);
-    std::vector<std::vector<Value>> cells;
-    cells.reserve(end - begin);
+  const size_t morsel_size = executor_->batch_size();
+  for (size_t begin = 0; st.ok() && begin < rows.size();
+       begin += morsel_size) {
+    const size_t end = std::min(rows.size(), begin + morsel_size);
+    // The morsel is the one column being converted.
+    es::Columns cells(1);
+    cells[0].reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      cells.push_back({rows[i].second[column]});
+      cells[0].push_back(rows[i].second[column]);
     }
-    auto converted =
-        enclave_->EvalRegisteredBatch(handle, cells, session_id, sql_text);
+    auto converted = enclave_->EvalRegisteredBatch(
+        handle, es::Morsel::Of(end - begin, cells), session_id, sql_text);
     st = converted.status();
     for (size_t i = begin; st.ok() && i < end; ++i) {
       st = rewrite(rows[i].first, rows[i].second,
-                   std::move((*converted)[i - begin][0]));
+                   std::move((*converted)[0][i - begin]));
     }
   }
   if (!st.ok()) {

@@ -204,26 +204,87 @@ Bytes EncodeRow(const std::vector<types::Value>& row) {
   return out;
 }
 
-Result<std::vector<types::Value>> DecodeRow(Slice record, size_t num_columns,
-                                            const ColumnSet* columns) {
-  std::vector<types::Value> row;
-  row.reserve(num_columns);
+namespace {
+
+/// Walks a record of `num_columns` encoded values. A column in `columns` (or
+/// every column, without a set) is built and handed to `read(i, value)`; any
+/// other is stepped over and its stored type handed to `skip(type)`. Every
+/// column's tag and length is checked, and the record must end after the
+/// last column.
+template <typename Read, typename Skip>
+Status WalkRecord(Slice record, size_t num_columns, const ColumnSet* columns,
+                  Read&& read, Skip&& skip) {
   size_t off = 0;
   for (size_t i = 0; i < num_columns; ++i) {
     if (columns != nullptr && i < columns->size() && !(*columns)[i]) {
       types::TypeId t;
       AEDB_ASSIGN_OR_RETURN(t, types::Value::Skip(record, &off));
-      row.push_back(types::Value::Null(t));
+      skip(t);
       continue;
     }
     types::Value v;
     AEDB_ASSIGN_OR_RETURN(v, types::Value::Decode(record, &off));
-    row.push_back(std::move(v));
+    read(i, std::move(v));
   }
   if (off != record.size()) {
     return Status::Corruption("row has trailing bytes");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<types::Value>> DecodeRow(Slice record, size_t num_columns,
+                                            const ColumnSet* columns) {
+  std::vector<types::Value> row;
+  row.reserve(num_columns);
+  AEDB_RETURN_IF_ERROR(WalkRecord(
+      record, num_columns, columns,
+      [&](size_t, types::Value v) { row.push_back(std::move(v)); },
+      [&](types::TypeId t) { row.push_back(types::Value::Null(t)); }));
   return row;
+}
+
+ColumnBatch::ColumnBatch(size_t num_columns, const ColumnSet* columns)
+    : read_(num_columns, true), values_(num_columns) {
+  if (columns == nullptr) return;
+  for (size_t i = 0; i < std::min(num_columns, columns->size()); ++i) {
+    read_[i] = (*columns)[i];
+    if (!read_[i]) ++skipped_per_row_;
+  }
+}
+
+Status ColumnBatch::Append(Slice record) {
+  Status st = WalkRecord(
+      record, values_.size(), &read_,
+      [&](size_t i, types::Value v) { values_[i].push_back(std::move(v)); },
+      [&](types::TypeId t) { skipped_.push_back(t); });
+  if (!st.ok()) {
+    for (std::vector<types::Value>& column : values_) {
+      if (column.size() > rows_) column.resize(rows_);
+    }
+    skipped_.resize(rows_ * skipped_per_row_);
+    return st;
+  }
+  ++rows_;
+  return Status::OK();
+}
+
+std::vector<types::Value> ColumnBatch::TakeRow(size_t r) {
+  std::vector<types::Value> row;
+  row.reserve(values_.size());
+  const types::TypeId* skipped = skipped_.data() + r * skipped_per_row_;
+  for (size_t i = 0; i < values_.size(); ++i) {
+    row.push_back(read_[i] ? std::move(values_[i][r])
+                           : types::Value::Null(*skipped++));
+  }
+  return row;
+}
+
+void ColumnBatch::Clear() {
+  for (std::vector<types::Value>& column : values_) column.clear();
+  skipped_.clear();
+  rows_ = 0;
 }
 
 }  // namespace aedb::sql

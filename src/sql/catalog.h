@@ -117,6 +117,41 @@ Bytes EncodeRow(const std::vector<types::Value>& row);
 Result<std::vector<types::Value>> DecodeRow(Slice record, size_t num_columns,
                                             const ColumnSet* columns = nullptr);
 
+/// \brief Rows decoded column-major, with DecodeRow's checks: one vector of
+/// values per column in the set, and for every other column only each row's
+/// stored type. A scan decodes a morsel of candidate rows here, filters it,
+/// and builds a row vector only for a row that passes.
+class ColumnBatch {
+ public:
+  /// Without `columns` every column is decoded.
+  ColumnBatch(size_t num_columns, const ColumnSet* columns = nullptr);
+
+  /// Decodes `record` as one more row. A record that fails DecodeRow's
+  /// checks leaves the batch as it was.
+  Status Append(Slice record);
+
+  size_t rows() const { return rows_; }
+  /// True when column `c` is decoded.
+  bool reads(size_t c) const { return read_[c]; }
+  /// Column `c`'s decoded values, one per row; empty when it is not read.
+  const std::vector<types::Value>& column(size_t c) const { return values_[c]; }
+
+  /// Moves row `r` out as DecodeRow would have returned it: a column not in
+  /// the set is a NULL of its stored type.
+  std::vector<types::Value> TakeRow(size_t r);
+
+  /// Empties the batch, keeping its capacity.
+  void Clear();
+
+ private:
+  ColumnSet read_;
+  std::vector<std::vector<types::Value>> values_;
+  /// The unread columns' stored types, row after row.
+  std::vector<types::TypeId> skipped_;
+  size_t skipped_per_row_ = 0;
+  size_t rows_ = 0;
+};
+
 }  // namespace aedb::sql
 
 #endif  // AEDB_SQL_CATALOG_H_

@@ -248,26 +248,24 @@ Result<std::shared_ptr<const es::EsProgram>> Executor::CompiledFor(
 }
 
 Result<std::vector<char>> Executor::EvalPredicateBatch(
-    const es::EsProgram& program,
-    const std::vector<std::vector<Value>>& batch) {
+    const es::EsProgram& program, const es::Morsel& morsel) {
   es::EvalContext ctx;
   ctx.enclave = invoker_;
   es::EsEvaluator evaluator(ctx);
-  std::vector<std::vector<Value>> out;
-  AEDB_ASSIGN_OR_RETURN(out, evaluator.EvalBatch(program, batch));
-  std::vector<char> pass(batch.size(), 0);
-  for (size_t i = 0; i < out.size(); ++i) {
-    pass[i] = !out[i][0].is_null() && out[i][0].bool_v();
+  es::Columns out;
+  AEDB_ASSIGN_OR_RETURN(out, evaluator.EvalBatch(program, morsel));
+  std::vector<char> pass(morsel.rows, 0);
+  for (size_t i = 0; i < morsel.rows; ++i) {
+    pass[i] = !out[0][i].is_null() && out[0][i].bool_v();
   }
   return pass;
 }
 
 Result<std::vector<Value>> Executor::FetchRow(const TableDef& table,
-                                              const Rid& rid,
-                                              const ColumnSet* columns) {
+                                              const Rid& rid) {
   Bytes record;
   AEDB_ASSIGN_OR_RETURN(record, engine_->table(table.id)->Read(rid));
-  return DecodeRow(record, table.columns.size(), columns);
+  return DecodeRow(record, table.columns.size());
 }
 
 Result<Executor::Candidates> Executor::PlanAccess(
@@ -382,64 +380,66 @@ Executor::CollectMatches(const BoundStatement& bound, const Expr* where,
   Candidates candidates;
   AEDB_ASSIGN_OR_RETURN(candidates, PlanAccess(where, table, params));
 
-  // Morsel-driven filtering: buffer up to batch_size_ candidate rows, then
-  // evaluate the predicate over the whole morsel at once — every encrypted
-  // atom in it costs one enclave transition per morsel instead of one per
-  // row. A failed batch drops the entire morsel (no partial application).
-  // Each buffered row is its filter input (row values, then parameters);
-  // a matching row drops the parameters again.
+  // Morsel-driven filtering, column-major: up to batch_size_ candidate rows
+  // are decoded straight into one column per column read, then the predicate
+  // runs over the whole morsel at once — every encrypted atom in it costs one
+  // enclave transition per morsel instead of one per row, and a parameter
+  // rides as one value every row shares. A column the statement does not
+  // read is one shared NULL the filter never looks at. Only a row that
+  // passes is built as a row vector. A failed batch drops the entire morsel
+  // (no partial application).
   std::vector<std::pair<Rid, std::vector<Value>>> matches;
+  const size_t num_columns = table.columns.size();
+  ColumnBatch decoded(num_columns, columns);
   std::vector<Rid> morsel_rids;
-  std::vector<std::vector<Value>> morsel;
+  const Value unread;
   const size_t batch_size = batch_size_;
   morsel_rids.reserve(std::min<size_t>(batch_size, 1024));
-  morsel.reserve(std::min<size_t>(batch_size, 1024));
 
   auto flush = [&]() -> Status {
-    if (morsel.empty()) return Status::OK();
+    if (morsel_rids.empty()) return Status::OK();
     AEDB_RETURN_IF_ERROR(CheckQueryDeadline());
+    es::Morsel morsel;
+    morsel.rows = morsel_rids.size();
+    morsel.columns.reserve(num_columns + params.size());
+    for (size_t c = 0; c < num_columns; ++c) {
+      if (decoded.reads(c)) {
+        morsel.columns.emplace_back(decoded.column(c));
+      } else {
+        morsel.columns.emplace_back(&unread, 1);
+      }
+    }
+    for (const Value& param : params) morsel.columns.emplace_back(&param, 1);
     std::vector<char> pass;
     AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(*filter, morsel));
-    for (size_t i = 0; i < morsel.size(); ++i) {
-      if (!pass[i]) continue;
-      morsel[i].resize(table.columns.size());
-      matches.emplace_back(morsel_rids[i], std::move(morsel[i]));
+    for (size_t i = 0; i < morsel.rows; ++i) {
+      if (pass[i]) matches.emplace_back(morsel_rids[i], decoded.TakeRow(i));
     }
     morsel_rids.clear();
-    morsel.clear();
+    decoded.Clear();
     return Status::OK();
   };
-  auto consider = [&](const Rid& rid, std::vector<Value> row) -> Status {
-    row.insert(row.end(), params.begin(), params.end());
+  auto consider = [&](const Rid& rid, Slice record) -> Status {
+    AEDB_RETURN_IF_ERROR(decoded.Append(record));
     morsel_rids.push_back(rid);
-    morsel.push_back(std::move(row));
-    if (morsel.size() >= batch_size) return flush();
+    if (morsel_rids.size() >= batch_size) return flush();
     return Status::OK();
   };
 
   if (candidates.use_index) {
     for (const Rid& rid : candidates.rids) {
-      auto row = FetchRow(table, rid, columns);
-      if (!row.ok()) {
-        if (row.status().IsNotFound()) continue;  // dangling index entry
-        return row.status();
+      auto record = engine_->table(table.id)->Read(rid);
+      if (!record.ok()) {
+        if (record.status().IsNotFound()) continue;  // dangling index entry
+        return record.status();
       }
-      AEDB_RETURN_IF_ERROR(consider(rid, std::move(row).value()));
+      AEDB_RETURN_IF_ERROR(consider(rid, *record));
     }
   } else {
     Status inner = Status::OK();
     engine_->table(table.id)->Scan([&](const Rid& rid, Slice record) {
-      auto row = DecodeRow(record, table.columns.size(), columns);
-      if (!row.ok()) {
-        inner = row.status();
-        return false;
-      }
-      Status st = consider(rid, std::move(row).value());
-      if (!st.ok()) {
-        inner = st;
-        return false;
-      }
-      return true;
+      inner = consider(rid, record);
+      return inner.ok();
     });
     AEDB_RETURN_IF_ERROR(inner);
   }
@@ -519,25 +519,32 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
     });
     AEDB_RETURN_IF_ERROR(inner);
 
-    // Probe-side morsels: joined rows accumulate until a batch is full, then
-    // the residual filter runs over the whole morsel in one enclave trip.
-    std::vector<std::vector<Value>> pending;
+    // Probe-side morsels, column-major: each joined row appends its main- and
+    // join-table values to one column per input slot until a batch is full,
+    // then the residual filter runs over the whole morsel in one enclave
+    // trip, each parameter a one-value column. Only a joined row that passes
+    // is built as a row vector.
+    const size_t main_width = table.columns.size();
+    es::Columns pending(main_width + right.columns.size());
+    size_t pending_rows = 0;
     auto flush_join = [&]() -> Status {
-      if (pending.empty()) return Status::OK();
+      if (pending_rows == 0) return Status::OK();
       AEDB_RETURN_IF_ERROR(CheckQueryDeadline());
-      std::vector<std::vector<Value>> inputs;
-      inputs.reserve(pending.size());
-      for (const auto& combined : pending) {
-        std::vector<Value> in = combined;
-        in.insert(in.end(), params.begin(), params.end());
-        inputs.push_back(std::move(in));
-      }
+      es::Morsel morsel = es::Morsel::Of(pending_rows, pending);
+      for (const Value& param : params) morsel.columns.emplace_back(&param, 1);
       std::vector<char> pass;
-      AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(*filter, inputs));
-      for (size_t i = 0; i < pending.size(); ++i) {
-        if (pass[i]) rows.push_back(std::move(pending[i]));
+      AEDB_ASSIGN_OR_RETURN(pass, EvalPredicateBatch(*filter, morsel));
+      for (size_t i = 0; i < pending_rows; ++i) {
+        if (!pass[i]) continue;
+        std::vector<Value> combined;
+        combined.reserve(pending.size());
+        for (std::vector<Value>& column : pending) {
+          combined.push_back(std::move(column[i]));
+        }
+        rows.push_back(std::move(combined));
       }
-      pending.clear();
+      for (std::vector<Value>& column : pending) column.clear();
+      pending_rows = 0;
       return Status::OK();
     };
     engine_->table(table.id)->Scan([&](const Rid&, Slice record) {
@@ -551,10 +558,13 @@ Result<ResultSet> Executor::Select(const BoundStatement& bound,
       auto it = hash.find(IndexKeyFor(table.columns[left_idx], key));
       if (it == hash.end()) return true;
       for (const auto& right_row : it->second) {
-        std::vector<Value> combined = *row;
-        combined.insert(combined.end(), right_row.begin(), right_row.end());
-        pending.push_back(std::move(combined));
-        if (pending.size() >= batch_size_) {
+        for (size_t c = 0; c < main_width; ++c) {
+          pending[c].push_back((*row)[c]);
+        }
+        for (size_t c = 0; c < right_row.size(); ++c) {
+          pending[main_width + c].push_back(right_row[c]);
+        }
+        if (++pending_rows >= batch_size_) {
           Status st = flush_join();
           if (!st.ok()) {
             inner = st;

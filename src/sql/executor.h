@@ -83,9 +83,8 @@ class Executor {
   /// Evaluates a filter over a morsel: one EsEvaluator::EvalBatch run, so
   /// every encrypted atom in the filter crosses the enclave boundary once
   /// for the whole morsel. pass[i] applies SQL semantics (NULL fails).
-  Result<std::vector<char>> EvalPredicateBatch(
-      const es::EsProgram& program,
-      const std::vector<std::vector<types::Value>>& batch);
+  Result<std::vector<char>> EvalPredicateBatch(const es::EsProgram& program,
+                                               const es::Morsel& morsel);
 
   /// Compiled-program cache — the CEsComp-in-plan-cache of paper §4.4.
   /// Keyed by a fingerprint of (expression shape + binder annotations, input
@@ -98,14 +97,14 @@ class Executor {
       const Expr* expr, const InputLayout& layout,
       const std::vector<BoundParam>& params, bool value_expr);
 
-  /// Reads and decodes a row: only `columns` when given (see DecodeRow).
+  /// Reads and decodes a row.
   Result<std::vector<types::Value>> FetchRow(const TableDef& table,
-                                             const storage::Rid& rid,
-                                             const ColumnSet* columns = nullptr);
+                                             const storage::Rid& rid);
 
-  /// Collects (rid, row) pairs matching the filter, decoding only `columns`
-  /// when given (see DecodeRow). The set must hold every column `where`
-  /// reads.
+  /// Collects (rid, row) pairs matching the filter. Candidates are decoded
+  /// column-major, only `columns` when given (see ColumnBatch), and a row
+  /// vector is built only for a match. The set must hold every column
+  /// `where` reads.
   Result<std::vector<std::pair<storage::Rid, std::vector<types::Value>>>>
   CollectMatches(const BoundStatement& bound, const Expr* where,
                  const TableDef& table,

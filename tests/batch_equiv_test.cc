@@ -36,7 +36,8 @@ using types::Value;
 constexpr const char* kVaultPath = "https://vault.example/keys/cmk1";
 
 /// One full deployment (vault, HGS, enclave, server, driver) pinned to a
-/// specific executor morsel size.
+/// specific executor morsel size, with synchronous enclave calls or with
+/// `enclave_worker_threads` enclave worker threads.
 struct Deployment {
   std::unique_ptr<keys::InMemoryKeyVault> vault;
   keys::KeyProviderRegistry registry;
@@ -46,7 +47,7 @@ struct Deployment {
   std::unique_ptr<Database> db;
   std::unique_ptr<Driver> driver;
 
-  explicit Deployment(size_t batch_size) {
+  explicit Deployment(size_t batch_size, int enclave_worker_threads = 0) {
     vault = std::make_unique<keys::InMemoryKeyVault>();
     EXPECT_TRUE(vault->CreateKey(kVaultPath, 1024).ok());
     EXPECT_TRUE(registry.Register(vault.get()).ok());
@@ -57,6 +58,7 @@ struct Deployment {
     hgs = std::make_unique<attestation::HostGuardianService>();
     ServerOptions opts;
     opts.eval_batch_size = batch_size;
+    opts.enclave_worker_threads = enclave_worker_threads;
     db = std::make_unique<Database>(opts, hgs.get(), &image);
     hgs->RegisterTcgLog(db->platform()->tcg_log());
     DriverOptions driver_opts;
@@ -163,13 +165,22 @@ constexpr std::array<size_t, 3> kBatchSizes = {1, 3, 256};
 constexpr int kRows = 30;
 
 TEST(BatchEquivTest, ReadWorkloadIdenticalAcrossBatchSizes) {
+  // Synchronous enclave calls at every batch size, then batch 256 through
+  // the enclave worker pool, whose work items view the executor's columns.
+  struct Shape {
+    size_t batch_size;
+    int enclave_worker_threads;
+  };
+  const std::vector<Shape> shapes = {
+      {kBatchSizes[0], 0}, {kBatchSizes[1], 0}, {kBatchSizes[2], 0}, {256, 2}};
   std::vector<std::unique_ptr<Deployment>> deps;
-  std::vector<std::vector<std::vector<std::string>>> results(
-      kBatchSizes.size());
-  std::vector<uint64_t> comparisons_delta(kBatchSizes.size());
-  std::vector<uint64_t> transitions_delta(kBatchSizes.size());
-  for (size_t d = 0; d < kBatchSizes.size(); ++d) {
-    deps.push_back(std::make_unique<Deployment>(kBatchSizes[d]));
+  std::vector<std::vector<std::vector<std::string>>> results(shapes.size());
+  std::vector<uint64_t> comparisons_delta(shapes.size());
+  std::vector<uint64_t> evals_delta(shapes.size());
+  std::vector<uint64_t> transitions_delta(shapes.size());
+  for (size_t d = 0; d < shapes.size(); ++d) {
+    deps.push_back(std::make_unique<Deployment>(
+        shapes[d].batch_size, shapes[d].enclave_worker_threads));
     deps[d]->CreateSchemaAndLoad(kRows);
     if (::testing::Test::HasFatalFailure()) return;
     DatabaseStats before = deps[d]->db->Stats();
@@ -181,20 +192,28 @@ TEST(BatchEquivTest, ReadWorkloadIdenticalAcrossBatchSizes) {
     DatabaseStats after = deps[d]->db->Stats();
     comparisons_delta[d] =
         after.enclave_comparisons - before.enclave_comparisons;
+    evals_delta[d] = after.enclave_evals - before.enclave_evals;
     transitions_delta[d] = after.enclave_transitions - before.enclave_transitions;
   }
-  for (size_t d = 1; d < kBatchSizes.size(); ++d) {
+  for (size_t d = 1; d < shapes.size(); ++d) {
+    const std::string shape =
+        "batch size " + std::to_string(shapes[d].batch_size) + " with " +
+        std::to_string(shapes[d].enclave_worker_threads) + " enclave workers";
     ASSERT_EQ(results[d].size(), results[0].size());
     for (size_t q = 0; q < results[0].size(); ++q) {
       EXPECT_EQ(results[d][q], results[0][q])
-          << "batch size " << kBatchSizes[d] << " diverged on query " << q
-          << " (" << ReadWorkload()[q].first << ")";
+          << shape << " diverged on query " << q << " ("
+          << ReadWorkload()[q].first << ")";
     }
-    // The operational leak (cell comparisons the client authorized) must not
-    // depend on the morsel size.
+    // The operational leak (cell comparisons the client authorized) and the
+    // rows the enclave evaluated must not depend on the morsel size or on
+    // the path to the enclave.
     EXPECT_EQ(comparisons_delta[d], comparisons_delta[0])
-        << "comparison leak changed at batch size " << kBatchSizes[d];
+        << "comparison leak changed at " << shape;
+    EXPECT_EQ(evals_delta[d], evals_delta[0])
+        << "enclave evals changed at " << shape;
   }
+  EXPECT_GT(evals_delta[0], 0u);
   // Amortization: strictly fewer call-gate transitions at every step up.
   EXPECT_LT(transitions_delta[1], transitions_delta[0]);
   EXPECT_LT(transitions_delta[2], transitions_delta[1]);
@@ -428,6 +447,7 @@ TEST(BatchEquivTest, ColumnSubsetSelectsMatchSelectStar) {
 
 TEST(BatchEquivTest, JoinResidualIdenticalAcrossBatchSizes) {
   std::vector<std::vector<std::string>> results(kBatchSizes.size());
+  std::vector<uint64_t> evals_delta(kBatchSizes.size());
   for (size_t d = 0; d < kBatchSizes.size(); ++d) {
     Deployment dep(kBatchSizes[d]);
     dep.CreateSchemaAndLoad(kRows);
@@ -448,16 +468,25 @@ TEST(BatchEquivTest, JoinResidualIdenticalAcrossBatchSizes) {
           {{"n", Value::String(name)}, {"r", Value::String(region)}});
       ASSERT_TRUE(r.ok()) << r.status().ToString();
     }
+    // The residual's RND conjunct sends every joined morsel through the
+    // enclave.
+    DatabaseStats before = dep.db->Stats();
     auto joined = dep.driver->Query(
         "SELECT AcctID, Region FROM Account JOIN BranchInfo ON "
-        "Account.Branch = BranchInfo.BName WHERE Region = @reg",
-        {{"reg", Value::String("EU")}});
+        "Account.Branch = BranchInfo.BName WHERE Region = @reg AND "
+        "Owner LIKE @p",
+        {{"reg", Value::String("EU")}, {"p", Value::String("%1%")}});
     ASSERT_TRUE(joined.ok()) << joined.status().ToString();
     results[d] = Canonical(*joined);
+    evals_delta[d] = dep.db->Stats().enclave_evals - before.enclave_evals;
   }
+  EXPECT_FALSE(results[0].empty());
+  // Every account joins one branch, and each joined row is evaluated once.
+  EXPECT_EQ(evals_delta[0], static_cast<uint64_t>(kRows));
   for (size_t d = 1; d < kBatchSizes.size(); ++d) {
     EXPECT_EQ(results[d], results[0])
         << "join diverged at batch size " << kBatchSizes[d];
+    EXPECT_EQ(evals_delta[d], evals_delta[0]);
   }
 }
 

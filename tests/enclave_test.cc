@@ -159,16 +159,16 @@ class EnclaveTest : public ::testing::Test {
     return handle.ok() ? *handle : 0;
   }
 
-  /// A 256-row morsel of `LIKE` inputs: a distinct column cell per row, each
-  /// paired with a copy of one parameter cell.
-  std::vector<std::vector<Value>> LikeMorsel(const Bytes& param) {
-    std::vector<std::vector<Value>> morsel;
+  /// The columns of a 256-row morsel of `LIKE` inputs: a distinct column
+  /// cell per row, and the parameter as a one-value column every row shares.
+  es::Columns LikeColumns(const Bytes& param) {
+    es::Columns columns(2);
     for (int i = 0; i < 256; ++i) {
-      morsel.push_back(
-          {Value::Binary(Cell(Value::String("Street" + std::to_string(i)))),
-           Value::Binary(param)});
+      columns[0].push_back(
+          Value::Binary(Cell(Value::String("Street" + std::to_string(i)))));
     }
-    return morsel;
+    columns[1].push_back(Value::Binary(param));
+    return columns;
   }
 
   /// One comparison: a one-cell CompareCellsBatch.
@@ -182,17 +182,16 @@ class EnclaveTest : public ::testing::Test {
   }
 
   /// Registers `program` and evaluates it over one row: a morsel of one.
-  Result<std::vector<Value>> EvalOne(const es::EsProgram& program,
-                                     std::vector<Value> inputs,
-                                     std::string_view authorizing_query = {}) {
+  Result<Value> EvalOne(const es::EsProgram& program, const Value& input,
+                        std::string_view authorizing_query = {}) {
     uint64_t handle;
     AEDB_ASSIGN_OR_RETURN(handle,
                           enclave_->RegisterExpression(program.Serialize()));
-    std::vector<std::vector<Value>> out;
+    es::Columns out;
     AEDB_ASSIGN_OR_RETURN(
-        out, enclave_->EvalRegisteredBatch(handle, {std::move(inputs)},
+        out, enclave_->EvalRegisteredBatch(handle, es::Morsel::Of(1, {{input}}),
                                            session_id_, authorizing_query));
-    return std::move(out[0]);
+    return std::move(out[0][0]);
   }
 
   crypto::RsaPrivateKey author_key_;
@@ -264,11 +263,12 @@ TEST_F(EnclaveTest, MorselOfOneCostsOneTransition) {
   uint64_t transitions = stats.transitions.load();
   uint64_t evals = stats.evals.load();
   uint64_t comparisons = stats.comparisons.load();
-  auto r = enclave_->EvalRegisteredBatch(
-      *handle, {{Value::Binary(Cell(Value::Int64(1))),
-                 Value::Binary(Cell(Value::Int64(2)))}});
+  const es::Columns row = {{Value::Binary(Cell(Value::Int64(1)))},
+                           {Value::Binary(Cell(Value::Int64(2)))}};
+  auto r = enclave_->EvalRegisteredBatch(*handle, es::Morsel::Of(1, row));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->size(), 1u);
+  ASSERT_EQ((*r)[0].size(), 1u);
   EXPECT_TRUE((*r)[0][0].bool_v());
   EXPECT_EQ(stats.transitions.load(), transitions + 1);
   EXPECT_EQ(stats.evals.load(), evals + 1);
@@ -318,9 +318,9 @@ TEST_F(EnclaveTest, EvalRegisteredExpression) {
   p.SetData(0, TypeId::kBool);
   auto handle = enclave_->RegisterExpression(p.Serialize());
   ASSERT_TRUE(handle.ok());
-  auto r = enclave_->EvalRegisteredBatch(
-      *handle, {{Value::Binary(Cell(Value::String("SMITH"))),
-                 Value::Binary(Cell(Value::String("SMITH")))}});
+  const es::Columns row = {{Value::Binary(Cell(Value::String("SMITH")))},
+                           {Value::Binary(Cell(Value::String("SMITH")))}};
+  auto r = enclave_->EvalRegisteredBatch(*handle, es::Morsel::Of(1, row));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE((*r)[0][0].bool_v());
   EXPECT_GE(enclave_->stats().evals.load(), 1u);
@@ -334,42 +334,43 @@ TEST_F(EnclaveTest, EncryptOracleRequiresAuthorization) {
   std::string ddl = "ALTER TABLE T ALTER COLUMN value ENCRYPTED";
 
   // Without client authorization: denied.
-  auto r = EvalOne(p, {Value::Int64(7)}, ddl);
+  auto r = EvalOne(p, Value::Int64(7), ddl);
   EXPECT_TRUE(r.status().IsPermissionDenied()) << r.status().ToString();
 
   // Client signs the query hash into the session; now it runs.
   AuthorizeStatement(ddl);
 
-  auto r2 = EvalOne(p, {Value::Int64(7)}, ddl);
+  auto r2 = EvalOne(p, Value::Int64(7), ddl);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   // Round trip: the produced cell decrypts to the input under the CEK.
   crypto::CellCodec codec(cek_);
-  auto back = codec.Decrypt((*r2)[0].bin());
+  auto back = codec.Decrypt(r2->bin());
   ASSERT_TRUE(back.ok());
   size_t off = 0;
   EXPECT_TRUE(*Value::Decode(*back, &off) == Value::Int64(7));
 
   // A *different* query text is still denied.
-  auto r3 = EvalOne(p, {Value::Int64(7)}, "ALTER TABLE Other ...");
+  auto r3 = EvalOne(p, Value::Int64(7), "ALTER TABLE Other ...");
   EXPECT_TRUE(r3.status().IsPermissionDenied());
 }
 
-// A morsel runs column-major: the parameter cell every row repeats is
-// decrypted once, the distinct column cells once each.
+// A morsel runs column-major: the parameter is a one-value column every row
+// shares, decrypted once; the distinct column cells are decrypted once each.
 TEST_F(EnclaveTest, MorselDecryptsARepeatedParameterOnce) {
   OpenSessionWithKey();
   uint64_t handle = RegisterLike();
-  auto morsel = LikeMorsel(Cell(Value::String("Street1%")));
+  const es::Columns columns = LikeColumns(Cell(Value::String("Street1%")));
   const EnclaveStats& stats = enclave_->stats();
   uint64_t decrypts = stats.decrypts.load();
   uint64_t evals = stats.evals.load();
   uint64_t transitions = stats.transitions.load();
-  auto r = enclave_->EvalRegisteredBatch(handle, morsel);
+  auto r = enclave_->EvalRegisteredBatch(handle, es::Morsel::Of(256, columns));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->size(), morsel.size());
-  for (size_t i = 0; i < morsel.size(); ++i) {
+  ASSERT_EQ(r->size(), 1u);
+  ASSERT_EQ((*r)[0].size(), 256u);
+  for (size_t i = 0; i < 256; ++i) {
     std::string street = "Street" + std::to_string(i);
-    EXPECT_EQ((*r)[i][0].bool_v(), types::SqlLike(street, "Street1%")) << i;
+    EXPECT_EQ((*r)[0][i].bool_v(), types::SqlLike(street, "Street1%")) << i;
   }
   EXPECT_EQ(stats.decrypts.load(), decrypts + 256 + 1);
   // The leakage counters keep their per-row meaning.
@@ -377,62 +378,28 @@ TEST_F(EnclaveTest, MorselDecryptsARepeatedParameterOnce) {
   EXPECT_EQ(stats.transitions.load(), transitions + 1);
 }
 
-// One row's parameter cell has a flipped byte: the morsel fails with exactly
-// the status a morsel of that one row returns.
+// The parameter column's one cell has a flipped byte: the morsel fails with
+// exactly the status a morsel of one row returns.
 TEST_F(EnclaveTest, FlippedParameterFailsLikeAMorselOfOne) {
   OpenSessionWithKey();
   uint64_t handle = RegisterLike();
-  auto morsel = LikeMorsel(Cell(Value::String("Street1%")));
-  Bytes flipped = morsel[100][1].bin();
+  es::Columns columns = LikeColumns(Cell(Value::String("Street1%")));
+  Bytes flipped = columns[1][0].bin();
   flipped[flipped.size() / 2] ^= 0x01;
-  morsel[100][1] = Value::Binary(flipped);
+  columns[1][0] = Value::Binary(flipped);
 
-  auto one = enclave_->EvalRegisteredBatch(handle, {morsel[100]});
+  const es::Columns first = {{columns[0][0]}, {columns[1][0]}};
+  auto one = enclave_->EvalRegisteredBatch(handle, es::Morsel::Of(1, first));
   ASSERT_FALSE(one.ok());
-  auto all = enclave_->EvalRegisteredBatch(handle, morsel);
+  auto all = enclave_->EvalRegisteredBatch(handle, es::Morsel::Of(256, columns));
   ASSERT_FALSE(all.ok());
   EXPECT_EQ(all.status().code(), one.status().code());
   EXPECT_EQ(all.status().message(), one.status().message());
   EXPECT_TRUE(all.status().IsSecurityError()) << all.status().ToString();
 }
 
-// A lane is reused only from a previous lane that passed its MAC check,
-// decrypt and type check at the same instruction.
-TEST_F(EnclaveTest, NothingIsReusedFromAFailedLane) {
-  OpenSessionWithKey();
-  uint64_t handle = RegisterLike();
-  const EnclaveStats& stats = enclave_->stats();
-  {
-    // Rows 100 and 101 carry the same flipped parameter cell: row 101 is
-    // decrypted, and fails, on its own, and so is row 102 after it.
-    auto morsel = LikeMorsel(Cell(Value::String("Street1%")));
-    Bytes flipped = morsel[100][1].bin();
-    flipped[flipped.size() / 2] ^= 0x01;
-    morsel[100][1] = Value::Binary(flipped);
-    morsel[101][1] = Value::Binary(flipped);
-    uint64_t decrypts = stats.decrypts.load();
-    auto r = enclave_->EvalRegisteredBatch(handle, morsel);
-    EXPECT_TRUE(r.status().IsSecurityError()) << r.status().ToString();
-    // 256 column cells; parameter cells at rows 0, 100, 101 and 102.
-    EXPECT_EQ(stats.decrypts.load(), decrypts + 256 + 4);
-  }
-  {
-    // Row 100 fails at its column cell and never reaches the parameter:
-    // row 101 cannot reuse a parameter row 100 did not decrypt.
-    auto morsel = LikeMorsel(Cell(Value::String("Street1%")));
-    Bytes flipped = morsel[100][0].bin();
-    flipped[flipped.size() / 2] ^= 0x01;
-    morsel[100][0] = Value::Binary(flipped);
-    uint64_t decrypts = stats.decrypts.load();
-    auto r = enclave_->EvalRegisteredBatch(handle, morsel);
-    EXPECT_TRUE(r.status().IsSecurityError()) << r.status().ToString();
-    // 256 column cells; parameter cells at rows 0 and 101.
-    EXPECT_EQ(stats.decrypts.load(), decrypts + 256 + 2);
-  }
-}
-
-// The DET-to-RND conversion ALTER COLUMN registers: one morsel of equal
-// plaintexts (so byte-equal DET cells, decrypted once) still comes out as
+// The DET-to-RND conversion ALTER COLUMN registers: a morsel of equal
+// plaintexts (byte-equal DET cells, each decrypted) still comes out as
 // distinct randomized cells, because encryption stays per row.
 TEST_F(EnclaveTest, RndConversionGivesEqualPlaintextsDistinctCells) {
   OpenSessionWithKey();
@@ -446,21 +413,23 @@ TEST_F(EnclaveTest, RndConversionGivesEqualPlaintextsDistinctCells) {
   AuthorizeStatement(ddl);
 
   Bytes det = Cell(Value::String("SMITH"), crypto::EncryptionScheme::kDeterministic);
-  std::vector<std::vector<Value>> morsel(256, {Value::Binary(det)});
+  const es::Columns column = {std::vector<Value>(256, Value::Binary(det))};
   uint64_t decrypts = enclave_->stats().decrypts.load();
-  auto r = enclave_->EvalRegisteredBatch(*handle, morsel, session_id_, ddl);
+  auto r = enclave_->EvalRegisteredBatch(*handle, es::Morsel::Of(256, column),
+                                         session_id_, ddl);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(enclave_->stats().decrypts.load(), decrypts + 1);
+  EXPECT_EQ(enclave_->stats().decrypts.load(), decrypts + 256);
+  ASSERT_EQ(r->size(), 1u);
   std::set<Bytes> cells;
   crypto::CellCodec codec(cek_);
-  for (const auto& row : *r) {
-    cells.insert(row[0].bin());
-    auto back = codec.Decrypt(row[0].bin());
+  for (const Value& cell : (*r)[0]) {
+    cells.insert(cell.bin());
+    auto back = codec.Decrypt(cell.bin());
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     size_t off = 0;
     EXPECT_TRUE(*Value::Decode(*back, &off) == Value::String("SMITH"));
   }
-  EXPECT_EQ(cells.size(), morsel.size());
+  EXPECT_EQ(cells.size(), 256u);
 }
 
 TEST_F(EnclaveTest, ClearKeysSimulatesRestart) {
@@ -498,12 +467,35 @@ TEST_F(EnclaveTest, WorkerPoolEvaluates) {
   opts.num_threads = 2;
   EnclaveWorkerPool pool(enclave_.get(), opts);
   for (int i = 0; i < 50; ++i) {
-    auto r = pool.SubmitEvalBatch(
-        *handle, {{Value::Binary(Cell(Value::Int64(i))),
-                   Value::Binary(Cell(Value::Int64(25)))}});
+    const es::Columns row = {{Value::Binary(Cell(Value::Int64(i)))},
+                             {Value::Binary(Cell(Value::Int64(25)))}};
+    auto r = pool.SubmitEvalBatch(*handle, es::Morsel::Of(1, row));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ((*r)[0][0].bool_v(), i < 25);
   }
+}
+
+// A pool worker reads the submitter's column morsel in place and returns
+// what the synchronous call gate returns, with the same counts.
+TEST_F(EnclaveTest, WorkerPoolEvaluatesAColumnMorsel) {
+  OpenSessionWithKey();
+  uint64_t handle = RegisterLike();
+  const es::Columns columns = LikeColumns(Cell(Value::String("Street2%")));
+  const es::Morsel morsel = es::Morsel::Of(256, columns);
+  const EnclaveStats& stats = enclave_->stats();
+  uint64_t decrypts = stats.decrypts.load();
+  uint64_t evals = stats.evals.load();
+  auto direct = enclave_->EvalRegisteredBatch(handle, morsel);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+  EnclaveWorkerPool::Options opts;
+  opts.num_threads = 2;
+  EnclaveWorkerPool pool(enclave_.get(), opts);
+  auto pooled = pool.SubmitEvalBatch(handle, morsel);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  EXPECT_EQ(*pooled, *direct);
+  EXPECT_EQ(stats.decrypts.load(), decrypts + 2 * 257);
+  EXPECT_EQ(stats.evals.load(), evals + 2 * 256);
 }
 
 TEST_F(EnclaveTest, TransitionCostCharged) {

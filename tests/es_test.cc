@@ -49,6 +49,22 @@ Result<std::vector<Value>> RunProgram(const EsProgram& p, std::vector<Value> inp
   return ev.Eval(p, inputs);
 }
 
+/// Rows turned into a morsel's columns: column j holds every row's value j.
+Columns ColumnsOf(const std::vector<std::vector<Value>>& rows) {
+  Columns columns(rows.empty() ? 0 : rows[0].size());
+  for (const std::vector<Value>& row : rows) {
+    for (size_t j = 0; j < row.size(); ++j) columns[j].push_back(row[j]);
+  }
+  return columns;
+}
+
+/// Runs EvalBatch over `rows` sent as a column-major morsel.
+Result<Columns> EvalRows(EsEvaluator& ev, const EsProgram& p,
+                         const std::vector<std::vector<Value>>& rows) {
+  const Columns columns = ColumnsOf(rows);
+  return ev.EvalBatch(p, Morsel::Of(rows.size(), columns));
+}
+
 TEST(EsProgramTest, SerializeRoundTrip) {
   EsProgram p;
   p.GetData(0, TypeId::kInt32);
@@ -310,26 +326,30 @@ TEST(EsEvaluatorTest, GetDataTypeMismatch) {
   EXPECT_FALSE(RunProgram(p, {Value::Int32(1)}).ok());
 }
 
-// TMEval host→"enclave" routing via a test invoker. `calls` counts
-// crossings, one per morsel, whatever its size.
+// TMEval host→"enclave" routing via a test invoker that evaluates the morsel
+// row by row with the row interpreter. `calls` counts crossings, one per
+// morsel, whatever its size.
 class TestInvoker : public EnclaveInvoker {
  public:
   explicit TestInvoker(TestCrypto* crypto) : crypto_(crypto) {}
-  Result<std::vector<std::vector<Value>>> EvalInEnclaveBatch(
-      Slice program_bytes, const std::vector<std::vector<Value>>& batch_inputs,
-      uint32_t) override {
+  Result<Columns> EvalInEnclaveBatch(Slice program_bytes, const Morsel& morsel,
+                                     uint32_t) override {
     ++calls;
-    last_batch_size = batch_inputs.size();
+    last_batch_size = morsel.rows;
     EsProgram p;
     AEDB_ASSIGN_OR_RETURN(p, EsProgram::Deserialize(program_bytes));
     EvalContext ctx;
     ctx.crypto = crypto_;
     EsEvaluator ev(ctx);
-    std::vector<std::vector<Value>> out;
-    for (const std::vector<Value>& inputs : batch_inputs) {
+    Columns out(p.num_outputs());
+    for (size_t r = 0; r < morsel.rows; ++r) {
+      std::vector<Value> inputs;
+      for (size_t c = 0; c < morsel.columns.size(); ++c) {
+        inputs.push_back(morsel.at(c, r));
+      }
       std::vector<Value> row;
       AEDB_ASSIGN_OR_RETURN(row, ev.Eval(p, inputs));
-      out.push_back(std::move(row));
+      for (size_t k = 0; k < row.size(); ++k) out[k].push_back(row[k]);
     }
     return out;
   }
@@ -395,13 +415,13 @@ TEST(EsEvaluatorTest, EvalBatchMatchesRowLoop) {
     rows.push_back({Value::Int64(i), Value::Int64(i * 3)});
   }
   EsEvaluator ev(HostCtx());
-  auto batch = ev.EvalBatch(p, rows);
+  auto batch = EvalRows(ev, p, rows);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), rows.size());
+  ASSERT_EQ((*batch)[0].size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     auto scalar = RunProgram(p, rows[i]);
     ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ((*batch)[i][0].bool_v(), (*scalar)[0].bool_v()) << "row " << i;
+    EXPECT_EQ((*batch)[0][i].bool_v(), (*scalar)[0].bool_v()) << "row " << i;
   }
 }
 
@@ -412,13 +432,15 @@ TEST(EsEvaluatorTest, EvalBatchSizeOneIsRowAtATime) {
   p.Comp(CompareOp::kGe);
   p.SetData(0, TypeId::kBool);
   EsEvaluator ev(HostCtx());
-  auto one = ev.EvalBatch(p, {{Value::Int32(7)}});
+  auto one = EvalRows(ev, p, {{Value::Int32(7)}});
   ASSERT_TRUE(one.ok());
   ASSERT_EQ(one->size(), 1u);
+  ASSERT_EQ((*one)[0].size(), 1u);
   EXPECT_TRUE((*one)[0][0].bool_v());
-  auto empty = ev.EvalBatch(p, {});
+  auto empty = ev.EvalBatch(p, Morsel{});
   ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
+  ASSERT_EQ(empty->size(), 1u);
+  EXPECT_TRUE((*empty)[0].empty());
 }
 
 TEST(EsEvaluatorTest, EvalBatchReportsLowestFailingRowError) {
@@ -435,7 +457,7 @@ TEST(EsEvaluatorTest, EvalBatchReportsLowestFailingRowError) {
       {Value::Int64(9), Value::Int64(3)},
   };
   EsEvaluator ev(HostCtx());
-  auto batch = ev.EvalBatch(p, rows);
+  auto batch = EvalRows(ev, p, rows);
   auto scalar = RunProgram(p, rows[1]);
   ASSERT_FALSE(batch.ok());
   ASSERT_FALSE(scalar.ok());
@@ -459,7 +481,7 @@ TEST(EsEvaluatorTest, EvalBatchEnforcesTaint) {
       {crypto.Cell(Value::String("b"))},
   };
   EsEvaluator ev(ctx);
-  auto r = ev.EvalBatch(p, rows);
+  auto r = EvalRows(ev, p, rows);
   EXPECT_TRUE(r.status().IsSecurityError()) << r.status().ToString();
 }
 
@@ -486,13 +508,120 @@ TEST(EsEvaluatorTest, EvalBatchCrossesEnclaveOncePerMorsel) {
     rows.push_back({crypto.Cell(Value::Int64(i)), crypto.Cell(Value::Int64(5))});
   }
   EsEvaluator ev(host_ctx);
-  auto r = ev.EvalBatch(host, rows);
+  auto r = EvalRows(ev, host, rows);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(invoker.calls, 1);  // nine rows, one crossing
   EXPECT_EQ(invoker.last_batch_size, 9u);
   for (int i = 0; i < 9; ++i) {
-    EXPECT_EQ((*r)[i][0].bool_v(), i < 5) << "row " << i;
+    EXPECT_EQ((*r)[0][i].bool_v(), i < 5) << "row " << i;
   }
+}
+
+// Rows that failed on the host before a TMEval stay out of the enclave: the
+// morsel crosses with the running rows only, and the error reported is the
+// failed row's, as the row loop reports it.
+TEST(EsEvaluatorTest, RowsFailedOnTheHostStayOutOfTheEnclave) {
+  TestCrypto crypto;
+  TestInvoker invoker(&crypto);
+  EvalContext host_ctx;
+  host_ctx.enclave = &invoker;
+
+  auto enc = EncryptionType::Encrypted(EncKind::kRandomized, 1, true);
+  EsProgram inner;
+  inner.GetData(0, TypeId::kInt64, enc);
+  inner.GetData(1, TypeId::kInt64, enc);
+  inner.Comp(CompareOp::kLt);
+  inner.SetData(0, TypeId::kBool);
+  EsProgram host;
+  host.GetData(0, TypeId::kBool);  // row 2 holds an int: fails here
+  host.GetData(1, TypeId::kBinary);
+  host.GetData(2, TypeId::kBinary);
+  host.TMEval(inner, 2, 1);
+  host.Logic(OpCode::kAnd);
+  host.SetData(0, TypeId::kBool);
+
+  Columns columns(3);
+  for (int i = 0; i < 4; ++i) {
+    columns[0].push_back(i == 2 ? Value::Int32(1) : Value::Bool(true));
+    columns[1].push_back(crypto.Cell(Value::Int64(i)));
+  }
+  columns[2].push_back(crypto.Cell(Value::Int64(2)));
+  EsEvaluator ev(host_ctx);
+  auto r = ev.EvalBatch(host, Morsel::Of(4, columns));
+  auto row = RunProgram(host, {columns[0][2], columns[1][2], columns[2][0]},
+                        host_ctx);
+  ASSERT_FALSE(r.ok());
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(r.status().message(), row.status().message());
+  EXPECT_EQ(invoker.calls, 1);  // the morsel; the row loop above never crossed
+  EXPECT_EQ(invoker.last_batch_size, 3u);
+}
+
+// A one-value column is shared by every row: the batch equals the row loop
+// over rows that each repeat the value.
+TEST(EsEvaluatorTest, SharedColumnMatchesRowLoop) {
+  EsProgram p;
+  p.GetData(0, TypeId::kInt64);
+  p.GetData(1, TypeId::kInt64);
+  p.Arith(OpCode::kSub);
+  p.GetData(1, TypeId::kInt64);
+  p.Comp(CompareOp::kLt);
+  p.SetData(0, TypeId::kBool);
+  Columns columns(2);
+  for (int i = 0; i < 7; ++i) columns[0].push_back(Value::Int64(i * 2));
+  columns[1].push_back(Value::Int64(5));
+  EsEvaluator ev(HostCtx());
+  auto batch = ev.EvalBatch(p, Morsel::Of(7, columns));
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ((*batch)[0].size(), 7u);
+  for (size_t i = 0; i < 7; ++i) {
+    auto scalar = RunProgram(p, {columns[0][i], columns[1][0]});
+    ASSERT_TRUE(scalar.ok());
+    EXPECT_EQ((*batch)[0][i].bool_v(), (*scalar)[0].bool_v()) << "row " << i;
+  }
+}
+
+// A shared value that fails fails every row, with the error a morsel of one
+// row reports; rows that failed earlier keep their own error.
+TEST(EsEvaluatorTest, FailingSharedValueFailsEveryRow) {
+  EsProgram p;
+  p.GetData(0, TypeId::kString);  // fails per lane on an int
+  p.IsNull();
+  p.GetData(1, TypeId::kInt64);
+  p.GetData(2, TypeId::kInt64);
+  p.Arith(OpCode::kDiv);  // shared / shared: fails once, for every row
+  p.IsNull();
+  p.Logic(OpCode::kOr);
+  p.SetData(0, TypeId::kBool);
+  Columns columns = {{Value::String("a"), Value::String("b")},
+                     {Value::Int64(1)},
+                     {Value::Int64(0)}};
+  EsEvaluator ev(HostCtx());
+  auto batch = ev.EvalBatch(p, Morsel::Of(2, columns));
+  auto one = RunProgram(p, {columns[0][0], columns[1][0], columns[2][0]});
+  ASSERT_FALSE(batch.ok());
+  ASSERT_FALSE(one.ok());
+  EXPECT_EQ(batch.status().code(), one.status().code());
+  EXPECT_EQ(batch.status().message(), one.status().message());
+
+  // Row 0 fails its own type check first: its error is the one reported.
+  columns[0][0] = Value::Int32(3);
+  batch = ev.EvalBatch(p, Morsel::Of(2, columns));
+  one = RunProgram(p, {columns[0][0], columns[1][0], columns[2][0]});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_TRUE(batch.status().IsTypeCheckError()) << batch.status().ToString();
+  EXPECT_EQ(batch.status().message(), one.status().message());
+}
+
+// A column must hold one value per row or a single shared value.
+TEST(EsEvaluatorTest, MorselColumnOfWrongLengthRejected) {
+  EsProgram p;
+  p.GetData(0, TypeId::kInt64);
+  p.SetData(0, TypeId::kInt64);
+  Columns columns = {{Value::Int64(1), Value::Int64(2)}};
+  EsEvaluator ev(HostCtx());
+  EXPECT_EQ(ev.EvalBatch(p, Morsel::Of(3, columns)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -14,6 +16,7 @@
 #include "client/driver.h"
 #include "crypto/drbg.h"
 #include "net/protocol.h"
+#include "net/reactor/event_loop.h"
 #include "net/reactor/frame_decoder.h"
 #include "net/server.h"
 #include "net/socket_transport.h"
@@ -285,6 +288,20 @@ sql::ResultSet SampleResultSet() {
   rs.rows.push_back({Value::Null(types::TypeId::kInt32), Value::String(""),
                      Value::Int64(-42), Value::Bool(true)});
   return rs;
+}
+
+// An idle loop wakes for its ticks, not in between: the wait for the next
+// tick rounds up, so the loop does not spin on zero-timeout waits through
+// the last partial millisecond of every tick period.
+TEST(EventLoopTest, IdleLoopWakesOnlyForItsTicks) {
+  net::reactor::EventLoop loop;
+  std::atomic<uint64_t> ticks{0};
+  ASSERT_TRUE(loop.Start(/*tick_ms=*/10, [&] { ticks.fetch_add(1); }).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  loop.Stop();
+  EXPECT_GE(ticks.load(), 5u);
+  EXPECT_LE(loop.wakeups(), 4 * ticks.load() + 8)
+      << "ticks=" << ticks.load();
 }
 
 TEST(ProtocolCodec, ResultSetRoundTrip) {

@@ -172,10 +172,15 @@ class PoolOverloadTest : public ::testing::Test {
     crypto::CellCodec codec(cek_);
     return codec.Encrypt(v.Encode(), crypto::EncryptionScheme::kRandomized);
   }
-  /// A morsel of one row.
-  std::vector<std::vector<Value>> Inputs(int64_t a, int64_t b) {
-    return {{Value::Binary(Cell(Value::Int64(a))),
-             Value::Binary(Cell(Value::Int64(b)))}};
+  /// A morsel of one row that owns its cells: a pool item views them while
+  /// the submission waits.
+  struct RowMorsel {
+    es::Columns columns;
+    operator es::Morsel() const { return es::Morsel::Of(1, columns); }
+  };
+  RowMorsel Inputs(int64_t a, int64_t b) {
+    return {{{Value::Binary(Cell(Value::Int64(a)))},
+             {Value::Binary(Cell(Value::Int64(b)))}}};
   }
 
   crypto::RsaPrivateKey author_key_;

@@ -323,18 +323,52 @@ TEST(CatalogTest, RowCodecRoundTrip) {
   EXPECT_EQ((*some)[3], row[3]);
   EXPECT_FALSE(DecodeRow(rec, 3, &columns).ok());  // trailing bytes detected
 
-  // A skipped column is still checked. Column 1 ("x") starts at byte 6:
-  // tag, NULL flag, then a 4-byte length at bytes 8-11.
+  // The column-major decoder builds the same rows: one value column per
+  // column in the set, the stored types of the others.
+  ColumnBatch all(4);
+  ASSERT_TRUE(all.Append(rec).ok());
+  EXPECT_EQ(all.TakeRow(0), row);
+  ColumnBatch batch(4, &columns);
+  ASSERT_TRUE(batch.Append(rec).ok());
+  ASSERT_TRUE(batch.Append(rec).ok());
+  EXPECT_EQ(batch.rows(), 2u);
+  EXPECT_TRUE(batch.reads(3));
+  EXPECT_FALSE(batch.reads(1));
+  EXPECT_EQ(batch.column(3).size(), 2u);
+  EXPECT_TRUE(batch.column(1).empty());
+  EXPECT_EQ(batch.TakeRow(1), *some);
+  batch.Clear();
+  EXPECT_EQ(batch.rows(), 0u);
+
+  // A skipped column is still checked, by both decoders, and a record that
+  // fails leaves the column-major batch as it was. Column 1 ("x") starts at
+  // byte 6: tag, NULL flag, then a 4-byte length at bytes 8-11.
+  ASSERT_TRUE(batch.Append(rec).ok());
+  auto decode = [&](Slice bad) {
+    StatusCode by_row = DecodeRow(bad, 4, &columns).status().code();
+    EXPECT_EQ(batch.Append(bad).code(), by_row);
+    EXPECT_EQ(batch.rows(), 1u);
+    return by_row;
+  };
   auto corrupt = [&](size_t at, std::initializer_list<uint8_t> bytes) {
     Bytes bad = rec;
     for (uint8_t b : bytes) bad[at++] = b;
-    return DecodeRow(bad, 4, &columns).status().code();
+    return decode(bad);
   };
   EXPECT_EQ(corrupt(6, {0x7f}), StatusCode::kCorruption);  // bad tag
   EXPECT_EQ(corrupt(8, {0xe8, 0x03}), StatusCode::kCorruption);  // 1000 bytes
   EXPECT_EQ(corrupt(8, {0xff, 0xff, 0xff, 0xff}), StatusCode::kCorruption);
-  EXPECT_EQ(DecodeRow(Slice(rec.data(), 9), 4, &columns).status().code(),
+  EXPECT_EQ(decode(Slice(rec.data(), 9)),
             StatusCode::kCorruption);  // length cut short
+  EXPECT_EQ(decode(Slice(rec.data(), rec.size() - 1)),
+            StatusCode::kCorruption);  // last read column cut short
+  // The next record lines up with the row before the failed ones.
+  Bytes next = EncodeRow({types::Value::Int32(8), types::Value::String("y"),
+                          types::Value::Int64(5), types::Value::Binary({4})});
+  ASSERT_TRUE(batch.Append(next).ok());
+  EXPECT_EQ(batch.rows(), 2u);
+  EXPECT_EQ(batch.TakeRow(0), *some);
+  EXPECT_EQ(batch.TakeRow(1), *DecodeRow(next, 4, &columns));
 }
 
 TEST(CatalogTest, CaseInsensitiveLookups) {
