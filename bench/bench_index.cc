@@ -8,12 +8,20 @@
 #include "crypto/drbg.h"
 #include "enclave/enclave.h"
 #include "storage/btree.h"
+#include "storage/sim_fs.h"
 #include "types/value.h"
 
 namespace aedb::storage {
 namespace {
 
 using types::Value;
+
+/// A buffer pool over a simulated disk for a standalone tree.
+struct SimPool {
+  SimFs fs;
+  FilePageStore store{&fs, "pages"};
+  BufferPool pool{&store, 0};
+};
 
 class PlainValueComparator : public Comparator {
  public:
@@ -131,7 +139,8 @@ void BM_IndexBuild(benchmark::State& state) {
   uint64_t comparisons = 0;
   for (auto _ : state) {
     auto cmp = MakeComparator(mode);
-    BTree tree(cmp.get(), false);
+    SimPool sim;
+    BTree tree(cmp.get(), false, &sim.pool);
     for (int i = 0; i < n; ++i) {
       auto r = tree.Insert(keys[i], Rid{0, static_cast<uint16_t>(i)});
       benchmark::DoNotOptimize(r);
@@ -152,7 +161,8 @@ void BM_IndexSeek(benchmark::State& state) {
   KeyMode mode = static_cast<KeyMode>(state.range(0));
   int n = 4000;
   auto cmp = MakeComparator(mode);
-  BTree tree(cmp.get(), false);
+  SimPool sim;
+  BTree tree(cmp.get(), false, &sim.pool);
   aedb::Xoshiro256 rng(7);
   std::vector<Bytes> keys;
   for (int i = 0; i < n; ++i) {

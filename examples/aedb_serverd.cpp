@@ -293,9 +293,10 @@ int main(int argc, char** argv) {
     db = std::move(single);
   }
 
-  // Durable startup: recover catalog + data from the data dir (no-op when
-  // --data-dir was not given). Under --shards each shard recovers from its
-  // own WAL, then in-doubt 2PC participants settle against the decision log.
+  // Durable startup: recover catalog + data from the data dir (without
+  // --data-dir the database is already open on its own simulated disk).
+  // Under --shards each shard recovers from its own WAL, then in-doubt 2PC
+  // participants settle against the decision log.
   CHECK_OK(db->Open());
   if (!server_opts.data_dir.empty()) {
     const server::RecoveryInfo& ri = db->recovery_info();

@@ -51,8 +51,8 @@ run ctest --test-dir build -L shard --output-on-failure
 if [[ "${1:-}" == "--asan" ]]; then
   run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAEDB_SANITIZE=address,undefined
-  # durability_test drives the file-backed WAL's attach, truncate, rewrite
-  # and reopen paths, where truncation slices the log image in place.
+  # durability_test drives the WAL's open, truncate, rewrite and reopen
+  # paths, where truncation slices the file's bytes in place.
   # shard_torture_test's in-process half drives the 2PC decision log's
   # appends, tears, compaction rewrites and truncation. enclave_test,
   # es_test and batch_equiv_test cross the call gate with column-major
@@ -62,12 +62,16 @@ if [[ "${1:-}" == "--asan" ]]; then
   # lengths stored in page bytes. An enclave worker pool item views the
   # submitter's columns: server_test and overload_test's pool cases queue,
   # shed, stall and reject such items on every early-completion path.
+  # powerloss_test crashes storage::SimFs, which cuts and tears byte ranges
+  # of its files and rolls overwritten ones back; bufferpool_test drops
+  # objects whose frames free their page buffers, pinned ones at the last
+  # unpin.
   run cmake --build build-asan -j "$JOBS" --target fault_test \
       fault_torture_test storage_test net_test durability_test \
       shard_torture_test enclave_test es_test batch_equiv_test sql_test \
-      server_test overload_test
+      server_test overload_test powerloss_test bufferpool_test
   ASAN_OPTIONS=detect_leaks=0 run ctest --test-dir build-asan \
-      -R '^(fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test|enclave_test|es_test|batch_equiv_test|sql_test|server_test)$' \
+      -R '^(fault_test|fault_torture_test|storage_test|net_test|durability_test|shard_torture_test|enclave_test|es_test|batch_equiv_test|sql_test|server_test|powerloss_test|bufferpool_test)$' \
       --output-on-failure
   ASAN_OPTIONS=detect_leaks=0 run ./build-asan/tests/overload_test \
       --gtest_filter='PoolOverloadTest.*'
@@ -140,12 +144,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # cross-shard 2PC paths (per-shard engines + the coordinator's decision
   # log) under the differential TPC-C run, and with storage_test for the
   # threaded deadlock-detection cases (lock tables + the shared wait-for
-  # graph).
+  # graph). powerloss_test for storage::SimFs, whose fsync runs inside the
+  # WAL's group-commit leader/follower handoff.
   run cmake --build build-tsan -j "$JOBS" --target enclave_test net_test \
       server_test batch_equiv_test net_scale_test overload_test \
-      bufferpool_test shard_test storage_test
+      bufferpool_test shard_test storage_test powerloss_test
   TSAN_OPTIONS=halt_on_error=1 run ctest --test-dir build-tsan \
-      -R 'enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test|storage_test' \
+      -R 'enclave_test|net_test|server_test|batch_equiv_test|net_scale_test|overload_test|bufferpool_test|shard_test|storage_test|powerloss_test' \
       --output-on-failure
 fi
 

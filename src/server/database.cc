@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "fault/fault.h"
-#include "storage/fsio.h"
+#include "storage/sim_fs.h"
 
 namespace aedb::server {
 
@@ -106,25 +106,16 @@ class Database::ServerInvoker : public es::EnclaveInvoker {
   std::map<std::string, uint64_t> handles_;
 };
 
-namespace {
-/// Injects the server-owned FilePageStore into the engine options (data-dir
-/// mode); in-memory mode leaves whatever the caller configured.
-storage::EngineOptions WithPageStore(storage::EngineOptions opts,
-                                     storage::PageStore* store) {
-  if (store != nullptr) opts.page_store = store;
-  return opts;
-}
-}  // namespace
-
 Database::Database(ServerOptions options, attestation::HostGuardianService* hgs,
-                   const enclave::EnclaveImage* image)
-    : options_(std::move(options)),
-      hgs_(hgs),
-      page_store_(options_.data_dir.empty()
-                      ? nullptr
-                      : std::make_unique<storage::FilePageStore>(
-                            options_.data_dir + "/pages")),
-      engine_(WithPageStore(options_.engine, page_store_.get())) {
+                   const enclave::EnclaveImage* image,
+                   std::shared_ptr<storage::Fs> fs)
+    : options_(std::move(options)), hgs_(hgs), fs_(std::move(fs)) {
+  const bool simulated = fs_ == nullptr && options_.data_dir.empty();
+  if (fs_ == nullptr) {
+    fs_ = simulated ? std::shared_ptr<storage::Fs>(
+                          std::make_shared<storage::SimFs>())
+                    : std::make_shared<storage::PosixFs>();
+  }
   if (options_.enable_enclave && image != nullptr) {
     platform_ = std::make_unique<enclave::VbsPlatform>(
         options_.boot_configuration, options_.hypervisor_version);
@@ -142,7 +133,27 @@ Database::Database(ServerOptions options, attestation::HostGuardianService* hgs,
     }
   }
   invoker_ = std::make_unique<ServerInvoker>(enclave_.get(), worker_pool_.get());
-  executor_ = std::make_unique<sql::Executor>(&catalog_, &engine_,
+  BuildState();
+  // A fresh simulated disk holds nothing to recover, so opening cannot fail.
+  if (simulated) (void)Open();
+}
+
+void Database::BuildState() {
+  // The old state goes before the new one is built, so the two never share
+  // the heap.
+  {
+    std::lock_guard<std::mutex> lock(plan_cache_mu_);
+    plan_cache_.clear();
+  }
+  executor_.reset();
+  ddl_log_.reset();
+  engine_.reset();
+  catalog_.reset();
+  catalog_ = std::make_unique<sql::Catalog>();
+  engine_ = std::make_unique<storage::StorageEngine>(options_.engine, fs_,
+                                                     options_.data_dir);
+  ddl_log_ = std::make_unique<storage::Wal>(fs_.get(), DdlLogPath());
+  executor_ = std::make_unique<sql::Executor>(catalog_.get(), engine_.get(),
                                               invoker_.get());
   executor_->set_batch_size(options_.eval_batch_size);
 }
@@ -160,8 +171,8 @@ DatabaseStats Database::Stats() const {
   out.queries_admitted = queries_admitted_.load(std::memory_order_relaxed);
   out.queries_rejected = queries_rejected_.load(std::memory_order_relaxed);
   out.queries_expired = queries_expired_.load(std::memory_order_relaxed);
-  out.lock_waits_expired = engine_.locks().waits_expired();
-  out.lock_deadlocks = engine_.locks().deadlocks();
+  out.lock_waits_expired = engine_->locks().waits_expired();
+  out.lock_deadlocks = engine_->locks().deadlocks();
   if (worker_pool_ != nullptr) {
     out.pool_queue_highwater = worker_pool_->queue_highwater();
     out.pool_expired_dropped = worker_pool_->expired_dropped();
@@ -170,19 +181,20 @@ DatabaseStats Database::Stats() const {
   out.recovery_ms = recovery_info_.recovery_ms;
   out.wal_records_replayed = recovery_info_.wal_records_replayed;
   out.torn_bytes_dropped =
-      engine_.wal().torn_bytes_dropped() + ddl_log_.torn_bytes_dropped();
+      engine_->wal().torn_bytes_dropped() + ddl_log_->torn_bytes_dropped();
   out.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
-  out.wal_bytes = engine_.wal().wal_bytes();
-  out.fsyncs = storage::fsio::FsyncsPerformed();
-  out.wal_file_errors = engine_.wal().file_errors() + ddl_log_.file_errors();
-  storage::BufferPoolStats pool = engine_.pool().stats();
+  out.wal_bytes = engine_->wal().wal_bytes();
+  out.fsyncs = engine_->fsyncs() + ddl_log_->fsyncs() +
+               fsyncs_.load(std::memory_order_relaxed);
+  out.wal_file_errors = engine_->wal().file_errors() + ddl_log_->file_errors();
+  storage::BufferPoolStats pool = engine_->pool().stats();
   out.pool_hits = pool.hits;
   out.pool_misses = pool.misses;
   out.pool_evictions = pool.evictions;
   out.pool_writebacks = pool.writebacks;
   out.pool_pinned_highwater = pool.pinned_highwater;
-  out.group_commit_batches = engine_.wal().group_commit_batches();
-  out.commit_sync_requests = engine_.wal().sync_requests();
+  out.group_commit_batches = engine_->wal().group_commit_batches();
+  out.commit_sync_requests = engine_->wal().sync_requests();
   out.commits_per_fsync =
       out.group_commit_batches > 0
           ? static_cast<double>(out.commit_sync_requests) /
@@ -194,57 +206,51 @@ DatabaseStats Database::Stats() const {
 Database::~Database() { StopCheckpointer(); }
 
 // ---------------------------------------------------------------------------
-// Durability (data-dir mode)
+// Durability
 
 Status Database::Open() {
-  if (options_.data_dir.empty()) return Status::OK();
-  if (opened_) return Status::FailedPrecondition("database already open");
+  if (opened_) return Status::OK();
   const auto t0 = std::chrono::steady_clock::now();
-  AEDB_RETURN_IF_ERROR(storage::fsio::EnsureDir(options_.data_dir));
-
-  // The page store is a cache spill area, never a recovery source — recovery
-  // rebuilds every page from checkpoint + WAL, and object ids are assigned
-  // afresh each process. Stale spill files from the previous incarnation
-  // would alias the new ids, so wipe them before anything pins a page.
-  if (page_store_ != nullptr) {
-    AEDB_RETURN_IF_ERROR(page_store_->Wipe());
-  }
+  AEDB_RETURN_IF_ERROR(
+      storage::fsio::EnsureDir(*fs_, options_.data_dir, &fsyncs_));
 
   // The clean-shutdown marker is consumed, not just read: it must be durably
   // gone before any recovery work so a crash during THIS open cannot
   // masquerade as a clean shutdown next time.
   recovery_info_ = RecoveryInfo{};
   recovery_info_.clean_shutdown =
-      storage::fsio::FileExists(CleanShutdownPath());
+      storage::fsio::FileExists(*fs_, CleanShutdownPath());
   if (recovery_info_.clean_shutdown) {
-    AEDB_RETURN_IF_ERROR(storage::fsio::RemoveFileDurable(CleanShutdownPath()));
+    AEDB_RETURN_IF_ERROR(
+        storage::fsio::RemoveFileDurable(*fs_, CleanShutdownPath(), &fsyncs_));
   }
 
-  // 1. Catalog: attach ddl.log (drops any torn tail physically) and replay
-  // it in metadata-only mode.
-  AEDB_RETURN_IF_ERROR(ddl_log_.AttachFile(DdlLogPath()));
+  // 1. Engine files: wipe the page store, open wal.log (drops any torn tail).
+  AEDB_RETURN_IF_ERROR(engine_->Open());
+
+  // 2. Catalog: open ddl.log (drops any torn tail) and replay it in
+  // metadata-only mode.
+  AEDB_RETURN_IF_ERROR(ddl_log_->Open());
   recovering_ = true;
   Status replayed = ReplayDdlLog();
   recovering_ = false;
   AEDB_RETURN_IF_ERROR(replayed);
 
-  // 2. Log: attach the file-backed WAL (drops any torn tail physically).
-  AEDB_RETURN_IF_ERROR(engine_.wal().AttachFile(WalPath()));
-
   // 3. Checkpoint: install the latest image (if any) as the recovery base.
-  if (storage::fsio::FileExists(CheckpointPath())) {
-    Bytes raw;
-    AEDB_ASSIGN_OR_RETURN(raw, storage::fsio::ReadFileBytes(CheckpointPath()));
+  auto raw = fs_->ReadFile(CheckpointPath());
+  if (raw.ok()) {
     storage::CheckpointImage img;
-    AEDB_ASSIGN_OR_RETURN(img, storage::CheckpointImage::Deserialize(raw));
-    engine_.SetCheckpointBase(
+    AEDB_ASSIGN_OR_RETURN(img, storage::CheckpointImage::Deserialize(*raw));
+    engine_->SetCheckpointBase(
         std::make_shared<const storage::CheckpointImage>(std::move(img)));
+  } else if (!raw.status().IsNotFound()) {
+    return raw.status();
   }
 
   // 4. Recovery: restore the base, replay the tail, undo losers. Running it
   // even after a clean shutdown keeps one code path; the tail is empty then.
   storage::RecoveryResult rec;
-  AEDB_ASSIGN_OR_RETURN(rec, engine_.Recover());
+  AEDB_ASSIGN_OR_RETURN(rec, engine_->Recover());
   recovery_info_.ran = true;
   recovery_info_.engine = rec;
   recovery_info_.from_checkpoint_lsn = rec.from_checkpoint_lsn;
@@ -266,21 +272,18 @@ Status Database::Open() {
 }
 
 Status Database::Checkpoint(std::chrono::milliseconds quiesce_wait) {
-  if (options_.data_dir.empty()) {
-    return Status::FailedPrecondition("checkpointing requires a data dir");
-  }
   std::lock_guard<std::mutex> lock(checkpoint_mu_);
   std::shared_ptr<const storage::CheckpointImage> img;
-  AEDB_ASSIGN_OR_RETURN(img, engine_.CaptureCheckpoint(quiesce_wait));
+  AEDB_ASSIGN_OR_RETURN(img, engine_->CaptureCheckpoint(quiesce_wait));
   // Crash-point: after capture, before anything touches disk.
   AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("ckpt/pre_write"));
-  AEDB_RETURN_IF_ERROR(
-      storage::fsio::WriteFileDurable(CheckpointPath(), img->Serialize()));
-  engine_.SetCheckpointBase(img);
+  AEDB_RETURN_IF_ERROR(storage::fsio::WriteFileDurable(
+      *fs_, CheckpointPath(), img->Serialize(), &fsyncs_));
+  engine_->SetCheckpointBase(img);
   // Crash-point: checkpoint published, WAL not yet truncated. Recovery must
   // filter the pre-horizon records the file still holds.
   AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("ckpt/pre_truncate"));
-  AEDB_RETURN_IF_ERROR(engine_.wal().TruncateBefore(img->checkpoint_lsn));
+  AEDB_RETURN_IF_ERROR(engine_->wal().TruncateBefore(img->checkpoint_lsn));
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -289,7 +292,7 @@ void Database::CheckpointerLoop() {
   while (!stop_checkpointer_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     if (stop_checkpointer_.load(std::memory_order_relaxed)) break;
-    if (engine_.wal().wal_bytes() < options_.checkpoint_wal_bytes) continue;
+    if (engine_->wal().wal_bytes() < options_.checkpoint_wal_bytes) continue;
     // Refusals (traffic never quiesced, deferred txns) are fine: the WAL just
     // stays long until the next pass succeeds.
     (void)Checkpoint(std::chrono::milliseconds(500));
@@ -302,17 +305,18 @@ void Database::StopCheckpointer() {
 }
 
 Status Database::Shutdown() {
-  if (options_.data_dir.empty() || !opened_) return Status::OK();
+  if (!opened_) return Status::OK();
   StopCheckpointer();
   // Final checkpoint drains the WAL so the next startup replays nothing. A
   // refusal (in-flight traffic, deferred txns) downgrades to a synced-but-
   // dirty shutdown: no marker, normal recovery next time.
   Status ckpt = Checkpoint(std::chrono::milliseconds(2000));
-  Status synced = engine_.wal().Sync();
+  Status synced = engine_->wal().Sync();
   AEDB_RETURN_IF_ERROR(synced);
-  if (ckpt.ok() && engine_.wal().record_count() == 0) {
+  if (ckpt.ok() && engine_->wal().record_count() == 0) {
     AEDB_RETURN_IF_ERROR(storage::fsio::WriteFileDurable(
-        CleanShutdownPath(), Slice(std::string_view("clean"))));
+        *fs_, CleanShutdownPath(), Slice(std::string_view("clean")),
+        &fsyncs_));
   }
   opened_ = false;
   return ckpt;
@@ -325,9 +329,9 @@ Result<EncryptionType> Database::ResolveEncryptionSpec(
     return Status::NotSupported("unknown cell algorithm: " + spec.algorithm);
   }
   uint32_t cek_id;
-  AEDB_ASSIGN_OR_RETURN(cek_id, catalog_.CekIdByName(spec.cek_name));
+  AEDB_ASSIGN_OR_RETURN(cek_id, catalog_->CekIdByName(spec.cek_name));
   bool enclave_enabled;
-  AEDB_ASSIGN_OR_RETURN(enclave_enabled, catalog_.CekEnclaveEnabled(cek_id));
+  AEDB_ASSIGN_OR_RETURN(enclave_enabled, catalog_->CekEnclaveEnabled(cek_id));
   return EncryptionType::Encrypted(spec.kind, cek_id, enclave_enabled);
 }
 
@@ -360,21 +364,21 @@ Status Database::ExecuteCreateTable(const sql::CreateTableStmt& stmt) {
     def.columns.push_back(std::move(col));
   }
   const sql::TableDef* created;
-  AEDB_ASSIGN_OR_RETURN(created, catalog_.CreateTable(std::move(def)));
-  return engine_.CreateTable(created->id);
+  AEDB_ASSIGN_OR_RETURN(created, catalog_->CreateTable(std::move(def)));
+  return engine_->CreateTable(created->id);
 }
 
 Status Database::RegisterIndexStorage(const sql::IndexDef& index,
                                       const sql::ColumnDef& col) {
   std::unique_ptr<storage::Comparator> comparator;
   AEDB_ASSIGN_OR_RETURN(comparator, MakeComparator(col));
-  return engine_.CreateIndex(index.id, index.table_id, std::move(comparator),
+  return engine_->CreateIndex(index.id, index.table_id, std::move(comparator),
                              index.unique);
 }
 
 Status Database::ExecuteCreateIndex(const sql::CreateIndexStmt& stmt) {
   const sql::TableDef* table;
-  AEDB_ASSIGN_OR_RETURN(table, catalog_.GetTable(stmt.table));
+  AEDB_ASSIGN_OR_RETURN(table, catalog_->GetTable(stmt.table));
   int column = table->FindColumn(stmt.column);
   if (column < 0) return Status::NotFound("no such column: " + stmt.column);
   const sql::ColumnDef& col = table->columns[column];
@@ -399,10 +403,10 @@ Status Database::ExecuteCreateIndex(const sql::CreateIndexStmt& stmt) {
   }
 
   const sql::IndexDef* created;
-  AEDB_ASSIGN_OR_RETURN(created, catalog_.CreateIndex(std::move(def)));
+  AEDB_ASSIGN_OR_RETURN(created, catalog_->CreateIndex(std::move(def)));
   Status st = RegisterIndexStorage(*created, col);
   if (!st.ok()) {
-    (void)catalog_.DropIndex(stmt.name);
+    (void)catalog_->DropIndex(stmt.name);
     return st;
   }
   // DDL-journal replay registers metadata only: the entries arrive from the
@@ -411,22 +415,22 @@ Status Database::ExecuteCreateIndex(const sql::CreateIndexStmt& stmt) {
   if (recovering_) return Status::OK();
   // Populate: the index build sorts the data, routing comparisons through
   // the enclave for encrypted range indexes (operational leak, Figure 5).
-  uint64_t txn = engine_.Begin();
+  uint64_t txn = engine_->Begin();
   st = executor_->BuildIndex(*table, *created, txn);
   if (!st.ok()) {
-    (void)engine_.Abort(txn);
-    (void)engine_.DropIndex(created->id);
-    (void)catalog_.DropIndex(stmt.name);
+    (void)engine_->Abort(txn);
+    (void)engine_->DropIndex(created->id);
+    (void)catalog_->DropIndex(stmt.name);
     return st;
   }
-  return engine_.Commit(txn);
+  return engine_->Commit(txn);
 }
 
 Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
                                     const std::string& sql_text,
                                     uint64_t session_id) {
   const sql::TableDef* table;
-  AEDB_ASSIGN_OR_RETURN(table, catalog_.GetTable(stmt.table));
+  AEDB_ASSIGN_OR_RETURN(table, catalog_->GetTable(stmt.table));
   int column = table->FindColumn(stmt.column);
   if (column < 0) return Status::NotFound("no such column: " + stmt.column);
   sql::ColumnDef old_col = table->columns[column];
@@ -461,17 +465,17 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
 
   // Indexes over this column must be rebuilt under the new ordering.
   std::vector<sql::IndexDef> affected;
-  for (const sql::IndexDef* index : catalog_.TableIndexes(table->id)) {
+  for (const sql::IndexDef* index : catalog_->TableIndexes(table->id)) {
     if (index->column == column) affected.push_back(*index);
   }
   for (const sql::IndexDef& index : affected) {
-    AEDB_RETURN_IF_ERROR(engine_.DropIndex(index.id));
-    AEDB_RETURN_IF_ERROR(catalog_.DropIndex(index.name));
+    AEDB_RETURN_IF_ERROR(engine_->DropIndex(index.id));
+    AEDB_RETURN_IF_ERROR(catalog_->DropIndex(index.name));
   }
 
   sql::ColumnDef new_col = old_col;
   new_col.enc = new_enc;
-  AEDB_RETURN_IF_ERROR(catalog_.AlterColumn(stmt.table, column, new_col));
+  AEDB_RETURN_IF_ERROR(catalog_->AlterColumn(stmt.table, column, new_col));
 
   // Journal replay: metadata + index id churn only. The enclave row rewrite
   // this statement originally performed is redone by the WAL (the rewrites
@@ -489,26 +493,26 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
     return Status::OK();
   }
 
-  uint64_t txn = engine_.Begin();
+  uint64_t txn = engine_->Begin();
   // Delete + reinsert one row with its converted cell, maintaining the
   // surviving indexes.
   auto rewrite = [&](const storage::Rid& rid, const std::vector<Value>& row,
                      Value cell) -> Status {
-    for (const sql::IndexDef* index : catalog_.TableIndexes(table->id)) {
-      AEDB_RETURN_IF_ERROR(engine_.IndexDelete(
+    for (const sql::IndexDef* index : catalog_->TableIndexes(table->id)) {
+      AEDB_RETURN_IF_ERROR(engine_->IndexDelete(
           txn, index->id,
           sql::Executor::IndexKeyFor(table->columns[index->column],
                                      row[index->column]),
           rid));
     }
-    AEDB_RETURN_IF_ERROR(engine_.HeapDelete(txn, table->id, rid));
+    AEDB_RETURN_IF_ERROR(engine_->HeapDelete(txn, table->id, rid));
     std::vector<Value> new_row = row;
     new_row[column] = std::move(cell);
     storage::Rid new_rid;
     AEDB_ASSIGN_OR_RETURN(
-        new_rid, engine_.HeapInsert(txn, table->id, sql::EncodeRow(new_row)));
-    for (const sql::IndexDef* index : catalog_.TableIndexes(table->id)) {
-      AEDB_RETURN_IF_ERROR(engine_.IndexInsert(
+        new_rid, engine_->HeapInsert(txn, table->id, sql::EncodeRow(new_row)));
+    for (const sql::IndexDef* index : catalog_->TableIndexes(table->id)) {
+      AEDB_RETURN_IF_ERROR(engine_->IndexInsert(
           txn, index->id,
           sql::Executor::IndexKeyFor(table->columns[index->column],
                                      new_row[index->column]),
@@ -520,10 +524,10 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
   // at a time: the program is registered once, then each morsel of
   // eval_batch_size rows costs one transition. The enclave checks the
   // statement's authorization once per morsel.
-  Status st = engine_.LockTable(txn, table->id);
+  Status st = engine_->LockTable(txn, table->id);
   std::vector<std::pair<storage::Rid, std::vector<Value>>> rows;
   if (st.ok()) {
-    engine_.table(table->id)->Scan([&](const storage::Rid& rid, Slice record) {
+    engine_->table(table->id)->Scan([&](const storage::Rid& rid, Slice record) {
       auto row = sql::DecodeRow(record, table->columns.size());
       if (!row.ok()) {
         st = row.status();
@@ -558,27 +562,27 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
     }
   }
   if (!st.ok()) {
-    (void)engine_.Abort(txn);
+    (void)engine_->Abort(txn);
     // Roll the catalog back too.
-    (void)catalog_.AlterColumn(stmt.table, column, old_col);
+    (void)catalog_->AlterColumn(stmt.table, column, old_col);
     for (const sql::IndexDef& index : affected) {
       sql::IndexDef recreate = index;
-      auto created = catalog_.CreateIndex(recreate);
+      auto created = catalog_->CreateIndex(recreate);
       if (created.ok()) {
         (void)RegisterIndexStorage(**created, old_col);
-        uint64_t rebuild_txn = engine_.Begin();
+        uint64_t rebuild_txn = engine_->Begin();
         (void)executor_->BuildIndex(*table, **created, rebuild_txn);
-        (void)engine_.Commit(rebuild_txn);
+        (void)engine_->Commit(rebuild_txn);
       }
     }
     return st;
   }
-  AEDB_RETURN_IF_ERROR(engine_.Commit(txn));
+  AEDB_RETURN_IF_ERROR(engine_->Commit(txn));
 
   // Old plaintext remnants sit in tombstoned slots: scrub them (the WAL
   // still holds pre-encryption images until log truncation, as in any
   // WAL-based system).
-  (void)engine_.ScrubDeadRows(table->id);
+  (void)engine_->ScrubDeadRows(table->id);
 
   // Recreate the affected indexes under the new encryption configuration.
   for (const sql::IndexDef& index : affected) {
@@ -594,34 +598,31 @@ Status Database::ExecuteAlterColumn(const sql::AlterColumnStmt& stmt,
 
 Status Database::LogDdl(storage::LogRecord record) {
   uint64_t lsn;
-  AEDB_ASSIGN_OR_RETURN(lsn, ddl_log_.Append(std::move(record)));
-  return ddl_log_.SyncUpTo(lsn);
+  AEDB_ASSIGN_OR_RETURN(lsn, ddl_log_->Append(std::move(record)));
+  return ddl_log_->SyncUpTo(lsn);
 }
 
 Status Database::ExecuteDdl(const std::string& sql_text, uint64_t session_id) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
-  const bool durable = !recovering_ && ddl_log_.file_backed();
   // Log BEFORE executing: execution can have WAL-visible side effects (a
   // CREATE INDEX build commits index records; concurrent DML can commit
   // against a fresh CREATE TABLE), and those records reference catalog ids
   // recovery can only reproduce if the DDL log holds this attempt. The
   // record snapshots the id counters so replay consumes exactly the ids
   // this execution will, whether or not it succeeds.
-  if (durable) {
-    storage::LogRecord statement;
-    statement.type = storage::LogRecordType::kDdl;
-    PutU32(&statement.payload1, catalog_.next_table_id());
-    PutU32(&statement.payload1, catalog_.next_index_id());
-    PutU32(&statement.payload1, catalog_.next_cek_id());
-    statement.payload1.insert(statement.payload1.end(), sql_text.begin(),
-                              sql_text.end());
-    AEDB_RETURN_IF_ERROR(LogDdl(std::move(statement)));
-  }
+  storage::LogRecord statement;
+  statement.type = storage::LogRecordType::kDdl;
+  PutU32(&statement.payload1, catalog_->next_table_id());
+  PutU32(&statement.payload1, catalog_->next_index_id());
+  PutU32(&statement.payload1, catalog_->next_cek_id());
+  statement.payload1.insert(statement.payload1.end(), sql_text.begin(),
+                            sql_text.end());
+  AEDB_RETURN_IF_ERROR(LogDdl(std::move(statement)));
   Status executed = ExecuteDdlStatement(sql_text, session_id);
   // The commit marker's fsync is the DDL durability point: only a marked
   // statement must replay on restart. An unmarked one (crash or failure in
   // this window) was never acknowledged and replays leniently.
-  if (executed.ok() && durable) {
+  if (executed.ok()) {
     // Crash-point: statement executed (WAL side effects durable-eligible)
     // but not yet marked committed — the lenient-replay window.
     AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("ddl/pre_commit_marker"));
@@ -637,7 +638,8 @@ Status Database::ReplayDdlLog() {
   // forcing them before every replay reproduces the runtime id assignment
   // exactly — including ids consumed by statements that failed or never
   // committed — so the replayed catalog ids match the WAL's object_ids.
-  const std::vector<storage::LogRecord> log = ddl_log_.Snapshot();
+  std::vector<storage::LogRecord> log;
+  AEDB_ASSIGN_OR_RETURN(log, ddl_log_->Snapshot());
   for (size_t i = 0; i < log.size(); ++i) {
     if (log[i].type != storage::LogRecordType::kDdl) {
       // DDL is serialized, so a marker always follows its statement.
@@ -655,7 +657,7 @@ Status Database::ReplayDdlLog() {
     AEDB_ASSIGN_OR_RETURN(cek_id, GetU32(body, &off));
     const std::string sql_text(reinterpret_cast<const char*>(body.data()) + off,
                                body.size() - off);
-    catalog_.ForceNextIds(table_id, index_id, cek_id);
+    catalog_->ForceNextIds(table_id, index_id, cek_id);
     if (!committed) {
       // No commit marker: the statement was never acknowledged. Replay it
       // leniently — losing it is legal, replaying it wrongly is not.
@@ -694,10 +696,10 @@ void Database::ReplayUncommittedDdl(const std::string& sql_text) {
       Status st = ExecuteDdlStatement(sql_text);
       if (!st.ok()) return;
       const sql::CreateIndexStmt& s = *parsed->create_index;
-      auto def = catalog_.GetIndex(s.name);
+      auto def = catalog_->GetIndex(s.name);
       if (def.ok()) {
-        (void)engine_.DropIndex((*def)->id);
-        (void)catalog_.DropIndex(s.name);
+        (void)engine_->DropIndex((*def)->id);
+        (void)catalog_->DropIndex(s.name);
       }
       return;
     }
@@ -707,20 +709,20 @@ void Database::ReplayUncommittedDdl(const std::string& sql_text) {
       // altered column hold pre-rewrite rids/keys — invalidate them, and
       // burn the index ids a completed runtime recreate would have used.
       const sql::AlterColumnStmt& s = *parsed->alter_column;
-      auto table = catalog_.GetTable(s.table);
+      auto table = catalog_->GetTable(s.table);
       if (!table.ok()) return;
       int column = (*table)->FindColumn(s.column);
       if (column < 0) return;
       size_t recreated = 0;
-      for (const sql::IndexDef* index : catalog_.TableIndexes((*table)->id)) {
+      for (const sql::IndexDef* index : catalog_->TableIndexes((*table)->id)) {
         if (index->column != column) continue;
-        (void)engine_.InvalidateIndex(index->id);
+        (void)engine_->InvalidateIndex(index->id);
         ++recreated;
       }
-      catalog_.ForceNextIds(
-          catalog_.next_table_id(),
-          catalog_.next_index_id() + static_cast<uint32_t>(recreated),
-          catalog_.next_cek_id());
+      catalog_->ForceNextIds(
+          catalog_->next_table_id(),
+          catalog_->next_index_id() + static_cast<uint32_t>(recreated),
+          catalog_->next_cek_id());
       return;
     }
     default:
@@ -746,7 +748,7 @@ Status Database::ExecuteDdlStatement(const std::string& sql_text,
       cmk.key_path = s.key_path;
       cmk.enclave_enabled = s.enclave_computations;
       cmk.signature = s.signature;
-      return catalog_.AddCmk(std::move(cmk));
+      return catalog_->AddCmk(std::move(cmk));
     }
     case sql::Statement::Kind::kCreateCek: {
       const sql::CreateCekStmt& s = *stmt.create_cek;
@@ -758,7 +760,7 @@ Status Database::ExecuteDdlStatement(const std::string& sql_text,
       value.encrypted_value = s.encrypted_value;
       value.signature = s.signature;
       cek.values.push_back(std::move(value));
-      return catalog_.AddCek(std::move(cek)).status();
+      return catalog_->AddCek(std::move(cek)).status();
     }
     case sql::Statement::Kind::kCreateTable:
       return ExecuteCreateTable(*stmt.create_table);
@@ -770,9 +772,9 @@ Status Database::ExecuteDdlStatement(const std::string& sql_text,
       const sql::DropStmt& s = *stmt.drop;
       if (s.is_index) {
         const sql::IndexDef* index;
-        AEDB_ASSIGN_OR_RETURN(index, catalog_.GetIndex(s.name));
-        AEDB_RETURN_IF_ERROR(engine_.DropIndex(index->id));
-        return catalog_.DropIndex(s.name);
+        AEDB_ASSIGN_OR_RETURN(index, catalog_->GetIndex(s.name));
+        AEDB_RETURN_IF_ERROR(engine_->DropIndex(index->id));
+        return catalog_->DropIndex(s.name);
       }
       return Status::NotSupported("DROP TABLE is not implemented");
     }
@@ -798,7 +800,7 @@ Result<const sql::BoundStatement*> Database::GetOrBind(const std::string& sql_te
     default:
       return Status::InvalidArgument("DDL must go through ExecuteDdl");
   }
-  sql::Binder binder(&catalog_);
+  sql::Binder binder(catalog_.get());
   sql::BoundStatement bound;
   AEDB_ASSIGN_OR_RETURN(bound, binder.Bind(std::move(stmt)));
   auto owned = std::make_unique<sql::BoundStatement>(std::move(bound));
@@ -809,14 +811,14 @@ Result<const sql::BoundStatement*> Database::GetOrBind(const std::string& sql_te
 }
 
 Result<KeyDescription> Database::GetKeyDescription(uint32_t cek_id) {
-  const keys::CekInfo* cek = catalog_.GetCekById(cek_id);
+  const keys::CekInfo* cek = catalog_->GetCekById(cek_id);
   if (cek == nullptr) return Status::NotFound("unknown CEK id");
   KeyDescription desc;
   desc.cek_id = cek_id;
   desc.cek = *cek;
   if (!cek->values.empty()) {
     const keys::CmkInfo* cmk;
-    AEDB_ASSIGN_OR_RETURN(cmk, catalog_.GetCmk(cek->values[0].cmk_name));
+    AEDB_ASSIGN_OR_RETURN(cmk, catalog_->GetCmk(cek->values[0].cmk_name));
     desc.cmk = *cmk;
   }
   return desc;
@@ -879,7 +881,7 @@ Result<DescribeResult> Database::Attest(Slice client_dh_public) {
 Result<EncryptionType> Database::ColumnEncryption(const std::string& table,
                                                   const std::string& column) {
   const sql::TableDef* def;
-  AEDB_ASSIGN_OR_RETURN(def, catalog_.GetTable(table));
+  AEDB_ASSIGN_OR_RETURN(def, catalog_->GetTable(table));
   int idx = def->FindColumn(column);
   if (idx < 0) return Status::NotFound("no such column: " + column);
   return def->columns[idx].enc;
@@ -889,10 +891,10 @@ Status Database::AlterColumnMetadataForClientTool(
     const std::string& table, const std::string& column,
     const sql::EncryptionSpec& enc) {
   const sql::TableDef* def;
-  AEDB_ASSIGN_OR_RETURN(def, catalog_.GetTable(table));
+  AEDB_ASSIGN_OR_RETURN(def, catalog_->GetTable(table));
   int idx = def->FindColumn(column);
   if (idx < 0) return Status::NotFound("no such column: " + column);
-  for (const sql::IndexDef* index : catalog_.TableIndexes(def->id)) {
+  for (const sql::IndexDef* index : catalog_->TableIndexes(def->id)) {
     if (index->column == idx) {
       return Status::FailedPrecondition(
           "drop indexes on the column before the client-side tool runs");
@@ -900,7 +902,7 @@ Status Database::AlterColumnMetadataForClientTool(
   }
   sql::ColumnDef col = def->columns[idx];
   AEDB_ASSIGN_OR_RETURN(col.enc, ResolveEncryptionSpec(enc));
-  AEDB_RETURN_IF_ERROR(catalog_.AlterColumn(table, idx, col));
+  AEDB_RETURN_IF_ERROR(catalog_->AlterColumn(table, idx, col));
   {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
     plan_cache_.clear();
@@ -909,11 +911,11 @@ Status Database::AlterColumnMetadataForClientTool(
   return Status::OK();
 }
 
-uint64_t Database::BeginTransaction() { return engine_.Begin(); }
+uint64_t Database::BeginTransaction() { return engine_->Begin(); }
 
-Status Database::CommitTransaction(uint64_t txn) { return engine_.Commit(txn); }
+Status Database::CommitTransaction(uint64_t txn) { return engine_->Commit(txn); }
 
-Status Database::RollbackTransaction(uint64_t txn) { return engine_.Abort(txn); }
+Status Database::RollbackTransaction(uint64_t txn) { return engine_->Abort(txn); }
 
 void Database::CaptureRequest(const std::string& sql_text,
                               const std::vector<Value>& params) {
@@ -1020,10 +1022,10 @@ Result<sql::ResultSet> Database::ExecuteAdmitted(const std::string& sql_text,
   CaptureRequest(sql_text, params);
 
   bool autocommit = txn == 0;
-  uint64_t exec_txn = autocommit ? engine_.Begin() : txn;
+  uint64_t exec_txn = autocommit ? engine_->Begin() : txn;
   // Snapshot the txn's logged-op count so a failed statement can be tested
   // for partial application (see the kOverloaded conversion below).
-  const size_t ops_before = autocommit ? 0 : engine_.TxnOpCount(exec_txn);
+  const size_t ops_before = autocommit ? 0 : engine_->TxnOpCount(exec_txn);
 
   Result<sql::ResultSet> result = [&]() -> Result<sql::ResultSet> {
     switch (bound->stmt.kind) {
@@ -1060,13 +1062,13 @@ Result<sql::ResultSet> Database::ExecuteAdmitted(const std::string& sql_text,
 
   if (autocommit) {
     if (result.ok()) {
-      Status st = engine_.Commit(exec_txn);
+      Status st = engine_->Commit(exec_txn);
       if (!st.ok()) return st;
     } else {
-      (void)engine_.Abort(exec_txn);
+      (void)engine_->Abort(exec_txn);
     }
   } else if (!result.ok() && result.status().IsOverloaded() &&
-             engine_.TxnOpCount(exec_txn) != ops_before) {
+             engine_->TxnOpCount(exec_txn) != ops_before) {
     // Mid-statement overload inside an explicit transaction, AFTER the
     // statement already applied some rows (the txn's logged-op count grew):
     // without statement-level savepoints those rows cannot be peeled back
@@ -1078,7 +1080,7 @@ Result<sql::ResultSet> Database::ExecuteAdmitted(const std::string& sql_text,
     // application restarts it. A shed with no ops applied (admission gate,
     // predicate morsel rejected by the pool before any write, reads) stays
     // kOverloaded: the txn is intact and the statement is safe to replay.
-    (void)engine_.Abort(exec_txn);
+    (void)engine_->Abort(exec_txn);
     return Status::TransactionAborted(
         "statement shed mid-execution after partial application: " +
         result.status().message());
@@ -1138,7 +1140,7 @@ Status Database::ForwardKeysToEnclave(uint64_t session_id, uint64_t nonce,
   AEDB_RETURN_IF_ERROR(enclave_->InstallCeks(session_id, nonce, sealed));
   // "When the client connects and sends keys to the enclave, the deferred
   // transactions are resolved" (§4.5).
-  return engine_.ResolveDeferred();
+  return engine_->ResolveDeferred();
 }
 
 Status Database::ForwardEncryptionAuthorization(uint64_t session_id,
@@ -1151,18 +1153,17 @@ Status Database::ForwardEncryptionAuthorization(uint64_t session_id,
 
 Result<storage::RecoveryResult> Database::Restart() {
   if (enclave_ != nullptr) enclave_->ClearKeys();
-  // A reopen drops a torn tail and writes again. Only a poisoned log holds a
-  // torn tail or refuses writes, so reload it from its intact prefix, as a
-  // reopen would, and recovery can log its undo.
-  storage::Wal& wal = engine_.wal();
-  if (wal.poisoned()) wal.LoadImage(wal.RawBytes());
-  return engine_.Recover();
+  StopCheckpointer();
+  BuildState();
+  opened_ = false;
+  AEDB_RETURN_IF_ERROR(Open());
+  return recovery_info_.engine;
 }
 
 Status Database::InvalidateIndexByName(const std::string& index_name) {
   const sql::IndexDef* index;
-  AEDB_ASSIGN_OR_RETURN(index, catalog_.GetIndex(index_name));
-  return engine_.InvalidateIndex(index->id);
+  AEDB_ASSIGN_OR_RETURN(index, catalog_->GetIndex(index_name));
+  return engine_->InvalidateIndex(index->id);
 }
 
 }  // namespace aedb::server

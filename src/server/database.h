@@ -54,10 +54,10 @@ struct ServerOptions {
   size_t max_inflight_queries = 0;
   /// The retry-after hint (milliseconds) attached to admission rejections.
   uint32_t overload_retry_after_ms = 20;
-  /// Durable mode: when non-empty, the WAL, DDL log, checkpoint file and
-  /// clean-shutdown marker live in this directory and Open() recovers from
-  /// them. Empty (the default) keeps everything in memory — the mode every
-  /// pre-existing test runs in.
+  /// Where the WAL, DDL log, page store, checkpoint file and clean-shutdown
+  /// marker live; Open() recovers from them. Empty (the default) puts them
+  /// on a simulated disk the Database owns (storage::SimFs), which lives as
+  /// long as the Database does — the mode most tests run in.
   std::string data_dir;
   /// Background checkpoint trigger: when the durable WAL grows past this many
   /// bytes, a checkpoint is taken and the log truncated. 0 disables the
@@ -65,9 +65,7 @@ struct ServerOptions {
   uint64_t checkpoint_wal_bytes = 0;
   // Buffer-pool sizing (engine.pool_pages), the background flusher
   // (engine.flush_interval_ms) and the group-commit window
-  // (engine.group_commit_window_us) are configured on `engine` directly; in
-  // data-dir mode the Database additionally routes evicted pages to a
-  // FilePageStore under <data_dir>/pages.
+  // (engine.group_commit_window_us) are configured on `engine` directly.
 };
 
 /// Snapshot of server-side counters (enclave boundary accounting included)
@@ -88,7 +86,7 @@ struct DatabaseStats {
   uint64_t pool_queue_highwater = 0;
   uint64_t pool_expired_dropped = 0;   // morsels shed as kDeadlineExceeded
   uint64_t pool_overload_rejected = 0; // submissions shed as kOverloaded
-  // Durability gauges (data-dir mode; zero in-memory).
+  // Durability gauges.
   uint64_t recovery_ms = 0;            // wall time of the last Open() recovery
   uint64_t wal_records_replayed = 0;   // WAL tail records replayed at Open()
   // The two log gauges cover wal.log and ddl.log (ShardedDatabase adds
@@ -96,7 +94,7 @@ struct DatabaseStats {
   uint64_t torn_bytes_dropped = 0;     // torn tail bytes dropped
   uint64_t checkpoints_taken = 0;
   uint64_t wal_bytes = 0;              // current durable WAL size
-  uint64_t fsyncs = 0;                 // process-wide fsync count
+  uint64_t fsyncs = 0;                 // fsyncs of this database's files
   uint64_t wal_file_errors = 0;        // torn writes, failed fsyncs or
                                        // rewrites (Wal::file_errors)
   // Buffer-pool gauges (PR 8).
@@ -109,7 +107,7 @@ struct DatabaseStats {
   uint64_t group_commit_batches = 0;   // cohort fsyncs performed by SyncUpTo
   uint64_t commit_sync_requests = 0;   // commits that reached the barrier
   /// Amortization gauge: commit_sync_requests / group_commit_batches
-  /// (0 when no cohort fsync has run, e.g. in-memory mode).
+  /// (0 when no cohort fsync has run).
   double commits_per_fsync = 0.0;
 };
 
@@ -147,7 +145,7 @@ struct TdsCapture {
   Bytes last_response;
 };
 
-/// What the last Open() found on disk and did about it (durable mode).
+/// What the last Open() found on disk and did about it.
 /// Shared by the single-node Database and the sharded router (which
 /// aggregates its shards' numbers).
 struct RecoveryInfo {
@@ -242,9 +240,13 @@ class SqlBackend {
 class Database : public SqlBackend {
  public:
   /// `hgs` is the external attestation service (may be null when no enclave);
-  /// `image` is the signed enclave binary to load.
+  /// `image` is the signed enclave binary to load. The files live on `fs`
+  /// under `options.data_dir`; the caller then runs Open(). Without an `fs`
+  /// the Database takes the disk when `data_dir` is set (and the caller runs
+  /// Open()), else a fresh SimFs of its own, and is open at once.
   Database(ServerOptions options, attestation::HostGuardianService* hgs,
-           const enclave::EnclaveImage* image);
+           const enclave::EnclaveImage* image,
+           std::shared_ptr<storage::Fs> fs = nullptr);
   ~Database();
 
   // ----- DDL -----
@@ -308,21 +310,22 @@ class Database : public SqlBackend {
                                         Slice sealed) override;
 
   // ----- crash & recovery (§4.5) -----
-  /// Simulates a crash+restart: the enclave loses all keys and sessions, and
-  /// storage state is rebuilt from the WAL.
+  /// Simulates a process crash + restart: the enclave loses all keys and
+  /// sessions, everything held in memory (catalog, engine, plan cache) is
+  /// dropped, and Open() rebuilds it from the files, which a process crash
+  /// does not touch.
   Result<storage::RecoveryResult> Restart();
   Status InvalidateIndexByName(const std::string& index_name);
 
-  // ----- durability (data-dir mode) -----
+  // ----- durability -----
   /// Hoisted to namespace scope (shared with ShardedDatabase); the alias
   /// keeps `server::Database::RecoveryInfo` spellings working.
   using RecoveryInfo = ::aedb::server::RecoveryInfo;
 
-  /// Durable-mode startup: replays the DDL log (metadata only), attaches
-  /// the file-backed WAL, loads the latest checkpoint and runs engine
-  /// recovery over the WAL tail. No-op when data_dir is empty. Idempotent
-  /// against crashes: a kill -9 at any point during Open() leaves state the
-  /// next Open() recovers from identically.
+  /// Startup: opens the WAL, replays the DDL log (metadata only), loads the
+  /// latest checkpoint and runs engine recovery over the WAL tail. No-op
+  /// when already open. Idempotent against crashes: a kill -9 at any point
+  /// during Open() leaves state the next Open() recovers from identically.
   Status Open() override;
 
   /// Quiesces the engine (bounded by `quiesce_wait`), writes a checkpoint
@@ -340,11 +343,13 @@ class Database : public SqlBackend {
   const RecoveryInfo& recovery_info() const override { return recovery_info_; }
 
   /// The serverd drain path: force everything appended so far to disk.
-  Status SyncWals() override { return engine_.wal().Sync(); }
+  Status SyncWals() override { return engine_->wal().Sync(); }
 
   // ----- introspection -----
-  sql::Catalog& catalog() override { return catalog_; }
-  storage::StorageEngine& engine() { return engine_; }
+  /// The catalog and the engine are rebuilt by Restart(): references to
+  /// them do not survive it.
+  sql::Catalog& catalog() override { return *catalog_; }
+  storage::StorageEngine& engine() { return *engine_; }
   enclave::Enclave* enclave() { return enclave_.get(); }
   const enclave::VbsPlatform* platform() const { return platform_.get(); }
   const TdsCapture& tds_capture() const { return capture_; }
@@ -367,7 +372,6 @@ class Database : public SqlBackend {
                                          const std::vector<types::Value>& params,
                                          uint64_t txn, uint64_t session_id,
                                          uint32_t deadline_ms);
-  std::string WalPath() const { return options_.data_dir + "/wal.log"; }
   std::string DdlLogPath() const { return options_.data_dir + "/ddl.log"; }
   std::string CheckpointPath() const {
     return options_.data_dir + "/checkpoint.db";
@@ -377,6 +381,9 @@ class Database : public SqlBackend {
   }
   void CheckpointerLoop();
   void StopCheckpointer();
+  /// (Re)builds, empty, the in-memory state Open() fills: catalog, engine,
+  /// DDL log, executor and plan cache.
+  void BuildState();
 
   /// ExecuteDdl minus the logging wrapper (the replay entry point).
   Status ExecuteDdlStatement(const std::string& sql, uint64_t session_id = 0);
@@ -407,12 +414,16 @@ class Database : public SqlBackend {
   ServerOptions options_;
   attestation::HostGuardianService* hgs_;
 
-  sql::Catalog catalog_;
-  /// Evicted-page backing store, data-dir mode only (<data_dir>/pages).
-  /// Declared before engine_: the engine's pool writes back into it up to
-  /// the last table destructor.
-  std::unique_ptr<storage::FilePageStore> page_store_;
-  storage::StorageEngine engine_;
+  /// Every file of this database lives here, under options_.data_dir.
+  std::shared_ptr<storage::Fs> fs_;
+  /// fsyncs of the database's own files (directories, checkpoint, marker).
+  storage::fsio::FsyncCount fsyncs_{0};
+  // What a process crash loses: BuildState() makes it, Open() fills it from
+  // the files, Restart() drops it and does both again.
+  std::unique_ptr<sql::Catalog> catalog_;
+  std::unique_ptr<storage::StorageEngine> engine_;
+  /// `ddl.log`: every DDL statement, written before it runs.
+  std::unique_ptr<storage::Wal> ddl_log_;
   std::unique_ptr<enclave::VbsPlatform> platform_;
   std::unique_ptr<enclave::Enclave> enclave_;
   std::unique_ptr<enclave::EnclaveWorkerPool> worker_pool_;
@@ -431,14 +442,12 @@ class Database : public SqlBackend {
   std::atomic<uint64_t> queries_rejected_{0};
   std::atomic<uint64_t> queries_expired_{0};
 
-  // Durability (data-dir mode).
+  // Durability.
   bool opened_ = false;
   /// True while Open() replays the DDL log: DDL executes metadata-only (no
   /// enclave work, no index-build transactions — the WAL replay carries the
   /// data) and nothing is logged again.
   bool recovering_ = false;
-  /// `ddl.log`, attached by Open(); in memory mode nothing is logged to it.
-  storage::Wal ddl_log_;
   /// Serializes DDL execution. Needed for the DDL log's protocol: a commit
   /// marker binds to the statement record right before it, which only holds
   /// if statement/marker pairs never interleave.

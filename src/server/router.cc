@@ -6,7 +6,7 @@
 
 #include "fault/fault.h"
 #include "sql/parser.h"
-#include "storage/fsio.h"
+#include "storage/sim_fs.h"
 
 namespace aedb::server {
 
@@ -141,22 +141,29 @@ void CollectParamOrder(const sql::Expr* e, std::vector<std::string>* order) {
 
 ShardedDatabase::ShardedDatabase(ShardedOptions options,
                                  attestation::HostGuardianService* hgs,
-                                 const enclave::EnclaveImage* image)
-    : options_(std::move(options)) {
+                                 const enclave::EnclaveImage* image,
+                                 std::shared_ptr<storage::Fs> fs)
+    : options_(std::move(options)), fs_(std::move(fs)) {
   if (options_.shards == 0) options_.shards = 1;
+  const std::string& root = options_.base.data_dir;
+  const bool simulated = fs_ == nullptr && root.empty();
+  if (fs_ == nullptr) {
+    fs_ = simulated ? std::shared_ptr<storage::Fs>(
+                          std::make_shared<storage::SimFs>())
+                    : std::make_shared<storage::PosixFs>();
+  }
+  decisions_ = std::make_unique<storage::Wal>(fs_.get(), root + "/2pc.log");
   // One wait-for graph for every shard: a global transaction blocked on one
   // shard while holding locks on another is one node in it, so a single
   // check finds cycles across shards as well as inside one.
-  auto graph = std::make_shared<storage::WaitForGraph>();
   for (uint32_t i = 0; i < options_.shards; ++i) {
     ServerOptions per_shard = options_.base;
-    if (!options_.base.data_dir.empty()) {
-      per_shard.data_dir =
-          options_.base.data_dir + "/shard-" + std::to_string(i);
-    }
-    shards_.push_back(std::make_unique<Database>(per_shard, hgs, image));
-    shards_.back()->engine().locks().ShareWaitForGraph(graph);
+    per_shard.data_dir = root + "/shard-" + std::to_string(i);
+    shards_.push_back(std::make_unique<Database>(per_shard, hgs, image, fs_));
+    shards_.back()->engine().locks().ShareWaitForGraph(graph_);
   }
+  // A fresh simulated disk holds nothing to recover, so opening cannot fail.
+  if (simulated) (void)Open();
 }
 
 uint32_t ShardedDatabase::ShardOfWarehouse(int64_t w) const {
@@ -469,7 +476,7 @@ Status ShardedDatabase::CommitGlobal(uint64_t gtid, GlobalTxn gtxn) {
     return Status::TransactionAborted("2pc decision not logged: " +
                                       logged.status().message());
   }
-  Status decided = decisions_.SyncUpTo(*logged);
+  Status decided = decisions_->SyncUpTo(*logged);
   if (decided.ok()) decided = AEDB_FAULT_POINT("2pc/coordinator_crash");
   if (!decided.ok()) {
     // The decision is in the log, and on disk or maybe on disk: aborting a
@@ -497,7 +504,7 @@ Status ShardedDatabase::CommitGlobal(uint64_t gtid, GlobalTxn gtxn) {
 Result<uint64_t> ShardedDatabase::LogDecision(uint64_t gtid, Bytes shards) {
   std::lock_guard<std::mutex> lock(decision_mu_);
   uint64_t lsn;
-  AEDB_ASSIGN_OR_RETURN(lsn, decisions_.Append(DecisionRecord(gtid, shards)));
+  AEDB_ASSIGN_OR_RETURN(lsn, decisions_->Append(DecisionRecord(gtid, shards)));
   pending_decisions_.emplace(gtid, std::move(shards));
   return lsn;
 }
@@ -506,26 +513,26 @@ void ShardedDatabase::FinishDecision(uint64_t gtid) {
   std::lock_guard<std::mutex> lock(decision_mu_);
   pending_decisions_.erase(gtid);
   // A failed compaction keeps every decision; the next one retries.
-  if (decisions_.wal_bytes() > kDecisionLogBytes) {
+  if (decisions_->wal_bytes() > kDecisionLogBytes) {
     (void)CompactDecisionsLocked();
   }
 }
 
 Status ShardedDatabase::CompactDecisionsLocked() {
-  if (!decisions_.poisoned() &&
-      decisions_.record_count() == pending_decisions_.size()) {
+  if (!decisions_->poisoned() &&
+      decisions_->record_count() == pending_decisions_.size()) {
     return Status::OK();  // every logged decision is still pending
   }
   // Carry the pending decisions past the cut, so a decision left in doubt
   // does not pin every later one in the log. The rewrite makes the copies
   // durable; a crash before it leaves the originals, and duplicates are
   // harmless.
-  const uint64_t cut = decisions_.next_lsn();
+  const uint64_t cut = decisions_->next_lsn();
   for (const auto& [gtid, shards] : pending_decisions_) {
     AEDB_RETURN_IF_ERROR(
-        decisions_.Append(DecisionRecord(gtid, shards)).status());
+        decisions_->Append(DecisionRecord(gtid, shards)).status());
   }
-  return decisions_.TruncateBefore(cut);
+  return decisions_->TruncateBefore(cut);
 }
 
 // ---------------------------------------------------------------------------
@@ -844,7 +851,7 @@ DatabaseStats ShardedDatabase::Stats() const {
     out.torn_bytes_dropped += s.torn_bytes_dropped;
     out.checkpoints_taken += s.checkpoints_taken;
     out.wal_bytes += s.wal_bytes;
-    out.fsyncs = std::max(out.fsyncs, s.fsyncs);  // process-wide gauge
+    out.fsyncs += s.fsyncs;
     out.wal_file_errors += s.wal_file_errors;
     out.pool_hits += s.pool_hits;
     out.pool_misses += s.pool_misses;
@@ -855,8 +862,9 @@ DatabaseStats ShardedDatabase::Stats() const {
     out.group_commit_batches += s.group_commit_batches;
     out.commit_sync_requests += s.commit_sync_requests;
   }
-  out.torn_bytes_dropped += decisions_.torn_bytes_dropped();
-  out.wal_file_errors += decisions_.file_errors();
+  out.fsyncs += decisions_->fsyncs() + fsyncs_.load(std::memory_order_relaxed);
+  out.torn_bytes_dropped += decisions_->torn_bytes_dropped();
+  out.wal_file_errors += decisions_->file_errors();
   if (out.enclave_transitions > 0) {
     out.values_per_transition =
         static_cast<double>(out.enclave_evals + out.enclave_comparisons) /
@@ -874,11 +882,10 @@ DatabaseStats ShardedDatabase::Stats() const {
 // Lifecycle & recovery
 
 Status ShardedDatabase::Open() {
-  if (!options_.base.data_dir.empty()) {
-    AEDB_RETURN_IF_ERROR(storage::fsio::EnsureDir(options_.base.data_dir));
-    AEDB_RETURN_IF_ERROR(
-        decisions_.AttachFile(options_.base.data_dir + "/2pc.log"));
-  }
+  if (opened_) return Status::OK();
+  AEDB_RETURN_IF_ERROR(
+      storage::fsio::EnsureDir(*fs_, options_.base.data_dir, &fsyncs_));
+  AEDB_RETURN_IF_ERROR(decisions_->Open());
   recovery_info_ = RecoveryInfo{};
   for (uint32_t s = 0; s < options_.shards; ++s) {
     AEDB_RETURN_IF_ERROR(Annotate(shards_[s]->Open(), s));
@@ -901,16 +908,18 @@ Status ShardedDatabase::Open() {
       recovery_info_.engine.in_doubt.push_back(d);
     }
   }
-  return RecoverInDoubt();
+  AEDB_RETURN_IF_ERROR(RecoverInDoubt());
+  opened_ = true;
+  return Status::OK();
 }
 
 Status ShardedDatabase::RecoverInDoubt() {
   // A torn tail is the expected shape of a coordinator crash mid-append: the
   // torn decision is not in the snapshot, so its gtid is presumed aborted.
   std::set<uint64_t> committed;
-  for (const storage::LogRecord& rec : decisions_.Snapshot()) {
-    committed.insert(rec.txn_id);
-  }
+  std::vector<storage::LogRecord> decisions;
+  AEDB_ASSIGN_OR_RETURN(decisions, decisions_->Snapshot());
+  for (const storage::LogRecord& rec : decisions) committed.insert(rec.txn_id);
   for (uint32_t s = 0; s < options_.shards; ++s) {
     for (const storage::InDoubtTxn& t : shards_[s]->engine().InDoubtTxns()) {
       if (committed.count(t.gtid)) {
@@ -948,7 +957,10 @@ Result<storage::RecoveryResult> ShardedDatabase::RestartShard(uint32_t i) {
       }
     }
   }
-  return shards_[i]->Restart();
+  auto recovered = shards_[i]->Restart();
+  // The reopened shard has a fresh lock manager: it rejoins the graph.
+  shards_[i]->engine().locks().ShareWaitForGraph(graph_);
+  return recovered;
 }
 
 Status ShardedDatabase::SyncWals() {

@@ -18,7 +18,8 @@ struct ShardedOptions {
   uint32_t shards = 2;
   /// Per-shard option template. `base.data_dir` names the ROOT directory:
   /// shard i lives in <root>/shard-<i> and the coordinator's 2PC decision
-  /// log in <root>/2pc.log. Empty keeps every shard in memory.
+  /// log in <root>/2pc.log. Empty puts them all on one simulated disk
+  /// (storage::SimFs) the router owns.
   ServerOptions base;
 };
 
@@ -56,9 +57,14 @@ struct ShardedOptions {
 /// invalidates and re-attests exactly that shard's session.
 class ShardedDatabase : public SqlBackend {
  public:
+  /// The shards and 2pc.log live on `fs` under `base.data_dir`; the caller
+  /// then runs Open(). Without an `fs` the router takes the disk when
+  /// `base.data_dir` is set (and the caller runs Open()), else a fresh SimFs
+  /// of its own, and is open at once.
   ShardedDatabase(ShardedOptions options,
                   attestation::HostGuardianService* hgs,
-                  const enclave::EnclaveImage* image);
+                  const enclave::EnclaveImage* image,
+                  std::shared_ptr<storage::Fs> fs = nullptr);
 
   /// Decision-log size past which it is cut down to the pending decisions.
   static constexpr uint64_t kDecisionLogBytes = 16 * 1024;
@@ -111,9 +117,10 @@ class ShardedDatabase : public SqlBackend {
   Database* shard(uint32_t i) { return shards_[i].get(); }
   uint32_t ShardOfWarehouse(int64_t w) const;
   /// Simulated crash+restart of one shard only: its enclave loses all keys
-  /// and sessions, its storage recovers from its own WAL. Other shards are
-  /// untouched. Prepared-undecided txns come back in-doubt; call
-  /// RecoverInDoubt() to settle them from the decision log.
+  /// and sessions, it reopens over its own files (Database::Restart) and
+  /// rejoins the shared wait-for graph. Other shards are untouched.
+  /// Prepared-undecided txns come back in-doubt; call RecoverInDoubt() to
+  /// settle them from the decision log.
   Result<storage::RecoveryResult> RestartShard(uint32_t i);
   /// Settles every in-doubt transaction on every shard against the 2PC
   /// decision log: logged-commit gtids finish via CommitPrepared, everything
@@ -193,7 +200,15 @@ class ShardedDatabase : public SqlBackend {
   Status CompactDecisionsLocked();
 
   ShardedOptions options_;
+  /// The disk the shards and 2pc.log share.
+  std::shared_ptr<storage::Fs> fs_;
+  /// fsyncs of the router's own files (the root directory).
+  storage::fsio::FsyncCount fsyncs_{0};
   std::vector<std::unique_ptr<Database>> shards_;
+  /// One wait-for graph for every shard (see the constructor).
+  std::shared_ptr<storage::WaitForGraph> graph_ =
+      std::make_shared<storage::WaitForGraph>();
+  bool opened_ = false;
   RecoveryInfo recovery_info_;
 
   std::mutex plan_mu_;
@@ -203,8 +218,8 @@ class ShardedDatabase : public SqlBackend {
   std::map<uint64_t, GlobalTxn> gtxns_;
   uint64_t next_gtid_ = 1;
 
-  /// 2pc.log: attached by Open() with a data dir, in memory without one.
-  storage::Wal decisions_;
+  /// 2pc.log, opened by Open().
+  std::unique_ptr<storage::Wal> decisions_;
   /// Covers each decision's append together with pending_decisions_, so a
   /// compaction never cuts a decision it has not seen. Syncs run outside
   /// it, so concurrent decisions share an fsync.

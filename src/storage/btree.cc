@@ -29,15 +29,11 @@ struct BTree::Node {
 };
 
 BTree::BTree(const Comparator* comparator, bool unique, BufferPool* pool)
-    : comparator_(comparator), unique_(unique), pool_(pool) {
-  if (pool_ == nullptr) {
-    owned_store_ = std::make_unique<MemPageStore>();
-    owned_pool_ = std::make_unique<BufferPool>(owned_store_.get(), 0);
-    pool_ = owned_pool_.get();
-  }
-  object_id_ = pool_->NewObject();
-  root_ = std::make_unique<Node>();
-}
+    : comparator_(comparator),
+      unique_(unique),
+      pool_(pool),
+      object_id_(pool->NewObject()),
+      root_(std::make_unique<Node>()) {}
 
 BTree::~BTree() { (void)pool_->DropObject(object_id_); }
 

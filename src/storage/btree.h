@@ -86,9 +86,8 @@ class BTree {
   /// Largest accepted key (a quarter page; ciphertext cells are far smaller).
   static constexpr size_t kMaxKeyBytes = Page::kPageSize / 4;
 
-  /// Uses `pool` when given; otherwise the tree owns a private memory-backed
-  /// pool (standalone/test construction).
-  BTree(const Comparator* comparator, bool unique, BufferPool* pool = nullptr);
+  /// The tree's pages live in `pool`, which must outlive it.
+  BTree(const Comparator* comparator, bool unique, BufferPool* pool);
   ~BTree();  // out-of-line: Node is incomplete here
 
   BTree(const BTree&) = delete;
@@ -214,8 +213,6 @@ class BTree {
   const Comparator* comparator_;
   bool unique_;
   BufferPool* pool_;
-  std::unique_ptr<MemPageStore> owned_store_;  // standalone mode only
-  std::unique_ptr<BufferPool> owned_pool_;
   uint32_t object_id_;
   uint32_t next_page_no_ = 0;
   std::unique_ptr<Node> root_;

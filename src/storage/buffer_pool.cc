@@ -1,10 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <dirent.h>
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 
@@ -14,152 +9,63 @@
 namespace aedb::storage {
 
 // ---------------------------------------------------------------------------
-// MemPageStore
-
-Status MemPageStore::Write(PageId id, Slice page) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pages_[id.Encode()] = page.ToBytes();
-  return Status::OK();
-}
-
-Status MemPageStore::Read(PageId id, uint8_t* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pages_.find(id.Encode());
-  if (it == pages_.end()) return Status::NotFound("page not in store");
-  std::memcpy(out, it->second.data(), Page::kPageSize);
-  return Status::OK();
-}
-
-Status MemPageStore::DropObject(uint32_t object_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if (static_cast<uint32_t>(it->first >> 32) == object_id) {
-      it = pages_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // FilePageStore
 
-namespace {
-std::string ObjectPath(const std::string& dir, uint32_t object_id) {
-  return dir + "/obj-" + std::to_string(object_id) + ".pages";
-}
-}  // namespace
+FilePageStore::FilePageStore(Fs* fs, std::string dir)
+    : fs_(fs), dir_(std::move(dir)) {}
 
-FilePageStore::FilePageStore(std::string dir) : dir_(std::move(dir)) {}
-
-FilePageStore::~FilePageStore() {
-  for (auto& [id, fd] : fds_) ::close(fd);
+std::string FilePageStore::ObjectPath(uint32_t object_id) const {
+  return dir_ + "/obj-" + std::to_string(object_id) + ".pages";
 }
 
 Status FilePageStore::Wipe() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, fd] : fds_) ::close(fd);
-  fds_.clear();
-  DIR* d = ::opendir(dir_.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return Status::OK();  // nothing to wipe
-    return Status::Internal("opendir " + dir_ + ": " + std::strerror(errno));
+  unsynced_.clear();
+  auto names = fs_->List(dir_);
+  if (names.status().IsNotFound()) return Status::OK();  // nothing to wipe
+  if (!names.ok()) return names.status();
+  for (const std::string& name : *names) {
+    Status st = fs_->Unlink(dir_ + "/" + name);
+    if (!st.ok() && !st.IsNotFound()) return st;
   }
-  while (dirent* ent = ::readdir(d)) {
-    std::string name = ent->d_name;
-    if (name == "." || name == "..") continue;
-    if (::unlink((dir_ + "/" + name).c_str()) != 0 && errno != ENOENT) {
-      ::closedir(d);
-      return Status::Internal("unlink " + name + ": " + std::strerror(errno));
-    }
-  }
-  ::closedir(d);
-  return fsio::SyncDir(dir_);
-}
-
-Result<int> FilePageStore::FdForLocked(uint32_t object_id, bool create) {
-  auto it = fds_.find(object_id);
-  if (it != fds_.end()) return it->second;
-  if (!create) return Status::NotFound("page store has no such object");
-  if (!dir_ready_) {
-    AEDB_RETURN_IF_ERROR(fsio::EnsureDir(dir_));
-    dir_ready_ = true;
-  }
-  std::string path = ObjectPath(dir_, object_id);
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return Status::Internal("open " + path + ": " + std::strerror(errno));
-  }
-  fds_.emplace(object_id, fd);
-  return fd;
+  return fsio::SyncDir(*fs_, dir_, &fsyncs_);
 }
 
 Status FilePageStore::Write(PageId id, Slice page) {
   std::lock_guard<std::mutex> lock(mu_);
-  int fd;
-  AEDB_ASSIGN_OR_RETURN(fd, FdForLocked(id.object_id, /*create=*/true));
-  size_t off = 0;
-  const off_t base = static_cast<off_t>(id.page_no) *
-                     static_cast<off_t>(Page::kPageSize);
-  while (off < page.size()) {
-    ssize_t w = ::pwrite(fd, page.data() + off, page.size() - off,
-                         base + static_cast<off_t>(off));
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("page store pwrite: ") +
-                              std::strerror(errno));
-    }
-    off += static_cast<size_t>(w);
+  if (!dir_ready_) {
+    AEDB_RETURN_IF_ERROR(fsio::EnsureDir(*fs_, dir_, &fsyncs_));
+    dir_ready_ = true;
   }
+  AEDB_RETURN_IF_ERROR(fs_->Pwrite(
+      ObjectPath(id.object_id),
+      static_cast<uint64_t>(id.page_no) * Page::kPageSize, page));
+  unsynced_.insert(id.object_id);
   return Status::OK();
 }
 
 Status FilePageStore::Read(PageId id, uint8_t* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto found = FdForLocked(id.object_id, /*create=*/false);
-  if (!found.ok()) return found.status();
-  size_t off = 0;
-  const off_t base = static_cast<off_t>(id.page_no) *
-                     static_cast<off_t>(Page::kPageSize);
-  while (off < Page::kPageSize) {
-    ssize_t r = ::pread(*found, out + off, Page::kPageSize - off,
-                        base + static_cast<off_t>(off));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("page store pread: ") +
-                              std::strerror(errno));
-    }
-    if (r == 0) return Status::NotFound("page not in store");
-    off += static_cast<size_t>(r);
-  }
-  return Status::OK();
+  Status st = fs_->Pread(ObjectPath(id.object_id),
+                         static_cast<uint64_t>(id.page_no) * Page::kPageSize,
+                         Page::kPageSize, out);
+  if (st.IsNotFound()) return Status::NotFound("page not in store");
+  return st;
 }
 
 Status FilePageStore::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, fd] : fds_) {
-    if (::fsync(fd) != 0) {
-      return Status::Internal(std::string("page store fsync: ") +
-                              std::strerror(errno));
-    }
-    fsio::CountFsync();
+  for (auto it = unsynced_.begin(); it != unsynced_.end();
+       it = unsynced_.erase(it)) {
+    AEDB_RETURN_IF_ERROR(fsio::SyncFile(*fs_, ObjectPath(*it), &fsyncs_));
   }
   return Status::OK();
 }
 
 Status FilePageStore::DropObject(uint32_t object_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = fds_.find(object_id);
-  if (it != fds_.end()) {
-    ::close(it->second);
-    fds_.erase(it);
-  }
-  std::string path = ObjectPath(dir_, object_id);
-  if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
-    return Status::Internal("unlink " + path + ": " + std::strerror(errno));
-  }
-  return Status::OK();
+  unsynced_.erase(object_id);
+  Status st = fs_->Unlink(ObjectPath(object_id));
+  return st.IsNotFound() ? Status::OK() : st;
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +108,7 @@ void PinnedPage::MarkDirty() {
 // ---------------------------------------------------------------------------
 // BufferPool
 
-BufferPool::BufferPool(PageStore* store, size_t capacity_pages)
+BufferPool::BufferPool(FilePageStore* store, size_t capacity_pages)
     : store_(store),
       capacity_(capacity_pages == 0
                     ? kDefaultPages
@@ -229,6 +135,8 @@ void BufferPool::Unpin(size_t frame) {
       f.doomed = false;
       f.valid = false;
       f.dirty.store(false, std::memory_order_relaxed);
+      f.data.reset();
+      --stats_.buffers;
     }
     unpin_cv_.notify_all();
   }
@@ -287,7 +195,10 @@ Result<PinnedPage> BufferPool::Pin(PageId id, bool create) {
     if (h != kNoFrame) {
       ++stats_.misses;
       Frame& f = *frames_[h];
-      if (f.data == nullptr) f.data.reset(new uint8_t[Page::kPageSize]);
+      if (f.data == nullptr) {
+        f.data.reset(new uint8_t[Page::kPageSize]);
+        ++stats_.buffers;
+      }
       Status read = store_->Read(id, f.data.get());
       if (read.IsNotFound() && create) {
         std::memset(f.data.get(), 0, Page::kPageSize);
@@ -357,6 +268,8 @@ Status BufferPool::DropObject(uint32_t object_id) {
       f.doomed = true;
     } else {
       f.valid = false;
+      f.data.reset();  // a free frame refills its buffer on demand (Pin)
+      --stats_.buffers;
     }
   }
   return store_->DropObject(object_id);

@@ -3,14 +3,15 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "storage/fsio.h"
 #include "storage/page.h"
 
 namespace aedb::storage {
@@ -31,66 +32,45 @@ struct PageId {
   }
 };
 
-/// Backing store the buffer pool evicts dirty pages to. Every byte handed to
-/// Write is the raw slotted-page image — encrypted cells stay AEAD ciphertext
-/// on this path, which is what extends the AE at-rest invariant to paged-out
-/// data (the whole-file plaintext scan in durability_test pins this).
-class PageStore {
+/// The store the buffer pool evicts dirty pages to: one file per object
+/// (`<dir>/obj-<id>.pages`) on an Fs, pages written at
+/// `page_no * kPageSize`. Every byte handed to Write is the raw slotted-page
+/// image — encrypted cells stay AEAD ciphertext on this path, which is what
+/// extends the AE at-rest invariant to paged-out data (the whole-disk
+/// plaintext scans in durability_test and powerloss_test pin this).
+class FilePageStore {
  public:
-  virtual ~PageStore() = default;
-
-  /// Stores a full page image (`page.size() == Page::kPageSize`).
-  virtual Status Write(PageId id, Slice page) = 0;
-  /// Reads a full page into `out` (kPageSize bytes); NotFound if never
-  /// written.
-  virtual Status Read(PageId id, uint8_t* out) = 0;
-  /// Durability barrier for everything written so far.
-  virtual Status Sync() = 0;
-  /// Forgets every page of an object (table/index dropped or cleared).
-  virtual Status DropObject(uint32_t object_id) = 0;
-};
-
-/// Heap-backed store: the default when no data directory is configured, so
-/// every in-memory engine/test keeps its exact pre-pool semantics (evicted
-/// pages round-trip through a map instead of a file).
-class MemPageStore : public PageStore {
- public:
-  Status Write(PageId id, Slice page) override;
-  Status Read(PageId id, uint8_t* out) override;
-  Status Sync() override { return Status::OK(); }
-  Status DropObject(uint32_t object_id) override;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, Bytes> pages_;
-};
-
-/// File-backed store: one file per object (`<dir>/obj-<id>.pages`), pages
-/// written with pwrite at `page_no * kPageSize`. This is the adversary-
-/// observable on-disk form of paged-out data.
-class FilePageStore : public PageStore {
- public:
-  explicit FilePageStore(std::string dir);
-  ~FilePageStore() override;
+  /// `fs` must outlive the store.
+  FilePageStore(Fs* fs, std::string dir);
 
   /// Deletes every object file under the directory. Called at Open: page
   /// store contents are a cache of a previous process's object-id space and
   /// must not leak into the new one.
   Status Wipe();
 
-  Status Write(PageId id, Slice page) override;
-  Status Read(PageId id, uint8_t* out) override;
-  Status Sync() override;
-  Status DropObject(uint32_t object_id) override;
+  /// Stores a full page image (`page.size() == Page::kPageSize`).
+  Status Write(PageId id, Slice page);
+  /// Reads a full page into `out` (kPageSize bytes); NotFound if never
+  /// written.
+  Status Read(PageId id, uint8_t* out);
+  /// Durability barrier for everything written so far.
+  Status Sync();
+  /// Forgets every page of an object (table/index dropped or cleared).
+  Status DropObject(uint32_t object_id);
+
+  /// fsyncs this store issued.
+  uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_relaxed); }
 
  private:
-  /// Opens (creating if `create`) the object's file; caller holds mu_.
-  Result<int> FdForLocked(uint32_t object_id, bool create);
+  std::string ObjectPath(uint32_t object_id) const;
 
-  mutable std::mutex mu_;
-  std::string dir_;
+  Fs* const fs_;
+  const std::string dir_;
+  std::mutex mu_;
   bool dir_ready_ = false;
-  std::map<uint32_t, int> fds_;
+  /// Objects written since the last Sync.
+  std::set<uint32_t> unsynced_;
+  fsio::FsyncCount fsyncs_{0};
 };
 
 struct BufferPoolStats {
@@ -99,6 +79,8 @@ struct BufferPoolStats {
   uint64_t evictions = 0;
   uint64_t writebacks = 0;
   uint64_t pinned_highwater = 0;
+  /// Frames holding an 8 KiB page buffer now: the pool's memory footprint.
+  uint64_t buffers = 0;
 };
 
 class BufferPool;
@@ -134,7 +116,7 @@ class PinnedPage {
   uint8_t* data_ = nullptr;
 };
 
-/// \brief Fixed-capacity page cache between HeapTable/BTree and a PageStore:
+/// \brief Fixed-capacity page cache between HeapTable/BTree and a FilePageStore:
 /// page table, pin counts, CLOCK second-chance eviction, dirty writeback, and
 /// an optional background flusher.
 ///
@@ -161,7 +143,7 @@ class BufferPool {
   static constexpr size_t kDefaultPages = 16384;
 
   /// `store` must outlive the pool. `capacity_pages` 0 selects kDefaultPages.
-  BufferPool(PageStore* store, size_t capacity_pages);
+  BufferPool(FilePageStore* store, size_t capacity_pages);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -180,7 +162,9 @@ class BufferPool {
   Status FlushAll();
 
   /// Drops the object everywhere: store pages are deleted now, unpinned
-  /// cached frames are freed now, and a still-pinned frame is doomed — its
+  /// cached frames are freed now (their buffers too, so dropping and
+  /// re-creating objects does not keep touching fresh frames' memory), and a
+  /// still-pinned frame is doomed — its
   /// dirty bit is cleared, no writeback path touches it again (dead pages
   /// must never resurrect a store file), and the final Unpin reclaims it.
   Status DropObject(uint32_t object_id);
@@ -229,7 +213,7 @@ class BufferPool {
 
   static constexpr size_t kNoFrame = static_cast<size_t>(-1);
 
-  PageStore* store_;
+  FilePageStore* store_;
   size_t capacity_;
 
   mutable std::mutex mu_;

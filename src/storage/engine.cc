@@ -3,20 +3,30 @@
 #include <algorithm>
 
 #include "fault/fault.h"
+#include "storage/sim_fs.h"
 
 namespace aedb::storage {
 
-StorageEngine::StorageEngine(EngineOptions options) : options_(options) {
-  PageStore* store = options_.page_store;
-  if (store == nullptr) {
-    owned_store_ = std::make_unique<MemPageStore>();
-    store = owned_store_.get();
-  }
-  pool_ = std::make_unique<BufferPool>(store, options_.pool_pages);
+StorageEngine::StorageEngine(EngineOptions options, std::shared_ptr<Fs> fs,
+                             const std::string& dir)
+    : options_(options),
+      fs_(fs != nullptr ? std::move(fs) : std::make_shared<SimFs>()),
+      store_(fs_.get(), dir + "/pages"),
+      pool_(std::make_unique<BufferPool>(&store_, options_.pool_pages)),
+      wal_(fs_.get(), dir + "/wal.log") {
   if (options_.flush_interval_ms > 0) {
     pool_->StartFlusher(options_.flush_interval_ms);
   }
   wal_.set_group_commit_window_us(options_.group_commit_window_us);
+}
+
+Status StorageEngine::Open() {
+  // The page store is a cache spill area, never a recovery source — recovery
+  // rebuilds every page from checkpoint + WAL, and object ids are assigned
+  // afresh each process. Stale spill files from the previous incarnation
+  // would alias the new ids, so wipe them before anything pins a page.
+  AEDB_RETURN_IF_ERROR(store_.Wipe());
+  return wal_.Open();
 }
 
 Status StorageEngine::CreateTable(uint32_t table_id) {
@@ -679,7 +689,8 @@ Result<RecoveryResult> StorageEngine::Recover() {
   std::shared_ptr<const CheckpointImage> base = checkpoint_base();
   const uint64_t horizon = base == nullptr ? 0 : base->checkpoint_lsn;
 
-  std::vector<LogRecord> log = wal_.Snapshot();
+  std::vector<LogRecord> log;
+  AEDB_ASSIGN_OR_RETURN(log, wal_.Snapshot());
   // Records below the horizon are baked into the checkpoint image. They are
   // present exactly when the crash landed between the checkpoint publish and
   // the log truncation; replaying them would double-apply.
@@ -940,7 +951,8 @@ Result<RecoveryResult> StorageEngine::Recover() {
 Status StorageEngine::RebuildIndexFromLog(IndexState* index, uint32_t index_id) {
   std::shared_ptr<const CheckpointImage> base = checkpoint_base();
   const uint64_t horizon = base == nullptr ? 0 : base->checkpoint_lsn;
-  std::vector<LogRecord> log = wal_.Snapshot();
+  std::vector<LogRecord> log;
+  AEDB_ASSIGN_OR_RETURN(log, wal_.Snapshot());
   std::set<uint64_t> committed;
   for (const LogRecord& rec : log) {
     if (rec.type == LogRecordType::kCommit) committed.insert(rec.txn_id);

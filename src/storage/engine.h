@@ -33,11 +33,6 @@ struct EngineOptions {
   /// Background dirty-page flusher period (0 = no flusher thread; dirty
   /// pages write back on eviction and at checkpoints only).
   uint64_t flush_interval_ms = 0;
-  /// Backing store for evicted pages. Null = engine-owned MemPageStore
-  /// (tests, in-process torture). The server layer passes a FilePageStore
-  /// under the data directory; evicted ciphertext then genuinely hits disk.
-  /// Not owned; must outlive the engine.
-  PageStore* page_store = nullptr;
   /// Group-commit leader linger in microseconds (see Wal::SyncUpTo). 0 keeps
   /// pure natural batching: single-threaded commit behavior is unchanged.
   uint64_t group_commit_window_us = 0;
@@ -84,10 +79,20 @@ struct RecoveryResult {
 /// arrive (ResolveDeferred) or the index is invalidated (InvalidateIndex).
 class StorageEngine {
  public:
-  explicit StorageEngine(EngineOptions options = EngineOptions{});
+  /// The engine's files live on `fs` under `dir`: its log `<dir>/wal.log`
+  /// and its page store `<dir>/pages`. Without an `fs` the engine gets a
+  /// fresh SimFs of its own (tests, benches).
+  explicit StorageEngine(EngineOptions options = EngineOptions{},
+                         std::shared_ptr<Fs> fs = nullptr,
+                         const std::string& dir = "");
 
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
+
+  /// Opens the engine's files when a process starts over them: wipes the
+  /// page store (a cache of the previous process's object ids) and opens
+  /// the log (Wal::Open). Recover() then rebuilds state from the log.
+  Status Open();
 
   // ----- catalog registration (done once at startup, before use) -----
   Status CreateTable(uint32_t table_id);
@@ -200,6 +205,8 @@ class StorageEngine {
 
   Wal& wal() { return wal_; }
   const Wal& wal() const { return wal_; }
+  /// fsyncs the engine's files took: the log's and the page store's.
+  uint64_t fsyncs() const { return wal_.fsyncs() + store_.fsyncs(); }
   LockManager& locks() { return locks_; }
   const LockManager& locks() const { return locks_; }
   const EngineOptions& options() const { return options_; }
@@ -265,9 +272,11 @@ class StorageEngine {
   Status RebuildIndexFromLog(IndexState* index, uint32_t index_id);
 
   EngineOptions options_;
-  // Pool before the table/index maps: heaps and trees drop their pool
-  // objects on destruction, so the pool must be destroyed after them.
-  std::unique_ptr<MemPageStore> owned_store_;  // when options_.page_store null
+  // The files first, then the pool before the table/index maps: heaps and
+  // trees drop their pool objects on destruction, so the pool and its store
+  // must be destroyed after them.
+  std::shared_ptr<Fs> fs_;
+  FilePageStore store_;
   std::unique_ptr<BufferPool> pool_;
   Wal wal_;
   LockManager locks_;

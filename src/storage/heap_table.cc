@@ -5,14 +5,8 @@
 
 namespace aedb::storage {
 
-HeapTable::HeapTable(BufferPool* pool) : pool_(pool) {
-  if (pool_ == nullptr) {
-    owned_store_ = std::make_unique<MemPageStore>();
-    owned_pool_ = std::make_unique<BufferPool>(owned_store_.get(), 0);
-    pool_ = owned_pool_.get();
-  }
-  object_id_ = pool_->NewObject();
-}
+HeapTable::HeapTable(BufferPool* pool)
+    : pool_(pool), object_id_(pool->NewObject()) {}
 
 HeapTable::~HeapTable() { (void)pool_->DropObject(object_id_); }
 

@@ -27,9 +27,8 @@ namespace aedb::storage {
 /// manager's job.
 class HeapTable {
  public:
-  /// Uses `pool` when given; otherwise the table owns a private
-  /// memory-backed pool (standalone/test construction).
-  explicit HeapTable(BufferPool* pool = nullptr);
+  /// The table's pages live in `pool`, which must outlive it.
+  explicit HeapTable(BufferPool* pool);
   ~HeapTable();
 
   HeapTable(const HeapTable&) = delete;
@@ -90,8 +89,6 @@ class HeapTable {
   /// Readers shared, mutators exclusive (see class comment).
   mutable std::shared_mutex mu_;
   BufferPool* pool_;
-  std::unique_ptr<MemPageStore> owned_store_;  // standalone mode only
-  std::unique_ptr<BufferPool> owned_pool_;
   uint32_t object_id_;
   size_t page_count_ = 0;
   uint64_t live_rows_ = 0;

@@ -1,12 +1,7 @@
 #include "storage/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "fault/fault.h"
@@ -85,57 +80,27 @@ Result<LogRecord> LogRecord::Deserialize(Slice in, size_t* offset) {
   return rec;
 }
 
-Wal::~Wal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-bool Wal::file_backed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // A poisoned log is still file-backed — it just cannot write right now.
-  return !path_.empty();
-}
+Wal::Wal(Fs* fs, std::string path) : fs_(fs), path_(std::move(path)) {}
 
 Status Wal::PoisonedError() const {
   return Status::Internal(
-      "wal poisoned (torn write, failed fsync or lost append fd)" +
-      (path_.empty() ? std::string() : " at " + path_));
+      "wal poisoned (torn write, failed fsync or failed rewrite) at " + path_);
 }
 
-Status Wal::WriteToFileLocked(const uint8_t* data, size_t n, size_t* written) {
-  for (*written = 0; *written < n;) {
-    ssize_t w = ::write(fd_, data + *written, n - *written);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("wal write: ") + std::strerror(errno));
-    }
-    *written += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
-Status Wal::AttachFile(const std::string& path) {
+Status Wal::Open() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!path_.empty()) {
-    return Status::FailedPrecondition("wal already file-backed");
-  }
-  const bool existed = fsio::FileExists(path);
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    return Status::Internal("open " + path + ": " + std::strerror(errno));
-  }
-  auto fail = [fd](Status st) {
-    ::close(fd);
-    return st;
-  };
-  if (!existed) {
+  auto read = fs_->ReadFile(path_);
+  if (read.status().IsNotFound()) {
     // The file's existence is directory metadata: without this fsync a crash
-    // can forget the (empty) log file even though later appends hit its fd.
-    Status st = fsio::SyncDir(fsio::DirName(path));
-    if (!st.ok()) return fail(st);
+    // can forget the (empty) log file even though later appends land in it.
+    AEDB_RETURN_IF_ERROR(fs_->Append(path_, Slice()));
+    AEDB_RETURN_IF_ERROR(
+        fsio::SyncDir(*fs_, fsio::DirName(path_), &fsyncs_));
+    bytes_ = 0;
+    return Status::OK();
   }
-  auto read = fsio::ReadFileBytes(path);
-  if (!read.ok()) return fail(read.status());
-  Bytes contents = std::move(read).value();
+  if (!read.ok()) return read.status();
+  const Bytes& contents = *read;
   // Headers and checksums only: recovery parses the records (Snapshot).
   uint64_t last_lsn = 0;
   const size_t intact = WalkFrames(contents, [&last_lsn](Slice body, size_t) {
@@ -144,21 +109,14 @@ Status Wal::AttachFile(const std::string& path) {
     return lsn.ok();
   });
   if (intact < contents.size()) {
-    // Physically drop the torn tail — the real-log analog of zeroing past
+    // Durably drop the torn tail — the real-log analog of zeroing past
     // end-of-log — so a later crash cannot resurrect half a frame.
     torn_dropped_ += contents.size() - intact;
-    if (::ftruncate(fd, static_cast<off_t>(intact)) != 0 || ::fsync(fd) != 0) {
-      return fail(Status::Internal("dropping the torn tail of " + path + ": " +
-                                   std::strerror(errno)));
-    }
-    ++fsyncs_;
-    fsio::CountFsync();
+    AEDB_RETURN_IF_ERROR(RewriteLocked(Slice(contents.data(), intact)));
   }
   next_lsn_ = std::max(next_lsn_, last_lsn + 1);
-  contents.resize(intact);
-  image_ = std::move(contents);
-  fd_ = fd;
-  path_ = path;
+  bytes_ = intact;
+  poisoned_ = false;
   return Status::OK();
 }
 
@@ -169,37 +127,38 @@ Result<uint64_t> Wal::Append(LogRecord record) {
   record.lsn = next_lsn_++;
   Bytes body;
   record.SerializeTo(&body);
-  const size_t start = image_.size();
-  PutU32(&image_, static_cast<uint32_t>(body.size()));
-  PutU32(&image_, Fnv1a(body));
-  image_.insert(image_.end(), body.begin(), body.end());
-  const size_t frame_size = image_.size() - start;
+  Bytes frame;
+  frame.reserve(kFrameOverhead + body.size());
+  PutU32(&frame, static_cast<uint32_t>(body.size()));
+  PutU32(&frame, Fnv1a(body));
+  frame.insert(frame.end(), body.begin(), body.end());
 
   Status st = Status::OK();
-  size_t landed = frame_size;
+  size_t landed = frame.size();
   fault::FaultSpec torn;
   if (AEDB_FAULT_FIRED("wal/torn_append", &torn)) {
-    // Crash mid-write: only a prefix of the frame reaches the image/file.
-    landed = torn.arg != 0 && torn.arg < frame_size ? torn.arg : frame_size / 2;
+    // Crash mid-write: only a prefix of the frame reaches the file.
+    landed = torn.arg != 0 && torn.arg < frame.size() ? torn.arg
+                                                      : frame.size() / 2;
     st = torn.status.ok() ? Status::Internal("torn log write") : torn.status;
   }
-  if (fd_ >= 0) {
-    size_t written = 0;
-    Status w = WriteToFileLocked(image_.data() + start, landed, &written);
-    if (!w.ok()) {
-      landed = written;
-      st = std::move(w);
-    }
+  Status written = fs_->Append(path_, Slice(frame.data(), landed));
+  if (!written.ok()) st = std::move(written);
+  if (st.ok()) {
+    bytes_ += frame.size();
+    return record.lsn;
   }
-  if (st.ok()) return record.lsn;
-  // The image keeps the partial frame, as the file does. A record appended
-  // after it could be fsynced and acked, yet no reader gets past the bad
-  // frame to see it: refuse writes until a rewrite from the intact prefix.
-  // That prefix is made durable first, so a commit appended before the tear
-  // is still acked (a failed fsync leaves synced_lsn_ alone).
-  image_.resize(start + landed);
+  // The file may hold a partial frame. A record appended after it could be
+  // fsynced and acked, yet no reader gets past the bad frame to see it:
+  // refuse writes until a rewrite from the intact prefix. That prefix is
+  // made durable first, so a commit appended before the tear is still acked
+  // (a failed fsync leaves synced_lsn_ alone).
+  auto size = fs_->Size(path_);
+  bytes_ = size.ok() ? *size : bytes_ + landed;
   next_lsn_ = record.lsn;  // the torn record never joined the log
-  if (fd_ < 0 || ::fsync(fd_) == 0) synced_lsn_ = record.lsn - 1;
+  if (fsio::SyncFile(*fs_, path_, &fsyncs_).ok()) {
+    synced_lsn_ = record.lsn - 1;
+  }
   poisoned_ = true;
   ++file_errors_;
   return st;
@@ -209,19 +168,17 @@ Status Wal::Sync() {
   AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("wal/sync"));
   std::lock_guard<std::mutex> lock(mu_);
   if (poisoned_) return PoisonedError();
-  if (fd_ < 0) return Status::OK();
-  if (::fsync(fd_) != 0) {
-    // The kernel reports a writeback error once, then clears it: a retried
-    // fsync on this (or a fresh) fd can "succeed" without the lost writes
-    // being durable. Poison the log so every later barrier fails until an
-    // atomic rewrite (e.g. checkpoint truncation) re-lands the whole image.
+  if (bytes_ == 0) return Status::OK();  // nothing written to make durable
+  Status st = fsio::SyncFile(*fs_, path_, &fsyncs_);
+  if (!st.ok()) {
+    // A failed fsync may have lost the writes it covered, and a retried one
+    // can "succeed" without them (the kernel reports a writeback error
+    // once). Poison the log so every later barrier fails until an atomic
+    // rewrite (e.g. checkpoint truncation) re-lands the whole log.
     poisoned_ = true;
     ++file_errors_;
-    return Status::Internal(std::string("wal fsync: ") + std::strerror(errno));
   }
-  ++fsyncs_;
-  fsio::CountFsync();
-  return Status::OK();
+  return st;
 }
 
 Status Wal::SyncUpTo(uint64_t lsn) {
@@ -236,7 +193,6 @@ Status Wal::SyncUpTo(uint64_t lsn) {
     // it covers stayed durable even if the log was poisoned since.
     if (synced_lsn_ >= lsn) return Status::OK();
     if (poisoned_) return PoisonedError();
-    if (fd_ < 0) return Status::OK();  // in-memory: trivially durable
     if (sync_in_progress_) {
       // Follow: the running (or next) leader's barrier will cover our lsn,
       // because our record was appended before this call.
@@ -255,35 +211,27 @@ Status Wal::SyncUpTo(uint64_t lsn) {
     uint64_t covered = next_lsn_ - 1;
     // fsync outside mu_ — this is what lets followers append their commit
     // records while the leader syncs, forming the next cohort. A rewrite
-    // (TruncateBefore, LoadImage) can run meanwhile and replace the append
-    // fd, so sync a dup: an fd number must never be reused under us. The
-    // barrier stays sound: every record up to `covered` was appended before
-    // that rewrite took mu_, so the rewrite, which fsyncs its new file
-    // before the rename, keeps it durable unless it cut it on purpose.
-    int fd = ::dup(fd_);
+    // (TruncateBefore, LoadImage) can run meanwhile and replace the file.
+    // The barrier stays sound: every record up to `covered` was appended
+    // before that rewrite took mu_, so the rewrite, which fsyncs its new
+    // file before the rename, keeps it durable unless it cut it on purpose.
     lock.unlock();
-    int rc = fd >= 0 ? ::fsync(fd) : -1;
-    int err = errno;
-    if (fd >= 0) ::close(fd);
+    Status synced = fsio::SyncFile(*fs_, path_, &fsyncs_);
     lock.lock();
     sync_in_progress_ = false;
-    if (rc != 0) {
-      // Do NOT let a follower elect itself leader and retry: the kernel
-      // clears the writeback error after reporting it once, so the retried
-      // fsync could return success without the failed writes being durable —
-      // acking commits that never reached disk. Poison the log instead:
-      // every queued and future barrier fails until an atomic rewrite (e.g.
-      // checkpoint truncation) re-lands the whole image on a fresh inode.
+    sync_cv_.notify_all();
+    if (!synced.ok()) {
+      // Do NOT let a follower elect itself leader and retry: the retried
+      // fsync could return success without the failed writes being durable
+      // (see Sync) — acking commits that never reached disk. Poison the log
+      // instead: every queued and future barrier fails until an atomic
+      // rewrite re-lands the whole log.
       poisoned_ = true;
       ++file_errors_;
-      sync_cv_.notify_all();
-      return Status::Internal(std::string("wal fsync: ") + std::strerror(err));
+      return synced;
     }
-    sync_cv_.notify_all();
     synced_lsn_ = std::max(synced_lsn_, covered);
-    ++fsyncs_;
     ++group_commit_batches_;
-    fsio::CountFsync();
     // Loop re-checks: our lsn is ≤ covered (appended before the call).
   }
 }
@@ -303,9 +251,12 @@ uint64_t Wal::sync_requests() const {
   return sync_requests_;
 }
 
-std::vector<LogRecord> Wal::Snapshot() const {
+Result<std::vector<LogRecord>> Wal::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ParseImage(image_).records;
+  auto read = fs_->ReadFile(path_);
+  if (read.status().IsNotFound()) return std::vector<LogRecord>();
+  if (!read.ok()) return read.status();
+  return ParseImage(*read).records;
 }
 
 uint64_t Wal::next_lsn() const {
@@ -320,7 +271,8 @@ void Wal::EnsureNextLsn(uint64_t lsn) {
 
 Bytes Wal::RawBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return image_;
+  auto read = fs_->ReadFile(path_);
+  return read.ok() ? std::move(read).value() : Bytes();
 }
 
 WalLoadResult Wal::ParseImage(Slice image) {
@@ -344,68 +296,54 @@ WalLoadResult Wal::LoadImage(Slice image) {
   // next_lsn_ may have moved backwards; a stale fsync watermark would let
   // SyncUpTo treat brand-new records at reused LSNs as already durable.
   synced_lsn_ = 0;
-  // The durable image keeps only the intact prefix: recovery discards a torn
-  // tail for good, exactly like a real log manager zeroing past end-of-log.
+  // The log keeps only the intact prefix: recovery discards a torn tail for
+  // good, exactly like a real log manager zeroing past end-of-log.
   torn_dropped_ += image.size() - parsed.bytes_consumed;
-  image_.assign(image.data(), image.data() + parsed.bytes_consumed);
-  // A failed rewrite is recorded in file_errors_ (and may poison the log);
-  // this API has no status channel, so the gauge is the observable.
-  (void)RewriteLocked();
+  // The file must now hold what next_lsn_ was computed from: a failed
+  // rewrite poisons the log. This API has no status channel, so
+  // file_errors() and poisoned() are the observables.
+  if (!RewriteLocked(image.subslice(0, parsed.bytes_consumed)).ok()) {
+    poisoned_ = true;
+  }
   return parsed;
 }
 
 Status Wal::TruncateBefore(uint64_t lsn) {
   std::lock_guard<std::mutex> lock(mu_);
-  // LSNs grow along the image: cut at the first frame that reaches the
+  auto read = fs_->ReadFile(path_);
+  if (read.status().IsNotFound()) return Status::OK();  // nothing to cut
+  if (!read.ok()) return read.status();
+  const Slice image(*read);
+  // LSNs grow along the file: cut at the first frame that reaches the
   // horizon. Checksums are skipped there, as those frames go and a torn one
   // (nothing follows it) is cut short. The second walk finds the intact end.
   auto below = [lsn](Slice body, size_t) {
     auto frame_lsn = FrameLsn(body);
     return frame_lsn.ok() && *frame_lsn < lsn;
   };
-  const size_t cut = WalkFrames(image_, below, /*verify=*/false);
+  const size_t cut = WalkFrames(image, below, /*verify=*/false);
   const size_t end =
-      cut + WalkFrames(Slice(image_).subslice(cut, image_.size() - cut),
+      cut + WalkFrames(image.subslice(cut, image.size() - cut),
                        [](Slice, size_t) { return true; });
-  image_.erase(image_.begin() + end, image_.end());
-  image_.erase(image_.begin(), image_.begin() + cut);
-  return RewriteLocked();
+  return RewriteLocked(image.subslice(cut, end - cut));
 }
 
-Status Wal::RewriteLocked() {
-  if (path_.empty()) {  // in memory, image_ is the whole log
-    poisoned_ = false;
-    return Status::OK();
-  }
-  Status written = fsio::WriteFileDurable(path_, image_);
+Status Wal::RewriteLocked(Slice image) {
+  Status written = fsio::WriteFileDurable(*fs_, path_, image, &fsyncs_);
   if (!written.ok()) {
-    // The rename never happened: the old inode (a superset of image_) is
-    // still the live log and the append fd still points at it, so durability
-    // is intact — just diverged from the trimmed mirror. Count and report.
+    // The rename never happened: the old file, a superset of `image`, is
+    // still the live log, so durability is intact. Count and report.
     ++file_errors_;
     return written;
   }
-  // The rename published a new inode; the old append fd still points at the
-  // replaced file. Reopen so future appends land in the live log.
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND);
-  if (fd_ < 0) {
-    // No writable fd at all now. fd_ == -1 normally means in-memory mode, so
-    // without the poisoned flag every later Append/Sync would silently
-    // "succeed" with zero durability. Poison instead: writes fail loudly
-    // until a later rewrite (e.g. the next checkpoint truncation) heals it.
-    poisoned_ = true;
-    ++file_errors_;
-    return Status::Internal("reopen " + path_ + ": " + std::strerror(errno));
-  }
+  bytes_ = image.size();
   poisoned_ = false;
   return Status::OK();
 }
 
 size_t Wal::record_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  WalkFrames(image_, [&n](Slice, size_t) {
+  WalkFrames(RawBytes(), [&n](Slice, size_t) {
     ++n;
     return true;
   });
@@ -413,8 +351,7 @@ size_t Wal::record_count() const {
 }
 
 uint64_t Wal::fsyncs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fsyncs_;
+  return fsyncs_.load(std::memory_order_relaxed);
 }
 
 uint64_t Wal::torn_bytes_dropped() const {
@@ -424,7 +361,7 @@ uint64_t Wal::torn_bytes_dropped() const {
 
 uint64_t Wal::wal_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return image_.size();
+  return bytes_;
 }
 
 uint64_t Wal::file_errors() const {

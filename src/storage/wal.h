@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/fsio.h"
 #include "storage/page.h"
 
 namespace aedb::storage {
@@ -81,22 +82,14 @@ uint32_t FrameChecksum(Slice body);
 /// `2pc.log` (`kCommit` decisions). So framing, torn-tail truncation, fsync,
 /// group commit, fault points and the poison rule have one implementation.
 ///
-/// A log's only in-memory form is `image_`, the framed bytes that are, or
-/// would be, on disk, torn tail included: the recovery source (Snapshot
-/// parses it, so in-process recovery replays what a crash would leave) and
-/// the adversary-observable "disk" form, scanned by leakage tests and cut at
-/// arbitrary prefixes by the torture harness.
+/// The log's file is its only copy: Append writes the frame to the file
+/// through the Fs, Sync fsyncs it, and Snapshot, RawBytes, TruncateBefore and
+/// record_count read it back. RawBytes is the adversary-observable disk form,
+/// scanned by leakage tests and cut at arbitrary prefixes by the torture
+/// harness. Truncation rewrites the file atomically (tmp → fsync → rename →
+/// fsync dir).
 ///
-/// Two backing modes share identical framing and semantics:
-///   - In-memory (default): the log lives only in `image_`; Sync does
-///     nothing beyond its fault point and the poison check. This remains the
-///     mode every pre-existing test and the in-process torture matrix run in.
-///   - File-backed (after AttachFile): every frame is additionally written to
-///     an O_APPEND fd under the data directory, Sync performs a real fsync
-///     (the commit durability point), and truncation rewrites the file
-///     atomically (tmp → fsync → rename → fsync dir).
-///
-/// On-image framing, per record:
+/// On-disk framing, per record:
 ///
 ///     u32  body length
 ///     u32  FNV-1a checksum of the body
@@ -111,34 +104,32 @@ uint32_t FrameChecksum(Slice body);
 /// whichever log appends or syncs next.
 ///   wal/append       Append fails before writing anything.
 ///   wal/torn_append  Append writes only the first `arg` bytes of the frame
-///                    (default: half) to the image/file and fails — simulates
-///                    a crash mid-write. Like a short or failed write(), it
+///                    (default: half) to the file and fails — simulates a
+///                    crash mid-write. Like a short or failed write(), it
 ///                    poisons the log until a rewrite from the intact prefix.
 ///   wal/sync         Sync fails (fsync error at the commit durability
 ///                    point); the real fsync is skipped.
 class Wal {
  public:
-  Wal() = default;
-  ~Wal();
+  /// The log is the file `path` on `fs`, which must outlive the Wal. A
+  /// missing file is an empty log; the first Append creates it.
+  Wal(Fs* fs, std::string path);
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Switches to file-backed mode. Opens (creating + directory-fsyncing if
-  /// needed) `path` for O_APPEND writes, walks its frames, physically
-  /// truncates any torn tail, and adopts the intact prefix as the log
-  /// (recovery replays it through Snapshot).
-  Status AttachFile(const std::string& path);
-  bool file_backed() const;
+  /// Adopts the file as the log when a process starts over it: creates it
+  /// (durably, with its directory entry) when missing, drops any torn tail
+  /// durably, and continues its LSNs. Recovery then replays it (Snapshot).
+  Status Open();
 
-  /// Assigns the next LSN, frames and appends the record. In file-backed
-  /// mode the frame is written (not yet fsynced) to the log file.
+  /// Assigns the next LSN, frames the record and appends it to the file
+  /// (not yet fsynced).
   Result<uint64_t> Append(LogRecord record);
 
-  /// Durability barrier: everything appended so far survives a crash. In
-  /// file-backed mode this is a real fsync of the log fd. Either way the
-  /// `wal/sync` fault point fires first (a fired fault skips the fsync — the
-  /// commit must not become durable), and a poisoned log refuses.
+  /// Durability barrier: everything appended so far survives a power cut.
+  /// The `wal/sync` fault point fires first (a fired fault skips the fsync —
+  /// the commit must not become durable), and a poisoned log refuses.
   Status Sync();
 
   /// Group-commit durability barrier: returns once every record up to and
@@ -166,65 +157,65 @@ class Wal {
   /// when the engine routes commits through SyncUpTo).
   uint64_t sync_requests() const;
 
-  /// Parses the image up to any torn tail (recovery and tests only).
-  std::vector<LogRecord> Snapshot() const;
+  /// Reads the file and parses it up to any torn tail (the recovery source).
+  Result<std::vector<LogRecord>> Snapshot() const;
   uint64_t next_lsn() const;
   /// Raises next_lsn to at least `lsn` — used after loading a checkpoint
   /// whose LSN horizon is past the (possibly truncated-to-empty) log tail.
   void EnsureNextLsn(uint64_t lsn);
 
-  /// The durable byte image (adversary view; framed).
+  /// The file's bytes (adversary view; framed). Empty when it is missing.
   Bytes RawBytes() const;
 
   /// Parses a durable image, dropping any torn tail. Never fails.
   static WalLoadResult ParseImage(Slice image);
 
-  /// Replaces this log's contents with what `image` holds — the "reopen after
-  /// crash" path. Returns the parse result so callers can see how much of the
-  /// tail was lost. File-backed: the file is atomically rewritten to match.
+  /// Replaces the log with the intact prefix of `image` — the "reopen after
+  /// crash" path: the file is atomically rewritten to match. Returns the
+  /// parse result so callers can see how much of the tail was lost.
   WalLoadResult LoadImage(Slice image);
 
   /// Drops records up to `lsn` exclusive (log truncation after checkpoint),
-  /// and everything from the first bad frame on. File-backed: rewrites the
-  /// log file atomically; a crash between the checkpoint publish and this
-  /// rewrite only leaves already-checkpointed records in the file, which
-  /// recovery filters out by LSN. May run while other threads Append and
-  /// SyncUpTo (see SyncUpTo).
+  /// and everything from the first bad frame on, by rewriting the file
+  /// atomically. A crash between the checkpoint publish and this rewrite
+  /// only leaves already-checkpointed records in the file, which recovery
+  /// filters out by LSN. May run while other threads Append and SyncUpTo
+  /// (see SyncUpTo).
   Status TruncateBefore(uint64_t lsn);
 
-  /// Intact frames in the image.
+  /// Intact frames in the file.
   size_t record_count() const;
 
   // ----- durability gauges -----
-  /// fsyncs issued by this log (commit-path Sync + attach/rewrite syncs).
+  /// fsyncs issued by this log (commit-path syncs, opens and rewrites).
   uint64_t fsyncs() const;
-  /// Bytes of torn tail dropped across AttachFile/LoadImage calls.
+  /// Bytes of torn tail dropped across Open/LoadImage calls.
   uint64_t torn_bytes_dropped() const;
-  /// Current size of the durable image in bytes.
+  /// The file's size in bytes, as this log has written it.
   uint64_t wal_bytes() const;
-  /// Torn log writes (in either mode), failed fsyncs, and failed truncation
-  /// rewrites or reopens. Nonzero means disk state may lag `image_`.
+  /// Torn log writes, failed fsyncs, and failed rewrites.
   uint64_t file_errors() const;
-  /// True after the log became unwritable, in either mode: a write left a
-  /// partial frame (no reader gets past it to a later record), an fsync
-  /// failed (a retried fsync may "succeed" with the failed writes lost), or
-  /// a rewrite lost the append fd. Append/Sync/SyncUpTo refuse until a
-  /// successful TruncateBefore (e.g. the next checkpoint) or LoadImage
+  /// True after the log became unwritable: a write left a partial frame (no
+  /// reader gets past it to a later record), an fsync failed (a retried
+  /// fsync may "succeed" with the failed writes lost), or a rewrite that was
+  /// to replace the log failed. Append/Sync/SyncUpTo refuse until a
+  /// successful TruncateBefore (e.g. the next checkpoint), LoadImage or Open
   /// (e.g. Database::Restart) rewrites the log from its intact prefix. A
   /// tear first makes that prefix durable: SyncUpTo still acks it.
   bool poisoned() const;
 
  private:
-  /// Makes image_ the whole log; success clears poisoned_. File-backed:
-  /// atomically rewrites the file and reopens the append fd. Holds mu_.
-  Status RewriteLocked();
-  /// Appends to the log fd; `*written` counts what landed. Holds mu_.
-  Status WriteToFileLocked(const uint8_t* data, size_t n, size_t* written);
+  /// Atomically replaces the file with `image`; success clears poisoned_.
+  /// Holds mu_.
+  Status RewriteLocked(Slice image);
   Status PoisonedError() const;
 
+  Fs* const fs_;
+  const std::string path_;
+
   mutable std::mutex mu_;
-  Bytes image_;  // the log: framed bytes as on disk, torn tail included
   uint64_t next_lsn_ = 1;
+  uint64_t bytes_ = 0;  // the file's size, torn tail included
 
   // ----- group commit (guarded by mu_; sync_cv_ signals leader handoff) ---
   std::condition_variable sync_cv_;
@@ -236,13 +227,9 @@ class Wal {
   uint64_t sync_requests_ = 0;
   uint64_t group_commit_batches_ = 0;
 
-  int fd_ = -1;  // append fd; -1 in memory mode, or when the fd was lost
   /// Unwritable until a rewrite from the intact prefix (see poisoned()).
-  /// Kept apart from fd_ == -1 so no failure silently turns a durable log
-  /// into a volatile one.
   bool poisoned_ = false;
-  std::string path_;  // empty: in-memory mode
-  uint64_t fsyncs_ = 0;
+  fsio::FsyncCount fsyncs_{0};
   uint64_t torn_dropped_ = 0;
   uint64_t file_errors_ = 0;
 };

@@ -15,6 +15,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/engine.h"
 #include "storage/heap_table.h"
+#include "storage/sim_fs.h"
 #include "storage/torture.h"
 #include "storage/wal.h"
 #include "temp_dir.h"
@@ -39,7 +40,8 @@ class BufferPoolTest : public ::testing::Test {
 };
 
 TEST_F(BufferPoolTest, PinCreateWriteReadBack) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool pool(&store, BufferPool::kMinPages);
   uint32_t obj = pool.NewObject();
 
@@ -64,7 +66,8 @@ TEST_F(BufferPoolTest, PinCreateWriteReadBack) {
 }
 
 TEST_F(BufferPoolTest, EvictionRoundTripsThroughStore) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool pool(&store, BufferPool::kMinPages);
   uint32_t obj = pool.NewObject();
   const uint32_t kPages = 4 * BufferPool::kMinPages;
@@ -90,7 +93,8 @@ TEST_F(BufferPoolTest, EvictionRoundTripsThroughStore) {
 }
 
 TEST_F(BufferPoolTest, AllPinnedPoolRefusesThenRecovers) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool pool(&store, BufferPool::kMinPages);
   uint32_t obj = pool.NewObject();
 
@@ -149,7 +153,8 @@ TEST_F(BufferPoolTest, AllPinnedPoolRefusesThenRecovers) {
 }
 
 TEST_F(BufferPoolTest, EvictFaultFailsPinAndLeavesVictimCached) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool pool(&store, BufferPool::kMinPages);
   uint32_t obj = pool.NewObject();
   for (uint32_t p = 0; p < BufferPool::kMinPages; ++p) {
@@ -176,7 +181,8 @@ TEST_F(BufferPoolTest, EvictFaultFailsPinAndLeavesVictimCached) {
 }
 
 TEST_F(BufferPoolTest, WritebackFaultFailsFlushThenSucceeds) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool pool(&store, BufferPool::kMinPages);
   uint32_t obj = pool.NewObject();
   {
@@ -200,7 +206,8 @@ TEST_F(BufferPoolTest, WritebackFaultFailsFlushThenSucceeds) {
 }
 
 TEST_F(BufferPoolTest, BackgroundFlusherWritesDirtyPages) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool pool(&store, BufferPool::kMinPages);
   uint32_t obj = pool.NewObject();
   pool.StartFlusher(/*interval_ms=*/5);
@@ -228,7 +235,8 @@ TEST_F(BufferPoolTest, BackgroundFlusherWritesDirtyPages) {
 /// bytes under only the table latch, so a concurrent writeback could persist
 /// a torn image — and a MarkDirty racing the dirty-bit clear would be lost.
 TEST_F(BufferPoolTest, FlusherSkipsPinnedFramesAndKeepsThemDirty) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool pool(&store, BufferPool::kMinPages);
   uint32_t obj = pool.NewObject();
   pool.StartFlusher(/*interval_ms=*/2);
@@ -260,7 +268,8 @@ TEST_F(BufferPoolTest, FlusherSkipsPinnedFramesAndKeepsThemDirty) {
 /// this binary). Threads own disjoint pages, so any cross-thread corruption
 /// is the pool's fault, not the test's.
 TEST_F(BufferPoolTest, ConcurrentAccessWithPoolSmallerThanWorkingSet) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool pool(&store, BufferPool::kMinPages);
   constexpr int kThreads = 4;
   constexpr uint32_t kPagesPerThread = 16;  // 64 pages vs 8 frames
@@ -301,13 +310,40 @@ TEST_F(BufferPoolTest, ConcurrentAccessWithPoolSmallerThanWorkingSet) {
   EXPECT_GT(pool.stats().evictions, 0u);
 }
 
+/// Dropping an object frees its frames' buffers, the doomed ones at their
+/// final unpin. Otherwise each object dropped and re-created (every table
+/// and index at each recovery) claims fresh frames, as the clock hand
+/// prefers an unused frame to a freed one, until all of them hold memory.
+TEST_F(BufferPoolTest, DropObjectReleasesFrameBuffers) {
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
+  BufferPool pool(&store, 0);  // default capacity: far more frames than pages
+  for (int round = 0; round < 50; ++round) {
+    const uint32_t obj = pool.NewObject();
+    PinnedPage held;
+    for (uint32_t p = 0; p < 8; ++p) {
+      auto pin = pool.Pin(PageId{obj, p}, /*create=*/true);
+      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+      pin->MarkDirty();
+      if (p == 0) held = std::move(*pin);
+    }
+    EXPECT_EQ(pool.stats().buffers, 8u);
+    ASSERT_TRUE(pool.DropObject(obj).ok());
+    EXPECT_EQ(pool.stats().buffers, 1u) << "round " << round;  // `held`
+  }
+  EXPECT_EQ(pool.stats().buffers, 0u);
+}
+
 // --- paged structures behave exactly like unbounded ones ---
 
 TEST_F(BufferPoolTest, HeapTableTinyPoolMatchesUnbounded) {
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool tiny(&store, BufferPool::kMinPages);
   HeapTable paged(&tiny);
-  HeapTable unbounded;  // private default-capacity pool
+  FilePageStore big_store(&fs, "pages-unbounded");
+  BufferPool big(&big_store, 0);  // default capacity
+  HeapTable unbounded(&big);
 
   Xoshiro256 rng(11);
   std::vector<Rid> rids_a, rids_b;
@@ -349,10 +385,13 @@ TEST_F(BufferPoolTest, HeapTableTinyPoolMatchesUnbounded) {
 
 TEST_F(BufferPoolTest, BTreeTinyPoolMatchesUnbounded) {
   BinaryComparator cmp;
-  MemPageStore store;
+  SimFs fs;
+  FilePageStore store(&fs, "pages");
   BufferPool tiny(&store, BufferPool::kMinPages);
   BTree paged(&cmp, /*unique=*/false, &tiny);
-  BTree unbounded(&cmp, /*unique=*/false);
+  FilePageStore big_store(&fs, "pages-unbounded");
+  BufferPool big(&big_store, 0);  // default capacity
+  BTree unbounded(&cmp, /*unique=*/false, &big);
 
   Xoshiro256 rng(23);
   std::vector<std::pair<std::string, uint16_t>> entries;
@@ -402,15 +441,16 @@ constexpr uint32_t kTable = 1;
 
 TEST_F(BufferPoolTest, GroupCommitAmortizesFsyncsAndLosesNothing) {
   TempDir dir;
-  const std::string wal_path = dir.path() + "/wal.log";
   constexpr int kThreads = 8;
   constexpr int kCommitsPerThread = 25;
 
+  // A real disk: cohorts form while a leader's fsync takes real time.
+  auto disk = std::make_shared<PosixFs>();
   EngineOptions opts;
   opts.group_commit_window_us = 200;
-  StorageEngine engine(opts);
+  StorageEngine engine(opts, disk, dir.path());
   ASSERT_TRUE(engine.CreateTable(kTable).ok());
-  ASSERT_TRUE(engine.wal().AttachFile(wal_path).ok());
+  ASSERT_TRUE(engine.Open().ok());
 
   std::vector<std::thread> committers;
   std::atomic<int> hard_errors{0};
@@ -439,9 +479,10 @@ TEST_F(BufferPoolTest, GroupCommitAmortizesFsyncsAndLosesNothing) {
 
   // Every acked commit is durable: a fresh engine recovering from the file
   // sees all of them.
-  StorageEngine fresh;
+  StorageEngine fresh(EngineOptions{}, std::make_shared<PosixFs>(),
+                      dir.path());
   ASSERT_TRUE(fresh.CreateTable(kTable).ok());
-  Status load = fresh.wal().AttachFile(wal_path);
+  Status load = fresh.Open();
   ASSERT_TRUE(load.ok()) << load.ToString();
   EXPECT_EQ(fresh.wal().torn_bytes_dropped(), 0u);
   auto recovered = fresh.Recover();
@@ -451,11 +492,9 @@ TEST_F(BufferPoolTest, GroupCommitAmortizesFsyncsAndLosesNothing) {
 }
 
 TEST_F(BufferPoolTest, SingleCommitterGroupCommitIsJustSync) {
-  TempDir dir;
   EngineOptions opts;  // window 0: pure natural batching, no linger
   StorageEngine engine(opts);
   ASSERT_TRUE(engine.CreateTable(kTable).ok());
-  ASSERT_TRUE(engine.wal().AttachFile(dir.path() + "/wal.log").ok());
   for (int i = 0; i < 5; ++i) {
     uint64_t txn = engine.Begin();
     ASSERT_TRUE(engine.HeapInsert(txn, kTable, B("r" + std::to_string(i))).ok());
@@ -470,9 +509,9 @@ TEST_F(BufferPoolTest, SingleCommitterGroupCommitIsJustSync) {
 /// fsync watermark must rewind with it, or SyncUpTo on records minted at
 /// reused LSNs would skip the fsync — a silent durability hole.
 TEST_F(BufferPoolTest, LoadImageResetsTheGroupCommitBarrier) {
-  TempDir dir;
-  Wal wal;
-  ASSERT_TRUE(wal.AttachFile(dir.path() + "/wal.log").ok());
+  SimFs fs;
+  Wal wal(&fs, "wal.log");
+  ASSERT_TRUE(wal.Open().ok());
   LogRecord rec;
   rec.txn_id = 1;
   rec.type = LogRecordType::kBegin;

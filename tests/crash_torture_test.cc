@@ -45,6 +45,11 @@
 namespace aedb {
 namespace {
 
+bool OnDisk(const std::string& path) {
+  storage::PosixFs disk;
+  return storage::fsio::FileExists(disk, path);
+}
+
 using client::Driver;
 using client::DriverOptions;
 using types::Value;
@@ -251,7 +256,7 @@ class CrashTortureTest : public ::testing::Test {
                              "clean_shutdown", "checkpoint.db.tmp",
                              "wal.log.tmp"}) {
       std::string path = data_dir_ + "/" + name;
-      if (storage::fsio::FileExists(path)) out.push_back(path);
+      if (OnDisk(path)) out.push_back(path);
     }
     return out;
   }
@@ -381,7 +386,7 @@ TEST_F(CrashTortureTest, AckedPrefixSurvivesTwentyPlusKillNineCycles) {
       << "server did not exit cleanly on SIGTERM";
   EXPECT_EQ(WEXITSTATUS(wait_status), 0);
   EXPECT_TRUE(
-      storage::fsio::FileExists(data_dir_ + "/clean_shutdown"));
+      OnDisk(data_dir_ + "/clean_shutdown"));
 
   // The survivors are intact after a clean restart too.
   ASSERT_TRUE(StartServer());
@@ -395,7 +400,7 @@ TEST_F(CrashTortureTest, AckedPrefixSurvivesTwentyPlusKillNineCycles) {
   const std::vector<std::string> secrets = {"CONFIDENTIAL-PAYLOAD", "BARBAR"};
   size_t scanned = 0;
   for (const std::string& file : ListDataDirFiles()) {
-    auto bytes = storage::fsio::ReadFileBytes(file);
+    auto bytes = storage::PosixFs().ReadFile(file);
     ASSERT_TRUE(bytes.ok()) << file;
     scanned += bytes->size();
     std::string_view haystack(reinterpret_cast<const char*>(bytes->data()),

@@ -19,6 +19,7 @@
 #include "storage/checkpoint.h"
 #include "storage/engine.h"
 #include "storage/fsio.h"
+#include "storage/sim_fs.h"
 #include "storage/torture.h"
 #include "storage/wal.h"
 #include "temp_dir.h"
@@ -41,6 +42,11 @@ using testing::TempDir;
 using types::Value;
 
 Bytes B(std::string_view s) { return Slice(s).ToBytes(); }
+
+bool OnDisk(const std::string& path) {
+  storage::PosixFs disk;
+  return storage::fsio::FileExists(disk, path);
+}
 
 class DurabilityTest : public ::testing::Test {
  protected:
@@ -65,11 +71,11 @@ TEST_F(DurabilityTest, FileWalSurvivesReopen) {
   TempDir dir;
   const std::string path = dir.File("wal.log");
   {
-    Wal wal;
-    Status attached = wal.AttachFile(path);
-    ASSERT_TRUE(attached.ok()) << attached.ToString();
-    EXPECT_TRUE(wal.file_backed());
-    EXPECT_TRUE(wal.Snapshot().empty());
+    storage::PosixFs disk;
+    Wal wal(&disk, path);
+    Status opened = wal.Open();
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    EXPECT_TRUE(wal.Snapshot()->empty());
     ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kBegin, "")).ok());
     ASSERT_TRUE(
         wal.Append(MakeRecord(1, LogRecordType::kHeapInsert, "row-a")).ok());
@@ -80,10 +86,11 @@ TEST_F(DurabilityTest, FileWalSurvivesReopen) {
   }
   // A brand-new Wal over the same file adopts the log: same records, and the
   // next LSN continues past the durable tail instead of restarting at 1.
-  Wal reopened;
-  Status loaded = reopened.AttachFile(path);
+  storage::PosixFs disk;
+  Wal reopened(&disk, path);
+  Status loaded = reopened.Open();
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  auto records = reopened.Snapshot();
+  auto records = *reopened.Snapshot();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(reopened.torn_bytes_dropped(), 0u);
   EXPECT_EQ(records[1].payload1, B("row-a"));
@@ -96,8 +103,9 @@ TEST_F(DurabilityTest, FileWalTornTailIsDroppedAndPhysicallyTruncated) {
   const std::string path = dir.File("wal.log");
   size_t intact_bytes = 0;
   {
-    Wal wal;
-    ASSERT_TRUE(wal.AttachFile(path).ok());
+    storage::PosixFs disk;
+    Wal wal(&disk, path);
+    ASSERT_TRUE(wal.Open().ok());
     ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kBegin, "")).ok());
     ASSERT_TRUE(
         wal.Append(MakeRecord(1, LogRecordType::kHeapInsert, "kept")).ok());
@@ -113,30 +121,34 @@ TEST_F(DurabilityTest, FileWalTornTailIsDroppedAndPhysicallyTruncated) {
     ASSERT_EQ(write(fd, torn, sizeof(torn)), (ssize_t)sizeof(torn));
     close(fd);
   }
-  Wal reopened;
-  Status loaded = reopened.AttachFile(path);
+  storage::PosixFs disk;
+  Wal reopened(&disk, path);
+  Status loaded = reopened.Open();
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  ASSERT_EQ(reopened.Snapshot().size(), 2u);
+  ASSERT_EQ(reopened.Snapshot()->size(), 2u);
   EXPECT_GT(reopened.torn_bytes_dropped(), 0u);
-  // The tail was ftruncated away, not just ignored: the file is back to the
+  // The tail was rewritten away, not just ignored: the file is back to the
   // intact prefix, so the next append lands on a clean boundary.
   struct stat st;
   ASSERT_EQ(stat(path.c_str(), &st), 0);
   EXPECT_EQ(static_cast<size_t>(st.st_size), intact_bytes);
   ASSERT_TRUE(
       reopened.Append(MakeRecord(2, LogRecordType::kHeapInsert, "after")).ok());
-  Wal third;
-  ASSERT_TRUE(third.AttachFile(path).ok());
+  storage::PosixFs third_disk;
+  Wal third(&third_disk, path);
+  ASSERT_TRUE(third.Open().ok());
   EXPECT_EQ(third.torn_bytes_dropped(), 0u);
-  auto records = third.Snapshot();
+  auto records = *third.Snapshot();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[2].payload1, B("after"));
 }
 
 TEST_F(DurabilityTest, FileWalSyncFaultSkipsFsync) {
   TempDir dir;
-  Wal wal;
-  ASSERT_TRUE(wal.AttachFile(dir.File("wal.log")).ok());
+  storage::PosixFs disk;
+  Wal wal(&disk, dir.File("wal.log"));
+  ASSERT_TRUE(wal.Open().ok());
+  ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kBegin, "")).ok());
   const uint64_t before = wal.fsyncs();
   fault::FaultSpec spec;
   spec.trigger = fault::FaultSpec::Trigger::kOneShot;
@@ -150,34 +162,35 @@ TEST_F(DurabilityTest, FileWalSyncFaultSkipsFsync) {
 TEST_F(DurabilityTest, FailedTruncationRewriteIsObservableAndNonFatal) {
   TempDir dir;
   const std::string path = dir.File("wal.log");
-  Wal wal;
-  ASSERT_TRUE(wal.AttachFile(path).ok());
+  storage::PosixFs disk;
+  Wal wal(&disk, path);
+  ASSERT_TRUE(wal.Open().ok());
   ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kBegin, "")).ok());
   ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kHeapInsert, "a")).ok());
   ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kCommit, "")).ok());
   ASSERT_TRUE(wal.Sync().ok());
   const uint64_t cut = wal.next_lsn();
 
-  // The truncation's atomic rewrite dies before its rename. The old inode —
-  // a superset of the trimmed log — is still live under the old append fd,
-  // so durability is intact; the disk/mirror divergence must be gauged.
+  // The truncation's atomic rewrite dies before its rename. The old file —
+  // a superset of the trimmed log — is still the live log, so durability is
+  // intact; the failed rewrite must be gauged.
   fault::FaultSpec spec;
   spec.trigger = fault::FaultSpec::Trigger::kOneShot;
   fault::FaultRegistry::Global().Arm("fsio/pre_rename", spec);
   EXPECT_FALSE(wal.TruncateBefore(cut).ok());
   EXPECT_EQ(wal.file_errors(), 1u);
   EXPECT_FALSE(wal.poisoned());
-  EXPECT_TRUE(wal.file_backed());
 
   // The log keeps working: appends and fsyncs still reach the file, and a
   // reopen sees the never-truncated prefix plus the new tail.
   ASSERT_TRUE(wal.Append(MakeRecord(2, LogRecordType::kBegin, "")).ok());
   ASSERT_TRUE(wal.Sync().ok());
-  Wal reopened;
-  Status loaded = reopened.AttachFile(path);
+  storage::PosixFs reopened_disk;
+  Wal reopened(&reopened_disk, path);
+  Status loaded = reopened.Open();
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   EXPECT_EQ(reopened.torn_bytes_dropped(), 0u);
-  auto records = reopened.Snapshot();
+  auto records = *reopened.Snapshot();
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records.back().type, LogRecordType::kBegin);
 }
@@ -239,8 +252,10 @@ TEST_F(DurabilityTest, CheckpointImageDetectsCorruptionAndTruncation) {
 constexpr uint32_t kTable = 1;
 constexpr uint32_t kIndex = 2;
 
-std::unique_ptr<StorageEngine> MakeCatalogedEngine() {
-  auto engine = std::make_unique<StorageEngine>();
+std::unique_ptr<StorageEngine> MakeCatalogedEngine(
+    std::shared_ptr<storage::Fs> fs = nullptr, const std::string& dir = "") {
+  auto engine =
+      std::make_unique<StorageEngine>(storage::EngineOptions{}, fs, dir);
   EXPECT_TRUE(engine->CreateTable(kTable).ok());
   EXPECT_TRUE(engine
                   ->CreateIndex(kIndex, kTable,
@@ -275,7 +290,7 @@ TEST_F(DurabilityTest, CommitRecordIsAppendedBeforeTheDurabilitySync) {
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
   int commit_at = -1;
   int abort_at = -1;
-  std::vector<LogRecord> log = engine->wal().Snapshot();
+  std::vector<LogRecord> log = *engine->wal().Snapshot();
   for (size_t i = 0; i < log.size(); ++i) {
     if (log[i].txn_id != txn) continue;
     if (log[i].type == LogRecordType::kCommit) commit_at = static_cast<int>(i);
@@ -396,11 +411,13 @@ TEST_F(DurabilityTest, RecoveryIsIdempotentAfterMidRecoveryCrash) {
 TEST_F(DurabilityTest, WalCrashTortureExactOnFileBackedWal) {
   TempDir dir;
   int counter = 0;
-  auto factory = [&dir, &counter]() -> std::unique_ptr<StorageEngine> {
-    auto engine = MakeCatalogedEngine();
-    Status attached =
-        engine->wal().AttachFile(dir.File("wal-" + std::to_string(counter++)));
-    EXPECT_TRUE(attached.ok()) << attached.ToString();
+  auto disk = std::make_shared<storage::PosixFs>();
+  auto factory = [&]() -> std::unique_ptr<StorageEngine> {
+    const std::string engine_dir = dir.File("engine-" + std::to_string(counter++));
+    EXPECT_EQ(mkdir(engine_dir.c_str(), 0755), 0);
+    auto engine = MakeCatalogedEngine(disk, engine_dir);
+    Status opened = engine->Open();
+    EXPECT_TRUE(opened.ok()) << opened.ToString();
     return engine;
   };
   auto workload = [](StorageEngine* engine) -> Status {
@@ -552,8 +569,8 @@ TEST_F(DurableDatabaseTest, CleanShutdownRoundTrip) {
   LoadAccounts();
   Status shut = db_->Shutdown();
   ASSERT_TRUE(shut.ok()) << shut.ToString();
-  EXPECT_TRUE(storage::fsio::FileExists(dir.File("clean_shutdown")));
-  EXPECT_TRUE(storage::fsio::FileExists(dir.File("checkpoint.db")));
+  EXPECT_TRUE(OnDisk(dir.File("clean_shutdown")));
+  EXPECT_TRUE(OnDisk(dir.File("checkpoint.db")));
 
   Boot(dir.path());
   const Database::RecoveryInfo& ri = db_->recovery_info();
@@ -564,7 +581,7 @@ TEST_F(DurableDatabaseTest, CleanShutdownRoundTrip) {
   EXPECT_GT(ri.from_checkpoint_lsn, 0u);
   EXPECT_GE(ri.ddl_statements_replayed, 4u);  // CMK, CEK, table, index
   // The marker is consumed: a crash AFTER this boot must not claim clean.
-  EXPECT_FALSE(storage::fsio::FileExists(dir.File("clean_shutdown")));
+  EXPECT_FALSE(OnDisk(dir.File("clean_shutdown")));
   ExpectAccountsIntact();
 }
 
@@ -603,7 +620,7 @@ TEST_F(DurableDatabaseTest, CheckpointTruncatesWalAndRestartUsesIt) {
   ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
   EXPECT_EQ(db_->Stats().checkpoints_taken, 1u);
   EXPECT_LT(db_->Stats().wal_bytes, wal_before);
-  ASSERT_TRUE(storage::fsio::FileExists(dir.File("checkpoint.db")));
+  ASSERT_TRUE(OnDisk(dir.File("checkpoint.db")));
 
   // More traffic after the checkpoint, then a dirty restart: recovery is
   // checkpoint + tail.
@@ -791,7 +808,7 @@ TEST_F(DurableDatabaseTest, NoPlaintextAtRestAnywhereInDataDir) {
   EXPECT_GT(page_store_files, 0u);
   size_t scanned = 0;
   for (const std::string& file : files) {
-    auto bytes = storage::fsio::ReadFileBytes(file);
+    auto bytes = storage::PosixFs().ReadFile(file);
     ASSERT_TRUE(bytes.ok()) << file << ": " << bytes.status().ToString();
     scanned += bytes->size();
     std::string_view haystack(reinterpret_cast<const char*>(bytes->data()),
@@ -802,6 +819,126 @@ TEST_F(DurableDatabaseTest, NoPlaintextAtRestAnywhereInDataDir) {
     }
   }
   EXPECT_GT(scanned, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One database's durability gauges and its reopen
+
+/// DatabaseStats::fsyncs counts this database's files, not the process's:
+/// two databases side by side each see only their own.
+TEST_F(DurabilityTest, EachDatabaseCountsOnlyItsOwnFsyncs) {
+  TempDir a_dir, b_dir;
+  ServerOptions a_opts;
+  a_opts.enable_enclave = false;
+  a_opts.data_dir = a_dir.path();
+  ServerOptions b_opts = a_opts;
+  b_opts.data_dir = b_dir.path();
+  Database a(a_opts, nullptr, nullptr);
+  Database b(b_opts, nullptr, nullptr);
+  ASSERT_TRUE(a.Open().ok());
+  ASSERT_TRUE(b.Open().ok());
+  ASSERT_TRUE(a.ExecuteDdl("CREATE TABLE T (Id INT)").ok());
+  const uint64_t a_before = a.Stats().fsyncs;
+  const uint64_t b_before = b.Stats().fsyncs;
+  EXPECT_GT(a_before, 0u);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        a.Execute("INSERT INTO T (Id) VALUES (@i)", {Value::Int32(i)}).ok());
+  }
+  EXPECT_EQ(a.Stats().fsyncs, a_before + 5);  // one per commit
+  EXPECT_EQ(b.Stats().fsyncs, b_before) << "b counted a's fsyncs";
+}
+
+/// Everything Open() rebuilt, in a comparable form: the catalog (names,
+/// ids, columns' encryption), every live row by RID and every index entry.
+std::vector<std::string> Fingerprint(Database* db) {
+  std::vector<std::string> out;
+  const sql::Catalog& catalog = db->catalog();
+  out.push_back("next ids " + std::to_string(catalog.next_table_id()) + " " +
+                std::to_string(catalog.next_index_id()) + " " +
+                std::to_string(catalog.next_cek_id()));
+  StorageEngine& engine = db->engine();
+  for (uint32_t id : engine.TableIds()) {
+    const sql::TableDef* def = catalog.GetTableById(id);
+    std::string table = "table " + std::to_string(id) + " " +
+                        (def == nullptr ? "?" : def->name);
+    for (const sql::ColumnDef& col : def->columns) {
+      table += " " + col.name + ":" +
+               std::to_string(static_cast<int>(col.enc.kind)) + "/" +
+               std::to_string(col.enc.cek_id);
+    }
+    out.push_back(table);
+    EXPECT_TRUE(engine.table(id)
+                    ->Scan([&](const Rid& rid, Slice row) {
+                      out.push_back("row " + std::to_string(id) + "@" +
+                                    std::to_string(rid.Encode()) + " " +
+                                    row.ToString());
+                      return true;
+                    })
+                    .ok());
+  }
+  for (uint32_t id : engine.IndexIds()) {
+    const sql::IndexDef* def = catalog.GetIndexById(id);
+    out.push_back("index " + std::to_string(id) + " " +
+                  (def == nullptr ? "?" : def->name) + " on " +
+                  std::to_string(def == nullptr ? 0 : def->table_id));
+    for (BTree::Iterator it = engine.index_tree(id)->Begin(); it.Valid();
+         it.Next()) {
+      auto key = it.key();
+      EXPECT_TRUE(key.ok());
+      out.push_back("entry " + std::to_string(id) + " " +
+                    Slice(key.ok() ? *key : Bytes()).ToString() + "@" +
+                    std::to_string(it.rid().Encode()));
+    }
+  }
+  return out;
+}
+
+/// Restart() is a reopen: what it rebuilds — the catalog replayed from
+/// ddl.log, rows and index entries from the WAL — is exactly what a fresh
+/// Database opened over the same disk rebuilds.
+TEST_F(DurabilityTest, RestartRecoversWhatAFreshOpenRecovers) {
+  auto fs = std::make_shared<storage::SimFs>();
+  ServerOptions opts;
+  opts.enable_enclave = false;
+  std::vector<std::string> restarted;
+  {
+    Database db(opts, nullptr, nullptr, fs);
+    ASSERT_TRUE(db.Open().ok());
+    ASSERT_TRUE(
+        db.ExecuteDdl("CREATE TABLE T (Id INT NOT NULL, Name VARCHAR(20))")
+            .ok());
+    ASSERT_TRUE(db.ExecuteDdl("CREATE INDEX idx_name ON T (Name)").ok());
+    ASSERT_TRUE(db.ExecuteDdl("CREATE TABLE U (V INT)").ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(db.Execute("INSERT INTO T (Id, Name) VALUES (@i, @n)",
+                             {Value::Int32(i),
+                              Value::String("n" + std::to_string(i % 4))})
+                      .ok());
+    }
+    ASSERT_TRUE(db.Execute("DELETE FROM T WHERE Id = @i", {Value::Int32(3)})
+                    .ok());
+    // A loser in flight at the crash: both opens must undo it.
+    uint64_t txn = db.BeginTransaction();
+    ASSERT_TRUE(db.Execute("INSERT INTO T (Id, Name) VALUES (@i, @n)",
+                           {Value::Int32(99), Value::String("loser")}, txn)
+                    .ok());
+    const std::vector<std::string> before = Fingerprint(&db);
+
+    auto recovered = db.Restart();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->undone, 2u);  // the loser's heap and index insert
+    EXPECT_EQ(db.recovery_info().ddl_statements_replayed, 3u);
+    restarted = Fingerprint(&db);
+    EXPECT_NE(restarted, before);  // the loser is gone
+    ASSERT_TRUE(db.Execute("SELECT Id FROM T WHERE Name = @n",
+                           {Value::String("n1")})
+                    .ok());
+  }
+  Database fresh(opts, nullptr, nullptr, fs);
+  ASSERT_TRUE(fresh.Open().ok());
+  EXPECT_EQ(fresh.recovery_info().ddl_statements_replayed, 3u);
+  EXPECT_EQ(Fingerprint(&fresh), restarted);
 }
 
 // ---------------------------------------------------------------------------
@@ -870,8 +1007,8 @@ TEST_F(ShardedDurabilityTest, CrashingShardReplaysOnlyItsOwnLog) {
   // Shared-nothing on disk: one wal.log (and ddl.log) per shard directory.
   for (int s = 0; s < 2; ++s) {
     std::string base = dir.path() + "/shard-" + std::to_string(s);
-    EXPECT_TRUE(storage::fsio::FileExists(base + "/wal.log")) << base;
-    EXPECT_TRUE(storage::fsio::FileExists(base + "/ddl.log")) << base;
+    EXPECT_TRUE(OnDisk(base + "/wal.log")) << base;
+    EXPECT_TRUE(OnDisk(base + "/ddl.log")) << base;
   }
 
   // Crash+recover shard 1: its replay is sized by its OWN log — the six
@@ -913,9 +1050,9 @@ TEST_F(ShardedDurabilityTest, PerShardCheckpointsAreIndependent) {
   Status ckpt = sharded_->shard(0)->Checkpoint();
   ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
   EXPECT_TRUE(
-      storage::fsio::FileExists(dir.path() + "/shard-0/checkpoint.db"));
+      OnDisk(dir.path() + "/shard-0/checkpoint.db"));
   EXPECT_FALSE(
-      storage::fsio::FileExists(dir.path() + "/shard-1/checkpoint.db"))
+      OnDisk(dir.path() + "/shard-1/checkpoint.db"))
       << "checkpointing shard 0 leaked a checkpoint onto shard 1";
 
   driver_.reset();

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "server/database.h"
 #include "storage/engine.h"
 #include "storage/fsio.h"
+#include "storage/sim_fs.h"
 #include "storage/wal.h"
 #include "temp_dir.h"
 #include "tpcc/tpcc.h"
@@ -209,7 +209,8 @@ storage::LogRecord SampleRecord(uint64_t txn, std::string_view payload) {
 }
 
 TEST_F(FaultTest, WalAppendFaultFailsCleanly) {
-  storage::Wal wal;
+  storage::SimFs fs;
+  storage::Wal wal(&fs, "wal.log");
   FaultRegistry::Global().Arm("wal/append",
                               FaultSpec::OneShot(Status::Internal("disk")));
   EXPECT_FALSE(wal.Append(SampleRecord(1, "lost")).ok());
@@ -223,7 +224,8 @@ TEST_F(FaultTest, WalAppendFaultFailsCleanly) {
 }
 
 TEST_F(FaultTest, WalTornAppendLeavesDetectableTornTail) {
-  storage::Wal wal;
+  storage::SimFs fs;
+  storage::Wal wal(&fs, "wal.log");
   ASSERT_TRUE(wal.Append(SampleRecord(1, "intact")).ok());
   FaultRegistry::Global().Arm("wal/torn_append",
                               FaultSpec::OneShot(Status::Internal("crash")));
@@ -238,7 +240,8 @@ TEST_F(FaultTest, WalTornAppendLeavesDetectableTornTail) {
   EXPECT_LT(parsed.bytes_consumed, wal.RawBytes().size());
 
   // A fresh WAL loading that image recovers the prefix and keeps appending.
-  storage::Wal recovered;
+  storage::SimFs recovered_fs;
+  storage::Wal recovered(&recovered_fs, "wal.log");
   auto load = recovered.LoadImage(wal.RawBytes());
   EXPECT_TRUE(load.torn_tail);
   EXPECT_EQ(recovered.record_count(), 1u);
@@ -250,28 +253,23 @@ TEST_F(FaultTest, WalTornAppendLeavesDetectableTornTail) {
 
 /// A torn write leaves a partial frame, and parsing stops there. A commit
 /// appended after it could be fsynced and acked, yet no reopen would ever
-/// see it. So the tear poisons the log, in both modes, until a rewrite from
-/// the intact prefix. The records before the tear can still be acked.
+/// see it. So the tear poisons the log, on either disk, until a rewrite
+/// from the intact prefix. The records before the tear can still be acked.
 TEST_F(FaultTest, WalTornWritePoisonsUntilRewrite) {
-  for (bool file_backed : {false, true}) {
-    SCOPED_TRACE(file_backed ? "file-backed" : "in-memory");
-    std::optional<testing::TempDir> dir;
-    std::string path;
-    storage::Wal wal;
-    if (file_backed) {
-      dir.emplace();
-      path = dir->File("wal.log");
-      ASSERT_TRUE(wal.AttachFile(path).ok());
-    }
-    // What a reopen would read: the file, or in memory the image itself.
+  testing::TempDir dir;
+  storage::SimFs sim;
+  storage::PosixFs disk;
+  for (storage::Fs* fs : {static_cast<storage::Fs*>(&sim),
+                          static_cast<storage::Fs*>(&disk)}) {
+    SCOPED_TRACE(fs == &sim ? "simulated disk" : "real disk");
+    const std::string path = fs == &sim ? "wal.log" : dir.File("wal.log");
+    storage::Wal wal(fs, path);
+    ASSERT_TRUE(wal.Open().ok());
+    // What a reopen would read: the log's file.
     auto reopen = [&] {
-      Bytes image = wal.RawBytes();
-      if (file_backed) {
-        auto disk = storage::fsio::ReadFileBytes(path);
-        EXPECT_TRUE(disk.ok());
-        if (disk.ok()) image = std::move(disk).value();
-      }
-      return storage::Wal::ParseImage(image);
+      auto image = fs->ReadFile(path);
+      EXPECT_TRUE(image.ok());
+      return storage::Wal::ParseImage(image.ok() ? *image : Bytes());
     };
 
     auto intact = wal.Append(SampleRecord(1, "intact"));
@@ -280,7 +278,6 @@ TEST_F(FaultTest, WalTornWritePoisonsUntilRewrite) {
                                 FaultSpec::OneShot(Status::Internal("crash")));
     EXPECT_FALSE(wal.Append(SampleRecord(1, "torn-away")).ok());
     EXPECT_TRUE(wal.poisoned());
-    EXPECT_EQ(wal.file_backed(), file_backed);
     EXPECT_EQ(wal.file_errors(), 1u);
     EXPECT_EQ(wal.next_lsn(), *intact + 1);  // the torn record got no LSN
     EXPECT_TRUE(wal.SyncUpTo(*intact).ok());
@@ -290,7 +287,7 @@ TEST_F(FaultTest, WalTornWritePoisonsUntilRewrite) {
     EXPECT_FALSE(wal.Append(commit).ok());
     EXPECT_FALSE(wal.SyncUpTo(*intact + 1).ok());
     EXPECT_FALSE(wal.Sync().ok());
-    EXPECT_EQ(wal.Snapshot().size(), 1u);
+    EXPECT_EQ(wal.Snapshot()->size(), 1u);
     EXPECT_EQ(wal.record_count(), 1u);
     auto seen = reopen();
     EXPECT_TRUE(seen.torn_tail);
@@ -315,8 +312,9 @@ TEST_F(FaultTest, WalTornWritePoisonsUntilRewrite) {
 /// must be acked although the log is poisoned by then.
 TEST_F(FaultTest, WalCommitBeforeATearIsAcked) {
   testing::TempDir dir;
-  storage::Wal wal;
-  ASSERT_TRUE(wal.AttachFile(dir.File("wal.log")).ok());
+  storage::PosixFs disk;
+  storage::Wal wal(&disk, dir.File("wal.log"));
+  ASSERT_TRUE(wal.Open().ok());
   wal.set_group_commit_window_us(200'000);
   storage::LogRecord commit = SampleRecord(1, "");
   commit.type = storage::LogRecordType::kCommit;
@@ -337,7 +335,8 @@ TEST_F(FaultTest, WalCommitBeforeATearIsAcked) {
 }
 
 TEST_F(FaultTest, WalSyncFaultSurfaces) {
-  storage::Wal wal;
+  storage::SimFs fs;
+  storage::Wal wal(&fs, "wal.log");
   ASSERT_TRUE(wal.Sync().ok());
   FaultRegistry::Global().Arm("wal/sync",
                               FaultSpec::OneShot(Status::Internal("fsync")));
@@ -469,7 +468,9 @@ TEST_F(EngineFaultTest, AbortWithALostClrLeavesALoser) {
                               FaultSpec::OneShot(Status::Internal("lost clr")));
   ASSERT_TRUE(engine->Abort(txn).ok());
   EXPECT_EQ(engine->table(kTable)->live_rows(), 0u);
-  for (const storage::LogRecord& rec : engine->wal().Snapshot()) {
+  auto log = engine->wal().Snapshot();
+  ASSERT_TRUE(log.ok());
+  for (const storage::LogRecord& rec : *log) {
     EXPECT_NE(rec.type, storage::LogRecordType::kAbort);
   }
 

@@ -299,7 +299,7 @@ TEST_F(ShardTortureTest, DecisionLogStaysBoundedAcrossAnInDoubtDecision) {
   }
   const std::string log = dir.path() + "/2pc.log";
   auto log_bytes = [&log] {
-    auto bytes = storage::fsio::ReadFileBytes(log);
+    auto bytes = storage::PosixFs().ReadFile(log);
     EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
     return bytes.ok() ? bytes->size() : 0;
   };

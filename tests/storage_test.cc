@@ -12,6 +12,7 @@
 #include "storage/engine.h"
 #include "storage/heap_table.h"
 #include "storage/page.h"
+#include "storage/sim_fs.h"
 #include "storage/wal.h"
 
 namespace aedb::storage {
@@ -27,6 +28,13 @@ std::string KeyStr(const BTree::Iterator& it) {
   if (!key.ok()) return {};
   return std::string(key->begin(), key->end());
 }
+
+/// A buffer pool over a simulated disk, for a standalone heap or B-tree.
+struct SimPool {
+  SimFs fs;
+  FilePageStore store{&fs, "pages"};
+  BufferPool pool{&store, 0};
+};
 
 // --- Page ---
 
@@ -84,7 +92,8 @@ TEST(PageTest, RejectsOversizedRecord) {
 // --- HeapTable ---
 
 TEST(HeapTableTest, InsertSpillsAcrossPages) {
-  HeapTable heap;
+  SimPool sim;
+  HeapTable heap(&sim.pool);
   Bytes rec(1000, 0x11);
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(heap.Insert(rec).ok());
   EXPECT_GT(heap.page_count(), 1u);
@@ -92,7 +101,8 @@ TEST(HeapTableTest, InsertSpillsAcrossPages) {
 }
 
 TEST(HeapTableTest, ScanVisitsLiveRows) {
-  HeapTable heap;
+  SimPool sim;
+  HeapTable heap(&sim.pool);
   std::vector<Rid> rids;
   for (int i = 0; i < 10; ++i) {
     rids.push_back(*heap.Insert(B("row" + std::to_string(i))));
@@ -107,7 +117,8 @@ TEST(HeapTableTest, ScanVisitsLiveRows) {
 }
 
 TEST(HeapTableTest, ScanEarlyStop) {
-  HeapTable heap;
+  SimPool sim;
+  HeapTable heap(&sim.pool);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(heap.Insert(B("x")).ok());
   int count = 0;
   heap.Scan([&](const Rid&, Slice) { return ++count < 3; });
@@ -115,7 +126,8 @@ TEST(HeapTableTest, ScanEarlyStop) {
 }
 
 TEST(HeapTableTest, UpdateMayMove) {
-  HeapTable heap;
+  SimPool sim;
+  HeapTable heap(&sim.pool);
   Rid rid = *heap.Insert(B("short"));
   // Fill the page so a grown record cannot stay.
   while (heap.page_count() == 1) ASSERT_TRUE(heap.Insert(Bytes(500, 1)).ok());
@@ -130,7 +142,8 @@ TEST(HeapTableTest, UpdateMayMove) {
 
 TEST(BTreeTest, InsertAndSeekEqual) {
   BinaryComparator cmp;
-  BTree tree(&cmp, /*unique=*/false);
+  SimPool sim;
+  BTree tree(&cmp, /*unique=*/false, &sim.pool);
   for (int i = 0; i < 500; ++i) {
     Bytes key = B("key" + std::to_string(1000 + i));
     ASSERT_TRUE(tree.Insert(key, Rid{0, static_cast<uint16_t>(i)}).ok());
@@ -146,7 +159,8 @@ TEST(BTreeTest, InsertAndSeekEqual) {
 
 TEST(BTreeTest, DuplicateKeys) {
   BinaryComparator cmp;
-  BTree tree(&cmp, false);
+  SimPool sim;
+  BTree tree(&cmp, false, &sim.pool);
   for (uint16_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(tree.Insert(B("dup"), Rid{1, i}).ok());
   }
@@ -157,7 +171,8 @@ TEST(BTreeTest, DuplicateKeys) {
 
 TEST(BTreeTest, UniqueRejectsDuplicates) {
   BinaryComparator cmp;
-  BTree tree(&cmp, true);
+  SimPool sim;
+  BTree tree(&cmp, true, &sim.pool);
   EXPECT_TRUE(*tree.Insert(B("k"), Rid{0, 0}));
   auto second = tree.Insert(B("k"), Rid{0, 1});
   ASSERT_TRUE(second.ok());
@@ -167,7 +182,8 @@ TEST(BTreeTest, UniqueRejectsDuplicates) {
 
 TEST(BTreeTest, DeleteSpecificEntry) {
   BinaryComparator cmp;
-  BTree tree(&cmp, false);
+  SimPool sim;
+  BTree tree(&cmp, false, &sim.pool);
   for (uint16_t i = 0; i < 10; ++i) ASSERT_TRUE(tree.Insert(B("k"), Rid{0, i}).ok());
   EXPECT_TRUE(*tree.Delete(B("k"), Rid{0, 4}));
   EXPECT_FALSE(*tree.Delete(B("k"), Rid{0, 4}));
@@ -178,7 +194,8 @@ TEST(BTreeTest, DeleteSpecificEntry) {
 
 TEST(BTreeTest, RangeScanInOrder) {
   BinaryComparator cmp;
-  BTree tree(&cmp, false);
+  SimPool sim;
+  BTree tree(&cmp, false, &sim.pool);
   Xoshiro256 rng(99);
   std::vector<int> values;
   for (int i = 0; i < 1000; ++i) values.push_back(static_cast<int>(rng.Uniform(0, 99999)));
@@ -200,7 +217,8 @@ TEST(BTreeTest, RangeScanInOrder) {
 
 TEST(BTreeTest, SeekAtLeast) {
   BinaryComparator cmp;
-  BTree tree(&cmp, false);
+  SimPool sim;
+  BTree tree(&cmp, false, &sim.pool);
   for (int i = 0; i < 100; i += 2) {
     char buf[8];
     snprintf(buf, sizeof(buf), "%03d", i);
@@ -218,7 +236,8 @@ TEST(BTreeTest, SeekAtLeast) {
 
 TEST(BTreeTest, InsertDeleteChurn) {
   BinaryComparator cmp;
-  BTree tree(&cmp, false);
+  SimPool sim;
+  BTree tree(&cmp, false, &sim.pool);
   Xoshiro256 rng(7);
   std::multimap<std::string, uint16_t> model;
   for (int round = 0; round < 4000; ++round) {
@@ -261,7 +280,8 @@ class FailableComparator : public Comparator {
 
 TEST(BTreeTest, ComparatorFailurePropagates) {
   FailableComparator cmp;
-  BTree tree(&cmp, false);
+  SimPool sim;
+  BTree tree(&cmp, false, &sim.pool);
   ASSERT_TRUE(tree.Insert(B("a"), Rid{0, 0}).ok());
   cmp.fail = true;
   EXPECT_TRUE(tree.Insert(B("b"), Rid{0, 1}).status().IsKeyNotInEnclave());
@@ -271,7 +291,8 @@ TEST(BTreeTest, ComparatorFailurePropagates) {
 
 TEST(BTreeTest, CountsComparisons) {
   BinaryComparator cmp;
-  BTree tree(&cmp, false);
+  SimPool sim;
+  BTree tree(&cmp, false, &sim.pool);
   for (uint16_t i = 0; i < 200; ++i) {
     char buf[8];
     snprintf(buf, sizeof(buf), "%03d", i);
@@ -287,7 +308,8 @@ TEST(BTreeTest, CountsComparisons) {
 // --- WAL ---
 
 TEST(WalTest, AppendAssignsLsns) {
-  Wal wal;
+  SimFs fs;
+  Wal wal(&fs, "wal.log");
   LogRecord r;
   r.type = LogRecordType::kBegin;
   EXPECT_EQ(wal.Append(r).value(), 1u);
@@ -296,7 +318,8 @@ TEST(WalTest, AppendAssignsLsns) {
 }
 
 TEST(WalTest, SerializationRoundTrip) {
-  Wal wal;
+  SimFs fs;
+  Wal wal(&fs, "wal.log");
   LogRecord r;
   r.txn_id = 42;
   r.type = LogRecordType::kHeapInsert;
@@ -317,7 +340,8 @@ TEST(WalTest, SerializationRoundTrip) {
 }
 
 TEST(WalTest, ParseImageDropsTornTail) {
-  Wal wal;
+  SimFs fs;
+  Wal wal(&fs, "wal.log");
   LogRecord r;
   r.type = LogRecordType::kHeapInsert;
   r.payload1 = B("rowdata");
@@ -350,17 +374,21 @@ void ExpectLogHolds(const Wal& wal, const std::vector<uint64_t>& lsns) {
   const Bytes raw = wal.RawBytes();
   EXPECT_FALSE(Wal::ParseImage(raw).torn_tail);
   std::vector<uint64_t> got;
-  for (const LogRecord& rec : wal.Snapshot()) got.push_back(rec.lsn);
+  auto records = wal.Snapshot();
+  ASSERT_TRUE(records.ok());
+  for (const LogRecord& rec : *records) got.push_back(rec.lsn);
   EXPECT_EQ(got, lsns);
   EXPECT_EQ(wal.record_count(), lsns.size());
-  Wal fresh;
+  SimFs fs;
+  Wal fresh(&fs, "wal.log");
   fresh.LoadImage(raw);
   EXPECT_EQ(fresh.RawBytes(), raw);
   EXPECT_EQ(fresh.record_count(), lsns.size());
 }
 
 TEST(WalTest, TruncateBefore) {
-  Wal wal;
+  SimFs fs;
+  Wal wal(&fs, "wal.log");
   LogRecord r;
   r.type = LogRecordType::kBegin;
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(wal.Append(r).ok());
