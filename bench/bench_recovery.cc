@@ -11,7 +11,8 @@
 // encrypted-INSERT transactions, tear the process stand-in down WITHOUT
 // Shutdown() (what kill -9 leaves behind), and time the next Open(). The
 // checkpointed variant takes one checkpoint at ~90% of the load so recovery
-// is checkpoint-load + small tail instead of full replay.
+// restores the log's checkpoint base + replays a small tail instead of the
+// full history.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -172,7 +173,7 @@ Point RunOne(int rows, bool checkpointed) {
 
   server::DatabaseStats before = d->db->Stats();
   if (checkpointed) {
-    // Load to ~90%, checkpoint, then the tail: recovery = image + 10%.
+    // Load to ~90%, checkpoint, then the tail: recovery = base + 10%.
     LoadRows(d->driver.get(), 0, rows * 9 / 10);
     MustOk(d->db->Checkpoint(), "Checkpoint");
     LoadRows(d->driver.get(), rows * 9 / 10, rows);
@@ -207,7 +208,7 @@ Point RunOne(int rows, bool checkpointed) {
   d->driver.reset();
   d->db.reset();
   for (const char* f :
-       {"/wal.log", "/ddl.log", "/checkpoint.db", "/clean_shutdown"}) {
+       {"/wal.log", "/ddl.log", "/clean_shutdown"}) {
     (void)unlink((d->data_dir + f).c_str());
   }
   RemovePagesDir(d->data_dir);
@@ -279,7 +280,7 @@ CommitPoint RunCommitPoint(uint64_t window_us, uint64_t pool_pages,
   d->driver.reset();
   d->db.reset();
   for (const char* f :
-       {"/wal.log", "/ddl.log", "/checkpoint.db", "/clean_shutdown"}) {
+       {"/wal.log", "/ddl.log", "/clean_shutdown"}) {
     (void)unlink((d->data_dir + f).c_str());
   }
   RemovePagesDir(d->data_dir);
@@ -339,7 +340,7 @@ CommitPoint RunLedgerPoint(uint64_t window_us, int threads, int per_thread) {
   d->driver.reset();
   d->db.reset();
   for (const char* f :
-       {"/wal.log", "/ddl.log", "/checkpoint.db", "/clean_shutdown"}) {
+       {"/wal.log", "/ddl.log", "/clean_shutdown"}) {
     (void)unlink((d->data_dir + f).c_str());
   }
   RemovePagesDir(d->data_dir);

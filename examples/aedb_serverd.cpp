@@ -23,10 +23,11 @@
 // --max-inflight / --queue-depth / --retry-after-ms tune the admission gate,
 // the bounded enclave work queue, and the retry-after hint stamped on every
 // shed query (0 = unbounded / default hint).
-// --data-dir makes the server durable: WAL, DDL journal and checkpoints live
-// there and startup recovers from them (kill -9 safe).
-// --checkpoint-bytes sets the WAL size that triggers a background checkpoint
-// (0 = never checkpoint automatically).
+// --data-dir makes the server durable: the WAL (which a checkpoint rewrites
+// as the database's pages and index entries) and the DDL journal live there
+// and startup recovers from them (kill -9 safe).
+// --checkpoint-bytes sets the WAL growth that triggers a background
+// checkpoint (0 = never checkpoint automatically).
 // --key-seed derives the enclave author key and the HGS signing key
 // deterministically, so a restarted server presents the same attestation
 // identities — the crash-torture harness relies on this.
@@ -209,8 +210,7 @@ int main(int argc, char** argv) {
       server_opts.engine.pool_pages = static_cast<uint64_t>(v);
     } else if (std::strcmp(argv[i], "--flush-interval-ms") == 0 &&
                i + 1 < argc) {
-      // Background dirty-page flusher period (0 = flush on eviction and
-      // checkpoint only).
+      // Background dirty-page flusher period (0 = flush on eviction only).
       if (!parse_int("--flush-interval-ms", argv[++i], 0, 3'600'000, &v))
         return 2;
       server_opts.engine.flush_interval_ms = static_cast<uint64_t>(v);

@@ -51,10 +51,11 @@ run ctest --test-dir build -L shard --output-on-failure
 if [[ "${1:-}" == "--asan" ]]; then
   run cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAEDB_SANITIZE=address,undefined
-  # durability_test drives the WAL's open, truncate, rewrite and reopen
-  # paths, where truncation slices the file's bytes in place.
+  # durability_test drives the WAL's open, rewrite and reopen paths, where
+  # a checkpoint streams its base into a tmp file and Open checks the base
+  # it finds, byte by byte in the damaged-base cases.
   # shard_torture_test's in-process half drives the 2PC decision log's
-  # appends, tears, compaction rewrites and truncation. enclave_test,
+  # appends, tears and compaction rewrites. enclave_test,
   # es_test and batch_equiv_test cross the call gate with column-major
   # morsels, whose columns view the caller's values (a comparison's Slice
   # vector likewise points into the caller's buffers). sql_test drives the
@@ -93,7 +94,9 @@ if [[ "${1:-}" == "--crash" ]]; then
   # Process-crash durability lane, off tier-1 because it forks ~25 server
   # processes. crash_torture_test kill -9s a live aedb_serverd over a durable
   # data dir at seeded random points plus forced crashes at wal/append,
-  # wal/sync, mid-checkpoint-publish, pre-WAL-truncate and mid-recovery, then
+  # wal/sync, mid-checkpoint-publish (fsio/pre_rename: the log rewrite
+  # written, not yet renamed), ckpt/pre_write (a checkpoint quiesced, nothing
+  # written) and mid-recovery, then
   # verifies exactly the acknowledged-commit prefix survives with zero wrong
   # results and no plaintext at rest. bench_recovery gates the checkpointing
   # rationale (recovery time vs WAL length) and sweeps group commit x pool

@@ -342,11 +342,11 @@ Result<std::vector<Value>> EsEvaluator::Eval(const EsProgram& program,
 
 namespace {
 
-/// One stack slot of the batch interpreter. It reads an input column in
-/// place, or owns the values it computed.
+/// One stack slot of the batch interpreter. It reads a column in place (an
+/// input, or an input's plaintext), or owns the values it computed.
 struct BatchSlot {
   std::vector<Value> owned;
-  std::span<const Value> input;  // non-empty: this input column, in place
+  std::span<const Value> input;  // non-empty: the column read in place
   uint32_t taint_cek = 0;        // 0 = untainted (plaintext provenance)
 
   std::span<const Value> values() const {
@@ -389,6 +389,11 @@ Result<Columns> EsEvaluator::EvalBatch(const EsProgram& program,
   }
 
   std::vector<BatchSlot> stack;
+  // Each input's plaintext, by the GetData that decrypted it: a program that
+  // reads an input twice (BETWEEN reads its column for both bounds) decrypts
+  // it once per morsel, and the second read sees the first one's values.
+  std::vector<std::vector<Value>> plain(morsel.columns.size());
+  std::vector<const Instruction*> plain_by(morsel.columns.size(), nullptr);
   std::vector<bool> written(program.num_outputs(), false);
   std::vector<Status> row_error(n, Status::OK());
   std::vector<char> failed(n, 0);
@@ -460,15 +465,26 @@ Result<Columns> EsEvaluator::EvalBatch(const EsProgram& program,
           return Status::SecurityError(
               "host evaluator cannot access encrypted data");
         }
-        compute(shared, ins.enc.cek_id, [&](size_t i) -> Result<Value> {
-          Value plain;
-          AEDB_ASSIGN_OR_RETURN(
-              plain, ctx_.crypto->DecryptDatum(ins.enc, ins.data_type, in[i]));
-          if (!TypeCompatible(ins.data_type, plain)) {
-            return Status::TypeCheckError("decrypted datum has wrong type");
-          }
-          return plain;
-        });
+        const Instruction* by = plain_by[ins.index];
+        if (by == nullptr || by->data_type != ins.data_type ||
+            !(by->enc == ins.enc)) {
+          compute(shared, ins.enc.cek_id, [&](size_t i) -> Result<Value> {
+            Value value;
+            AEDB_ASSIGN_OR_RETURN(value, ctx_.crypto->DecryptDatum(
+                                             ins.enc, ins.data_type, in[i]));
+            if (!TypeCompatible(ins.data_type, value)) {
+              return Status::TypeCheckError("decrypted datum has wrong type");
+            }
+            return value;
+          });
+          plain[ins.index] = std::move(stack.back().owned);
+          plain_by[ins.index] = &ins;
+          stack.pop_back();
+        }
+        BatchSlot col;
+        col.input = plain[ins.index];
+        col.taint_cek = ins.enc.cek_id;
+        stack.push_back(std::move(col));
         return Status::OK();
       }
       case OpCode::kSetData: {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <set>
 #include <thread>
 
@@ -17,6 +18,13 @@ using types::TypeId;
 using types::Value;
 
 namespace {
+
+/// The kDdl record's object_id for a column change the client-side
+/// encryption tool made (AlterColumnMetadataForClientTool). Its statement is
+/// an ALTER COLUMN whose replay sets the column's metadata and nothing else:
+/// the tool rewrote the data itself, and the enclave path an ALTER COLUMN
+/// replays through refuses enclave-disabled keys.
+constexpr uint32_t kColumnMetadataOnly = 1;
 
 /// Orders an encrypted range index by routing every comparison into the
 /// enclave (paper §3.1.2, Figure 4). Fails with KeyNotInEnclave when the CEK
@@ -225,7 +233,8 @@ Status Database::Open() {
         storage::fsio::RemoveFileDurable(*fs_, CleanShutdownPath(), &fsyncs_));
   }
 
-  // 1. Engine files: wipe the page store, open wal.log (drops any torn tail).
+  // 1. Engine files: wipe the page store, open wal.log (drops any torn tail,
+  // refuses a damaged base).
   AEDB_RETURN_IF_ERROR(engine_->Open());
 
   // 2. Catalog: open ddl.log (drops any torn tail) and replay it in
@@ -236,27 +245,14 @@ Status Database::Open() {
   recovering_ = false;
   AEDB_RETURN_IF_ERROR(replayed);
 
-  // 3. Checkpoint: install the latest image (if any) as the recovery base.
-  auto raw = fs_->ReadFile(CheckpointPath());
-  if (raw.ok()) {
-    storage::CheckpointImage img;
-    AEDB_ASSIGN_OR_RETURN(img, storage::CheckpointImage::Deserialize(*raw));
-    engine_->SetCheckpointBase(
-        std::make_shared<const storage::CheckpointImage>(std::move(img)));
-  } else if (!raw.status().IsNotFound()) {
-    return raw.status();
-  }
-
-  // 4. Recovery: restore the base, replay the tail, undo losers. Running it
-  // even after a clean shutdown keeps one code path; the tail is empty then.
+  // 3. Recovery: restore the checkpoint base the log starts with, replay
+  // the history after it, undo losers. Running it even after a clean
+  // shutdown keeps one code path; no history follows the base then.
   storage::RecoveryResult rec;
   AEDB_ASSIGN_OR_RETURN(rec, engine_->Recover());
   recovery_info_.ran = true;
   recovery_info_.engine = rec;
   recovery_info_.from_checkpoint_lsn = rec.from_checkpoint_lsn;
-  // Only the post-horizon tail is replay work; the reopened file may also
-  // hold pre-checkpoint records (crash between checkpoint publish and log
-  // truncation) that recovery filters out without replaying.
   recovery_info_.wal_records_replayed = rec.log_tail_records;
   recovery_info_.recovery_ms = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -273,17 +269,7 @@ Status Database::Open() {
 
 Status Database::Checkpoint(std::chrono::milliseconds quiesce_wait) {
   std::lock_guard<std::mutex> lock(checkpoint_mu_);
-  std::shared_ptr<const storage::CheckpointImage> img;
-  AEDB_ASSIGN_OR_RETURN(img, engine_->CaptureCheckpoint(quiesce_wait));
-  // Crash-point: after capture, before anything touches disk.
-  AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("ckpt/pre_write"));
-  AEDB_RETURN_IF_ERROR(storage::fsio::WriteFileDurable(
-      *fs_, CheckpointPath(), img->Serialize(), &fsyncs_));
-  engine_->SetCheckpointBase(img);
-  // Crash-point: checkpoint published, WAL not yet truncated. Recovery must
-  // filter the pre-horizon records the file still holds.
-  AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("ckpt/pre_truncate"));
-  AEDB_RETURN_IF_ERROR(engine_->wal().TruncateBefore(img->checkpoint_lsn));
+  AEDB_RETURN_IF_ERROR(engine_->Checkpoint(quiesce_wait));
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -292,7 +278,12 @@ void Database::CheckpointerLoop() {
   while (!stop_checkpointer_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     if (stop_checkpointer_.load(std::memory_order_relaxed)) break;
-    if (engine_->wal().wal_bytes() < options_.checkpoint_wal_bytes) continue;
+    // The log's growth since the last checkpoint, not its size: the file
+    // also holds that checkpoint's base.
+    const storage::Wal& wal = engine_->wal();
+    if (wal.wal_bytes() < wal.base_bytes() + options_.checkpoint_wal_bytes) {
+      continue;
+    }
     // Refusals (traffic never quiesced, deferred txns) are fine: the WAL just
     // stays long until the next pass succeeds.
     (void)Checkpoint(std::chrono::milliseconds(500));
@@ -307,13 +298,15 @@ void Database::StopCheckpointer() {
 Status Database::Shutdown() {
   if (!opened_) return Status::OK();
   StopCheckpointer();
-  // Final checkpoint drains the WAL so the next startup replays nothing. A
-  // refusal (in-flight traffic, deferred txns) downgrades to a synced-but-
-  // dirty shutdown: no marker, normal recovery next time.
+  // The final checkpoint leaves the log a base with no history after it, so
+  // the next startup replays nothing. A refusal (in-flight traffic, deferred
+  // txns) downgrades to a synced-but-dirty shutdown: no marker, normal
+  // recovery next time.
   Status ckpt = Checkpoint(std::chrono::milliseconds(2000));
   Status synced = engine_->wal().Sync();
   AEDB_RETURN_IF_ERROR(synced);
-  if (ckpt.ok() && engine_->wal().record_count() == 0) {
+  const storage::Wal& wal = engine_->wal();
+  if (ckpt.ok() && wal.wal_bytes() == wal.base_bytes()) {
     AEDB_RETURN_IF_ERROR(storage::fsio::WriteFileDurable(
         *fs_, CleanShutdownPath(), Slice(std::string_view("clean")),
         &fsyncs_));
@@ -410,8 +403,8 @@ Status Database::ExecuteCreateIndex(const sql::CreateIndexStmt& stmt) {
     return st;
   }
   // DDL-journal replay registers metadata only: the entries arrive from the
-  // checkpoint image and the replayed WAL, not from a fresh build (which
-  // would need enclave keys the server does not have at startup).
+  // log's checkpoint base and the history after it, not from a fresh build
+  // (which would need enclave keys the server does not have at startup).
   if (recovering_) return Status::OK();
   // Populate: the index build sorts the data, routing comparisons through
   // the enclave for encrypted range indexes (operational leak, Figure 5).
@@ -604,6 +597,13 @@ Status Database::LogDdl(storage::LogRecord record) {
 
 Status Database::ExecuteDdl(const std::string& sql_text, uint64_t session_id) {
   std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
+  return RunLoggedDdl(sql_text, /*object_id=*/0, [&] {
+    return ExecuteDdlStatement(sql_text, session_id);
+  });
+}
+
+Status Database::RunLoggedDdl(const std::string& sql_text, uint32_t object_id,
+                              const std::function<Status()>& execute) {
   // Log BEFORE executing: execution can have WAL-visible side effects (a
   // CREATE INDEX build commits index records; concurrent DML can commit
   // against a fresh CREATE TABLE), and those records reference catalog ids
@@ -612,13 +612,14 @@ Status Database::ExecuteDdl(const std::string& sql_text, uint64_t session_id) {
   // this execution will, whether or not it succeeds.
   storage::LogRecord statement;
   statement.type = storage::LogRecordType::kDdl;
+  statement.object_id = object_id;
   PutU32(&statement.payload1, catalog_->next_table_id());
   PutU32(&statement.payload1, catalog_->next_index_id());
   PutU32(&statement.payload1, catalog_->next_cek_id());
   statement.payload1.insert(statement.payload1.end(), sql_text.begin(),
                             sql_text.end());
   AEDB_RETURN_IF_ERROR(LogDdl(std::move(statement)));
-  Status executed = ExecuteDdlStatement(sql_text, session_id);
+  Status executed = execute();
   // The commit marker's fsync is the DDL durability point: only a marked
   // statement must replay on restart. An unmarked one (crash or failure in
   // this window) was never acknowledged and replays leniently.
@@ -658,6 +659,10 @@ Status Database::ReplayDdlLog() {
     const std::string sql_text(reinterpret_cast<const char*>(body.data()) + off,
                                body.size() - off);
     catalog_->ForceNextIds(table_id, index_id, cek_id);
+    const bool metadata_only = log[i].object_id == kColumnMetadataOnly;
+    // An unmarked client-tool change was never acknowledged, so the tool
+    // never rewrote the column: dropping it is the consistent outcome.
+    if (!committed && metadata_only) continue;
     if (!committed) {
       // No commit marker: the statement was never acknowledged. Replay it
       // leniently — losing it is legal, replaying it wrongly is not.
@@ -665,7 +670,8 @@ Status Database::ReplayDdlLog() {
       continue;
     }
     ++i;  // past the marker
-    Status st = ExecuteDdlStatement(sql_text);
+    Status st = metadata_only ? AlterColumnMetadata(sql_text)
+                              : ExecuteDdlStatement(sql_text);
     if (!st.ok()) {
       return Status::Internal("DDL log replay failed for \"" + sql_text +
                               "\": " + st.message());
@@ -890,10 +896,34 @@ Result<EncryptionType> Database::ColumnEncryption(const std::string& table,
 Status Database::AlterColumnMetadataForClientTool(
     const std::string& table, const std::string& column,
     const sql::EncryptionSpec& enc) {
+  std::lock_guard<std::mutex> ddl_lock(ddl_mu_);
   const sql::TableDef* def;
   AEDB_ASSIGN_OR_RETURN(def, catalog_->GetTable(table));
   int idx = def->FindColumn(column);
   if (idx < 0) return Status::NotFound("no such column: " + column);
+  std::string sql_text = "ALTER TABLE " + def->name + " ALTER COLUMN " +
+                         def->columns[idx].name + " " +
+                         types::TypeIdName(def->columns[idx].type);
+  if (enc.encrypted) {
+    sql_text += " ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = " + enc.cek_name +
+                ", ENCRYPTION_TYPE = " + types::EncKindName(enc.kind) +
+                ", ALGORITHM = '" + enc.algorithm + "')";
+  }
+  return RunLoggedDdl(sql_text, kColumnMetadataOnly,
+                      [&] { return AlterColumnMetadata(sql_text); });
+}
+
+Status Database::AlterColumnMetadata(const std::string& sql_text) {
+  sql::Statement stmt;
+  AEDB_ASSIGN_OR_RETURN(stmt, sql::Parse(sql_text));
+  if (stmt.kind != sql::Statement::Kind::kAlterColumn) {
+    return Status::InvalidArgument("not an ALTER COLUMN statement");
+  }
+  const sql::AlterColumnStmt& alter = *stmt.alter_column;
+  const sql::TableDef* def;
+  AEDB_ASSIGN_OR_RETURN(def, catalog_->GetTable(alter.table));
+  int idx = def->FindColumn(alter.column);
+  if (idx < 0) return Status::NotFound("no such column: " + alter.column);
   for (const sql::IndexDef* index : catalog_->TableIndexes(def->id)) {
     if (index->column == idx) {
       return Status::FailedPrecondition(
@@ -901,8 +931,8 @@ Status Database::AlterColumnMetadataForClientTool(
     }
   }
   sql::ColumnDef col = def->columns[idx];
-  AEDB_ASSIGN_OR_RETURN(col.enc, ResolveEncryptionSpec(enc));
-  AEDB_RETURN_IF_ERROR(catalog_->AlterColumn(table, idx, col));
+  AEDB_ASSIGN_OR_RETURN(col.enc, ResolveEncryptionSpec(alter.enc));
+  AEDB_RETURN_IF_ERROR(catalog_->AlterColumn(alter.table, idx, col));
   {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
     plan_cache_.clear();

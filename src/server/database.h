@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,13 +55,13 @@ struct ServerOptions {
   size_t max_inflight_queries = 0;
   /// The retry-after hint (milliseconds) attached to admission rejections.
   uint32_t overload_retry_after_ms = 20;
-  /// Where the WAL, DDL log, page store, checkpoint file and clean-shutdown
-  /// marker live; Open() recovers from them. Empty (the default) puts them
-  /// on a simulated disk the Database owns (storage::SimFs), which lives as
-  /// long as the Database does — the mode most tests run in.
+  /// Where the WAL, DDL log, page store and clean-shutdown marker live;
+  /// Open() recovers from them. Empty (the default) puts them on a simulated
+  /// disk the Database owns (storage::SimFs), which lives as long as the
+  /// Database does — the mode most tests run in.
   std::string data_dir;
-  /// Background checkpoint trigger: when the durable WAL grows past this many
-  /// bytes, a checkpoint is taken and the log truncated. 0 disables the
+  /// Background checkpoint trigger: when the WAL has grown by this many bytes
+  /// since the last checkpoint, a checkpoint rewrites it. 0 disables the
   /// background checkpointer (manual Checkpoint() still works).
   uint64_t checkpoint_wal_bytes = 0;
   // Buffer-pool sizing (engine.pool_pages), the background flusher
@@ -93,7 +94,7 @@ struct DatabaseStats {
   // 2pc.log): every append-only file is a storage::Wal.
   uint64_t torn_bytes_dropped = 0;     // torn tail bytes dropped
   uint64_t checkpoints_taken = 0;
-  uint64_t wal_bytes = 0;              // current durable WAL size
+  uint64_t wal_bytes = 0;              // WAL size, checkpoint base included
   uint64_t fsyncs = 0;                 // fsyncs of this database's files
   uint64_t wal_file_errors = 0;        // torn writes, failed fsyncs or
                                        // rewrites (Wal::file_errors)
@@ -152,8 +153,8 @@ struct RecoveryInfo {
   bool ran = false;             // Open() performed durable recovery
   bool clean_shutdown = false;  // the clean-shutdown marker was present
   uint64_t recovery_ms = 0;
-  uint64_t wal_records_replayed = 0;  // WAL tail records fed to redo
-  uint64_t from_checkpoint_lsn = 0;   // 0 = no checkpoint file found
+  uint64_t wal_records_replayed = 0;  // WAL records after the base
+  uint64_t from_checkpoint_lsn = 0;   // the base's first LSN; 0 = no base
   size_t ddl_statements_replayed = 0;
   storage::RecoveryResult engine;
 };
@@ -322,22 +323,25 @@ class Database : public SqlBackend {
   /// keeps `server::Database::RecoveryInfo` spellings working.
   using RecoveryInfo = ::aedb::server::RecoveryInfo;
 
-  /// Startup: opens the WAL, replays the DDL log (metadata only), loads the
-  /// latest checkpoint and runs engine recovery over the WAL tail. No-op
-  /// when already open. Idempotent against crashes: a kill -9 at any point
-  /// during Open() leaves state the next Open() recovers from identically.
+  /// Startup: opens the WAL, replays the DDL log (metadata only) and runs
+  /// engine recovery over the WAL: its checkpoint base, then the history
+  /// after it. No-op when already open. Idempotent against crashes: a kill
+  /// -9 at any point during Open() leaves state the next Open() recovers
+  /// from identically.
   Status Open() override;
 
-  /// Quiesces the engine (bounded by `quiesce_wait`), writes a checkpoint
-  /// file atomically and truncates the WAL. FailedPrecondition when the
-  /// engine cannot quiesce or deferred transactions pin the log.
+  /// Quiesces the engine (bounded by `quiesce_wait`) and rewrites the WAL,
+  /// atomically, as the database's pages and index entries
+  /// (StorageEngine::Checkpoint). FailedPrecondition when the engine cannot
+  /// quiesce or deferred transactions pin the log.
   Status Checkpoint(std::chrono::milliseconds quiesce_wait =
                         std::chrono::milliseconds(2000));
 
   /// Graceful durable shutdown: stops the background checkpointer, takes a
   /// final checkpoint (best effort), fsyncs the WAL, and writes the
-  /// clean-shutdown marker only if the log drained completely. Safe to call
-  /// twice; the destructor calls it implicitly for thread cleanup only.
+  /// clean-shutdown marker only if no record follows the checkpoint's base.
+  /// Safe to call twice; the destructor calls it implicitly for thread
+  /// cleanup only.
   Status Shutdown() override;
 
   const RecoveryInfo& recovery_info() const override { return recovery_info_; }
@@ -373,9 +377,6 @@ class Database : public SqlBackend {
                                          uint64_t txn, uint64_t session_id,
                                          uint32_t deadline_ms);
   std::string DdlLogPath() const { return options_.data_dir + "/ddl.log"; }
-  std::string CheckpointPath() const {
-    return options_.data_dir + "/checkpoint.db";
-  }
   std::string CleanShutdownPath() const {
     return options_.data_dir + "/clean_shutdown";
   }
@@ -389,6 +390,14 @@ class Database : public SqlBackend {
   Status ExecuteDdlStatement(const std::string& sql, uint64_t session_id = 0);
   /// Appends `record` to the DDL log and waits until it is durable.
   Status LogDdl(storage::LogRecord record);
+  /// The DDL log's protocol around `execute`: the statement `sql_text`
+  /// (a kDdl record with `object_id`), then on success its commit marker.
+  /// Holds ddl_mu_.
+  Status RunLoggedDdl(const std::string& sql_text, uint32_t object_id,
+                      const std::function<Status()>& execute);
+  /// Sets a column's encryption metadata from an ALTER COLUMN statement,
+  /// converting no data (the client-side tool's change, live and replayed).
+  Status AlterColumnMetadata(const std::string& sql_text);
   /// Rebuilds the catalog from the DDL log, in recovering mode (Open step 1).
   Status ReplayDdlLog();
   /// Replays a statement that has no commit marker: it was never
@@ -416,7 +425,7 @@ class Database : public SqlBackend {
 
   /// Every file of this database lives here, under options_.data_dir.
   std::shared_ptr<storage::Fs> fs_;
-  /// fsyncs of the database's own files (directories, checkpoint, marker).
+  /// fsyncs of the database's own files (directories, marker).
   storage::fsio::FsyncCount fsyncs_{0};
   // What a process crash loses: BuildState() makes it, Open() fills it from
   // the files, Restart() drops it and does both again.
@@ -453,7 +462,7 @@ class Database : public SqlBackend {
   /// if statement/marker pairs never interleave.
   std::mutex ddl_mu_;
   RecoveryInfo recovery_info_;
-  std::mutex checkpoint_mu_;  // serializes checkpoint publish + truncate
+  std::mutex checkpoint_mu_;  // serializes checkpoints
   std::atomic<uint64_t> checkpoints_taken_{0};
   std::thread checkpointer_;
   std::atomic<bool> stop_checkpointer_{false};

@@ -519,20 +519,15 @@ void ShardedDatabase::FinishDecision(uint64_t gtid) {
 }
 
 Status ShardedDatabase::CompactDecisionsLocked() {
-  if (!decisions_->poisoned() &&
-      decisions_->record_count() == pending_decisions_.size()) {
-    return Status::OK();  // every logged decision is still pending
-  }
-  // Carry the pending decisions past the cut, so a decision left in doubt
-  // does not pin every later one in the log. The rewrite makes the copies
-  // durable; a crash before it leaves the originals, and duplicates are
-  // harmless.
-  const uint64_t cut = decisions_->next_lsn();
-  for (const auto& [gtid, shards] : pending_decisions_) {
-    AEDB_RETURN_IF_ERROR(
-        decisions_->Append(DecisionRecord(gtid, shards)).status());
-  }
-  return decisions_->TruncateBefore(cut);
+  // Exactly the pending decisions, so a decision left in doubt does not pin
+  // every later one in the log. Every append holds decision_mu_, so none is
+  // lost.
+  return decisions_->Rewrite([this](const storage::Wal::RecordSink& put) {
+    for (const auto& [gtid, shards] : pending_decisions_) {
+      AEDB_RETURN_IF_ERROR(put(DecisionRecord(gtid, shards)));
+    }
+    return Status::OK();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -919,7 +914,11 @@ Status ShardedDatabase::RecoverInDoubt() {
   std::set<uint64_t> committed;
   std::vector<storage::LogRecord> decisions;
   AEDB_ASSIGN_OR_RETURN(decisions, decisions_->Snapshot());
-  for (const storage::LogRecord& rec : decisions) committed.insert(rec.txn_id);
+  for (const storage::LogRecord& rec : decisions) {
+    if (rec.type == storage::LogRecordType::kCommit) {
+      committed.insert(rec.txn_id);
+    }
+  }
   for (uint32_t s = 0; s < options_.shards; ++s) {
     for (const storage::InDoubtTxn& t : shards_[s]->engine().InDoubtTxns()) {
       if (committed.count(t.gtid)) {
@@ -933,9 +932,11 @@ Status ShardedDatabase::RecoverInDoubt() {
       if (!st.ok() && !st.IsNotFound()) return Annotate(st, s);
     }
   }
-  // Every transaction is settled: no decision is needed any more.
+  // Every transaction is settled: no decision is needed any more. A rewrite
+  // drops them, and lifts the poison a torn decision left.
   std::lock_guard<std::mutex> lock(decision_mu_);
   pending_decisions_.clear();
+  if (committed.empty() && !decisions_->poisoned()) return Status::OK();
   return CompactDecisionsLocked();
 }
 

@@ -48,7 +48,7 @@ struct ShardedOptions {
 ///               in-doubt and RecoverInDoubt()/Open() finishes the job
 ///
 /// A decision is needed only until phase 2 has committed every writer. Past
-/// kDecisionLogBytes the log is rewritten to hold just the decisions still
+/// kDecisionLogBytes the log is rewritten as just the decisions still
 /// pending, so it stays bounded however many transactions commit.
 ///
 /// The AE invariant: each shard owns its own enclave, attested independently
@@ -195,8 +195,8 @@ class ShardedDatabase : public SqlBackend {
   Result<uint64_t> LogDecision(uint64_t gtid, Bytes shards);
   /// Phase 2 committed every writer of `gtid`: its decision may go.
   void FinishDecision(uint64_t gtid);
-  /// Rewrites the decision log to hold only the pending decisions, unless
-  /// that would drop nothing. Holds decision_mu_.
+  /// Rewrites the decision log as exactly the pending decisions. Holds
+  /// decision_mu_.
   Status CompactDecisionsLocked();
 
   ShardedOptions options_;

@@ -105,7 +105,9 @@ class Catalog {
 };
 
 /// A set of a table's columns, by column index: the ones a statement reads.
-using ColumnSet = std::vector<bool>;
+/// One byte per column (1 = in the set), so a row walk tests each column
+/// with a plain load.
+using ColumnSet = std::vector<uint8_t>;
 
 /// Row serialization: a row is the concatenation of encoded Values; encrypted
 /// columns are kBinary values whose payload is the AEAD cell.

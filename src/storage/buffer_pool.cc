@@ -20,7 +20,6 @@ std::string FilePageStore::ObjectPath(uint32_t object_id) const {
 
 Status FilePageStore::Wipe() {
   std::lock_guard<std::mutex> lock(mu_);
-  unsynced_.clear();
   auto names = fs_->List(dir_);
   if (names.status().IsNotFound()) return Status::OK();  // nothing to wipe
   if (!names.ok()) return names.status();
@@ -40,7 +39,6 @@ Status FilePageStore::Write(PageId id, Slice page) {
   AEDB_RETURN_IF_ERROR(fs_->Pwrite(
       ObjectPath(id.object_id),
       static_cast<uint64_t>(id.page_no) * Page::kPageSize, page));
-  unsynced_.insert(id.object_id);
   return Status::OK();
 }
 
@@ -52,18 +50,8 @@ Status FilePageStore::Read(PageId id, uint8_t* out) {
   return st;
 }
 
-Status FilePageStore::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = unsynced_.begin(); it != unsynced_.end();
-       it = unsynced_.erase(it)) {
-    AEDB_RETURN_IF_ERROR(fsio::SyncFile(*fs_, ObjectPath(*it), &fsyncs_));
-  }
-  return Status::OK();
-}
-
 Status FilePageStore::DropObject(uint32_t object_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  unsynced_.erase(object_id);
   Status st = fs_->Unlink(ObjectPath(object_id));
   return st.IsNotFound() ? Status::OK() : st;
 }
@@ -235,8 +223,8 @@ Status BufferPool::WriteBackDirtyLocked(bool skip_pinned) {
     // A pinned frame's holder may be mid-mutation under only its table latch:
     // writing it back could snapshot torn bytes, and a MarkDirty landing
     // between the store write and the dirty-bit clear would be lost (frame
-    // clean, changes unsaved). Skipped frames land at eviction or checkpoint
-    // (FlushAll runs quiescent, where pinned frames are stable).
+    // clean, changes unsaved). Skipped frames land at eviction or FlushAll
+    // (whose caller keeps pinned frames stable).
     if (skip_pinned && f.pins > 0) continue;
     AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("pool/writeback"));
     AEDB_RETURN_IF_ERROR(
@@ -249,8 +237,7 @@ Status BufferPool::WriteBackDirtyLocked(bool skip_pinned) {
 
 Status BufferPool::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  AEDB_RETURN_IF_ERROR(WriteBackDirtyLocked(/*skip_pinned=*/false));
-  return store_->Sync();
+  return WriteBackDirtyLocked(/*skip_pinned=*/false);
 }
 
 Status BufferPool::DropObject(uint32_t object_id) {
@@ -283,7 +270,7 @@ void BufferPool::FlusherLoop(uint64_t interval_ms) {
     lock.unlock();
     {
       // Best effort: a failed writeback stays dirty and is retried by the
-      // next cycle, eviction, or checkpoint flush. Pinned frames are skipped
+      // next cycle or eviction. Pinned frames are skipped
       // — their holders may be mutating the bytes right now.
       std::lock_guard<std::mutex> pool_lock(mu_);
       (void)WriteBackDirtyLocked(/*skip_pinned=*/true);

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -19,7 +18,7 @@ namespace aedb::storage {
 /// Identifies one 8 KiB page in the page store: (object, page number).
 /// Objects are ephemeral per-process handles (BufferPool::NewObject) — the
 /// page store is a paging target rebuilt on every Open, NOT a recovery
-/// source; durability comes from the checkpoint image plus the WAL.
+/// source; durability comes from the WAL alone.
 struct PageId {
   uint32_t object_id = 0;
   uint32_t page_no = 0;
@@ -53,8 +52,6 @@ class FilePageStore {
   /// Reads a full page into `out` (kPageSize bytes); NotFound if never
   /// written.
   Status Read(PageId id, uint8_t* out);
-  /// Durability barrier for everything written so far.
-  Status Sync();
   /// Forgets every page of an object (table/index dropped or cleared).
   Status DropObject(uint32_t object_id);
 
@@ -68,8 +65,6 @@ class FilePageStore {
   const std::string dir_;
   std::mutex mu_;
   bool dir_ready_ = false;
-  /// Objects written since the last Sync.
-  std::set<uint32_t> unsynced_;
   fsio::FsyncCount fsyncs_{0};
 };
 
@@ -157,8 +152,8 @@ class BufferPool {
   /// formats it); without, that is NotFound.
   Result<PinnedPage> Pin(PageId id, bool create);
 
-  /// Writes back every dirty frame (pinned ones included — the checkpoint
-  /// caller holds the engine quiescent) and syncs the store.
+  /// Writes back every dirty frame, pinned ones included: the caller keeps
+  /// every pinned page still meanwhile. No sync: the store is a cache.
   Status FlushAll();
 
   /// Drops the object everywhere: store pages are deleted now, unpinned
@@ -170,8 +165,7 @@ class BufferPool {
   Status DropObject(uint32_t object_id);
 
   /// Starts/stops the background flusher (writes dirty pages every
-  /// `interval_ms`; no sync — it bounds eviction-path writebacks, the
-  /// checkpoint provides the durability barrier).
+  /// `interval_ms`; it bounds eviction-path writebacks).
   void StartFlusher(uint64_t interval_ms);
   void StopFlusher();
 
@@ -206,8 +200,8 @@ class BufferPool {
   /// excluded. `skip_pinned` (the background flusher) also excludes frames
   /// with live pins — their holders mutate page bytes under only the table
   /// latch, so a concurrent writeback could persist a torn image and lose a
-  /// racing MarkDirty. FlushAll passes false: the checkpoint caller is
-  /// quiescent, so pinned frames are stable there. Caller holds mu_.
+  /// racing MarkDirty. FlushAll passes false: its caller keeps pinned
+  /// frames stable. Caller holds mu_.
   Status WriteBackDirtyLocked(bool skip_pinned);
   void FlusherLoop(uint64_t interval_ms);
 

@@ -7,6 +7,36 @@
 
 namespace aedb::storage {
 
+namespace {
+
+/// The records of a checkpoint base, which belong to no transaction.
+bool IsBaseRecord(LogRecordType type) {
+  return type == LogRecordType::kRewrite ||
+         type == LogRecordType::kCheckpoint ||
+         type == LogRecordType::kPageImage ||
+         type == LogRecordType::kIndexEntries;
+}
+
+/// Loads a kIndexEntries record into `tree` (no comparator calls) and
+/// returns the index's invalid flag.
+Result<bool> LoadIndexEntries(const LogRecord& rec, BTree* tree) {
+  const Bytes& payload = rec.payload1;
+  if (payload.empty()) return Status::Corruption("empty index entries record");
+  std::vector<std::pair<Bytes, Rid>> entries;
+  for (size_t off = 1; off < payload.size();) {
+    Bytes key;
+    AEDB_ASSIGN_OR_RETURN(key, GetLengthPrefixed(payload, &off));
+    uint64_t rid;
+    AEDB_ASSIGN_OR_RETURN(rid, GetU64(payload, &off));
+    entries.emplace_back(std::move(key), Rid::Decode(rid));
+  }
+  const bool invalid = payload[0] != 0;
+  if (!invalid) AEDB_RETURN_IF_ERROR(tree->LoadSortedEntries(entries));
+  return invalid;
+}
+
+}  // namespace
+
 StorageEngine::StorageEngine(EngineOptions options, std::shared_ptr<Fs> fs,
                              const std::string& dir)
     : options_(options),
@@ -22,8 +52,8 @@ StorageEngine::StorageEngine(EngineOptions options, std::shared_ptr<Fs> fs,
 
 Status StorageEngine::Open() {
   // The page store is a cache spill area, never a recovery source — recovery
-  // rebuilds every page from checkpoint + WAL, and object ids are assigned
-  // afresh each process. Stale spill files from the previous incarnation
+  // rebuilds every page from the log, and object ids are assigned afresh
+  // each process. Stale spill files from the previous incarnation
   // would alias the new ids, so wipe them before anything pins a page.
   AEDB_RETURN_IF_ERROR(store_.Wipe());
   return wal_.Open();
@@ -592,8 +622,7 @@ std::shared_mutex* StorageEngine::StatementLatch(uint32_t table_id) {
 // ---------------------------------------------------------------------------
 // Checkpointing
 
-Result<std::shared_ptr<const CheckpointImage>> StorageEngine::CaptureCheckpoint(
-    std::chrono::milliseconds wait) {
+Status StorageEngine::Checkpoint(std::chrono::milliseconds wait) {
   std::unique_lock<std::mutex> lock(meta_mu_);
   if (checkpoint_pending_) {
     return Status::FailedPrecondition("checkpoint already in progress");
@@ -601,105 +630,81 @@ Result<std::shared_ptr<const CheckpointImage>> StorageEngine::CaptureCheckpoint(
   checkpoint_pending_ = true;  // park new Begin() calls while we quiesce
   bool quiet = meta_cv_.wait_for(
       lock, wait, [this] { return active_.empty() && finalizing_ == 0; });
-  Status refused;
+  Status st;
   if (!quiet) {
-    refused =
-        Status::FailedPrecondition("checkpoint: transactions still in flight");
+    st = Status::FailedPrecondition("checkpoint: transactions still in flight");
   } else if (!deferred_.empty()) {
-    // Deferred undo debt references pre-checkpoint records; a checkpoint here
-    // would bake loser effects whose undo info the truncation then discards.
-    refused = Status::FailedPrecondition(
+    // Deferred undo debt references records the rewrite would replace: it
+    // would bake loser effects whose undo info is then gone.
+    st = Status::FailedPrecondition(
         "checkpoint blocked: deferred transactions pin the log (§4.5)");
   } else {
     for (const auto& [id, idx] : indexes_) {
       if (idx->rebuild_pending) {
-        refused = Status::FailedPrecondition(
+        st = Status::FailedPrecondition(
             "checkpoint blocked: index rebuild pending (enclave keys missing)");
         break;
       }
     }
   }
-  if (!refused.ok()) {
-    checkpoint_pending_ = false;
-    meta_cv_.notify_all();
-    return refused;
+  // Crash-point: quiesced, before anything touches disk.
+  if (st.ok()) st = AEDB_FAULT_POINT("ckpt/pre_write");
+  // Nothing appends to the log until Begin() is let through again, so the
+  // rewrite loses no record and needs no LSN horizon.
+  if (st.ok()) {
+    st = wal_.Rewrite([this](const Wal::RecordSink& put) {
+      return WriteBase(put);
+    });
   }
+  checkpoint_pending_ = false;
+  meta_cv_.notify_all();
+  return st;
+}
 
-  // Fold the dirty-page flush into the quiescent window: no transaction can
-  // re-dirty a page while we hold the engine parked, so after FlushAll the
-  // page store is byte-identical to the captured image. A flush failure
-  // refuses the checkpoint rather than publishing one that claims a clean
-  // store.
-  auto fail = [&](Status st) -> Status {
-    checkpoint_pending_ = false;
-    meta_cv_.notify_all();
-    return st;
-  };
-  {
-    Status flushed = pool_->FlushAll();
-    if (!flushed.ok()) {
-      return fail(Status::FailedPrecondition("checkpoint: dirty page flush: " +
-                                             flushed.message()));
+Status StorageEngine::WriteBase(const Wal::RecordSink& put) {
+  LogRecord first;
+  first.type = LogRecordType::kCheckpoint;
+  PutU64(&first.payload1, next_txn_id_);
+  AEDB_RETURN_IF_ERROR(put(std::move(first)));
+  for (const auto& [id, t] : tables_) {
+    for (size_t p = 0; p < t->heap->page_count(); ++p) {
+      LogRecord page;
+      page.type = LogRecordType::kPageImage;
+      page.object_id = id;
+      page.rid.page = static_cast<uint32_t>(p);
+      AEDB_RETURN_IF_ERROR(t->heap->WithPageRaw(
+          p, [&page](Slice image) { page.payload1 = image.ToBytes(); }));
+      AEDB_RETURN_IF_ERROR(put(std::move(page)));
     }
   }
-
-  auto img = std::make_shared<CheckpointImage>();
-  img->checkpoint_lsn = wal_.next_lsn();
-  img->next_txn_id = next_txn_id_;
-  for (const auto& [id, t] : tables_) {
-    CheckpointImage::TableImage ti;
-    ti.table_id = id;
-    Status serialized = t->heap->SerializeTo(&ti.heap);
-    if (!serialized.ok()) return fail(serialized);
-    img->tables.push_back(std::move(ti));
-  }
   for (const auto& [id, idx] : indexes_) {
-    CheckpointImage::IndexImage ii;
-    ii.index_id = id;
-    ii.invalid = idx->invalid;
+    LogRecord entries;
+    entries.type = LogRecordType::kIndexEntries;
+    entries.object_id = id;
+    entries.payload1.push_back(idx->invalid ? 1 : 0);
     // Walking the tree needs no comparator calls, so this works for encrypted
     // range indexes regardless of what keys the enclave currently holds.
     for (BTree::Iterator it = idx->tree->Begin(); it.Valid(); it.Next()) {
       auto key = it.key();
-      if (!key.ok()) return fail(key.status());
-      ii.entries.emplace_back(std::move(*key), it.rid());
+      if (!key.ok()) return key.status();
+      PutLengthPrefixed(&entries.payload1, *key);
+      PutU64(&entries.payload1, it.rid().Encode());
     }
-    img->indexes.push_back(std::move(ii));
+    AEDB_RETURN_IF_ERROR(put(std::move(entries)));
   }
-  checkpoint_pending_ = false;
-  meta_cv_.notify_all();
-  return std::shared_ptr<const CheckpointImage>(std::move(img));
-}
-
-void StorageEngine::SetCheckpointBase(
-    std::shared_ptr<const CheckpointImage> base) {
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  checkpoint_base_ = std::move(base);
-}
-
-std::shared_ptr<const CheckpointImage> StorageEngine::checkpoint_base() const {
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  return checkpoint_base_;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Recovery
 
 Result<RecoveryResult> StorageEngine::Recover() {
-  std::shared_ptr<const CheckpointImage> base = checkpoint_base();
-  const uint64_t horizon = base == nullptr ? 0 : base->checkpoint_lsn;
-
   std::vector<LogRecord> log;
   AEDB_ASSIGN_OR_RETURN(log, wal_.Snapshot());
-  // Records below the horizon are baked into the checkpoint image. They are
-  // present exactly when the crash landed between the checkpoint publish and
-  // the log truncation; replaying them would double-apply.
-  log.erase(std::remove_if(log.begin(), log.end(),
-                           [&](const LogRecord& r) { return r.lsn < horizon; }),
-            log.end());
   RecoveryResult result;
-  result.from_checkpoint_lsn = horizon;
-  result.log_tail_records = log.size();
+  if (!log.empty() && log.front().type == LogRecordType::kRewrite) {
+    result.from_checkpoint_lsn = log.front().lsn;
+  }
 
   std::set<uint64_t> committed;
   std::set<uint64_t> aborted;
@@ -708,6 +713,8 @@ Result<RecoveryResult> StorageEngine::Recover() {
   // (A later kCommit/kAbort settles them like any other txn.)
   std::map<uint64_t, uint64_t> prepared_gtid;  // txn_id -> gtid
   for (const LogRecord& rec : log) {
+    if (IsBaseRecord(rec.type)) continue;
+    ++result.log_tail_records;
     seen.insert(rec.txn_id);
     if (rec.type == LogRecordType::kCommit) committed.insert(rec.txn_id);
     // kAbort is only logged once an abort's undo fully applied — and every
@@ -733,43 +740,44 @@ Result<RecoveryResult> StorageEngine::Recover() {
       idx->tree->Clear();
       idx->rebuild_pending = false;
     }
-    if (base != nullptr) {
-      for (const auto& ti : base->tables) {
-        auto it = tables_.find(ti.table_id);
-        if (it == tables_.end()) {
-          return Status::Corruption("checkpoint references unknown table");
-        }
-        size_t off = 0;
-        AEDB_RETURN_IF_ERROR(it->second->heap->RestoreFrom(ti.heap, &off));
-        if (off != ti.heap.size()) {
-          return Status::Corruption("heap checkpoint image has trailing bytes");
-        }
-      }
-      for (const auto& ii : base->indexes) {
-        auto it = indexes_.find(ii.index_id);
-        if (it == indexes_.end()) continue;  // index dropped after capture
-        it->second->invalid = it->second->invalid || ii.invalid;
-        if (!it->second->invalid) {
-          AEDB_RETURN_IF_ERROR(it->second->tree->LoadSortedEntries(ii.entries));
-        }
-      }
-      next_txn_id_ = std::max(next_txn_id_, base->next_txn_id);
-    }
     if (!seen.empty()) {
       next_txn_id_ = std::max(next_txn_id_, *seen.rbegin() + 1);
     }
   }
-  // After a truncate-to-empty restart the reopened log restarts LSNs at 1;
-  // records written below the horizon would then be filtered out on the NEXT
-  // recovery. Keep LSNs monotonic across the checkpoint.
-  wal_.EnsureNextLsn(horizon);
 
-  // --- Redo phase: replay everything in LSN order (winners and losers,
-  // mirroring physical redo of page images). An encrypted index whose
-  // comparator cannot run (CEK not in enclave) flips to rebuild-pending.
+  // --- Redo phase: restore the base, then replay everything after it in LSN
+  // order (winners and losers, mirroring physical redo of page images). An
+  // encrypted index whose comparator cannot run (CEK not in enclave) flips
+  // to rebuild-pending.
   for (const LogRecord& rec : log) {
     AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("recovery/replay"));
     switch (rec.type) {
+      case LogRecordType::kCheckpoint: {
+        size_t off = 0;
+        uint64_t next;
+        AEDB_ASSIGN_OR_RETURN(next, GetU64(rec.payload1, &off));
+        std::lock_guard<std::mutex> lock(meta_mu_);
+        next_txn_id_ = std::max(next_txn_id_, next);
+        break;
+      }
+      case LogRecordType::kPageImage: {
+        auto found = FindTable(rec.object_id);
+        if (!found.ok()) {
+          return Status::Corruption("checkpoint base references unknown table");
+        }
+        AEDB_RETURN_IF_ERROR(
+            (*found)->heap->RestorePage(rec.rid.page, rec.payload1));
+        break;
+      }
+      case LogRecordType::kIndexEntries: {
+        auto found = FindIndex(rec.object_id);
+        if (!found.ok()) break;  // index dropped after the checkpoint
+        IndexState* idx = *found;
+        bool invalid;
+        AEDB_ASSIGN_OR_RETURN(invalid, LoadIndexEntries(rec, idx->tree.get()));
+        idx->invalid = idx->invalid || invalid;
+        break;
+      }
       case LogRecordType::kHeapInsert: {
         // An unknown table is an orphan (DDL that never reached its journal
         // commit marker), not corruption: skip its records like index redo
@@ -847,7 +855,8 @@ Result<RecoveryResult> StorageEngine::Recover() {
   std::map<uint64_t, std::vector<const LogRecord*>> loser_ops;
   for (const LogRecord& rec : log) {
     if (committed.count(rec.txn_id) || aborted.count(rec.txn_id)) continue;
-    if (rec.type == LogRecordType::kBegin || rec.type == LogRecordType::kAbort ||
+    if (IsBaseRecord(rec.type) || rec.type == LogRecordType::kBegin ||
+        rec.type == LogRecordType::kAbort ||
         rec.type == LogRecordType::kCommit ||
         rec.type == LogRecordType::kPrepare) {
       continue;
@@ -911,8 +920,8 @@ Result<RecoveryResult> StorageEngine::Recover() {
   }
 
   // --- In-doubt phase: re-register each prepared-undecided txn as active and
-  // prepared, with its op list rebuilt from the log tail (a prepared txn pins
-  // checkpoints, so every one of its records is post-horizon) and its row
+  // prepared, with its op list rebuilt from the log (a prepared txn pins
+  // checkpoints, so every one of its records follows the base) and its row
   // locks re-acquired — exactly the state the coordinator's decision needs to
   // finish via CommitPrepared or Abort.
   for (const auto& [txn_id, gtid] : prepared_gtid) {
@@ -948,31 +957,22 @@ Result<RecoveryResult> StorageEngine::Recover() {
   return result;
 }
 
-Status StorageEngine::RebuildIndexFromLog(IndexState* index, uint32_t index_id) {
-  std::shared_ptr<const CheckpointImage> base = checkpoint_base();
-  const uint64_t horizon = base == nullptr ? 0 : base->checkpoint_lsn;
-  std::vector<LogRecord> log;
-  AEDB_ASSIGN_OR_RETURN(log, wal_.Snapshot());
+Status StorageEngine::RebuildIndexFromLog(IndexState* index, uint32_t index_id,
+                                          const std::vector<LogRecord>& log) {
   std::set<uint64_t> committed;
   for (const LogRecord& rec : log) {
     if (rec.type == LogRecordType::kCommit) committed.insert(rec.txn_id);
   }
   index->tree->Clear();
-  // Pre-horizon ops were truncated away; the checkpoint image carries the
-  // index state they produced. Start from it and replay only the tail.
-  if (base != nullptr) {
-    for (const auto& ii : base->indexes) {
-      if (ii.index_id != index_id) continue;
-      AEDB_RETURN_IF_ERROR(index->tree->LoadSortedEntries(ii.entries));
-      break;
-    }
-  }
   for (const LogRecord& rec : log) {
-    if (rec.lsn < horizon) continue;  // baked into the checkpoint base
     if (rec.object_id != index_id) continue;
-    if (!committed.count(rec.txn_id)) continue;  // losers excluded: net undo
     Status st;
-    if (rec.type == LogRecordType::kIndexInsert) {
+    if (rec.type == LogRecordType::kIndexEntries) {
+      // The base comes first: start from its entries, replay the rest.
+      st = LoadIndexEntries(rec, index->tree.get()).status();
+    } else if (!committed.count(rec.txn_id)) {
+      continue;  // losers excluded: net undo
+    } else if (rec.type == LogRecordType::kIndexInsert) {
       st = index->tree->Insert(rec.payload1, rec.rid).status();
     } else if (rec.type == LogRecordType::kIndexDelete) {
       st = index->tree->Delete(rec.payload1, rec.rid).status();
@@ -1012,8 +1012,10 @@ Status StorageEngine::ResolveDeferred() {
       }
     }
   }
+  std::vector<LogRecord> log;
+  if (!to_rebuild.empty()) AEDB_ASSIGN_OR_RETURN(log, wal_.Snapshot());
   for (auto& [id, idx] : to_rebuild) {
-    Status st = RebuildIndexFromLog(idx, id);
+    Status st = RebuildIndexFromLog(idx, id, log);
     if (st.IsKeyNotInEnclave()) continue;  // keys still missing; stay pending
     AEDB_RETURN_IF_ERROR(st);
     idx->rebuild_pending = false;

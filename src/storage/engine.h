@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "storage/btree.h"
-#include "storage/checkpoint.h"
 #include "storage/heap_table.h"
 #include "storage/lock_manager.h"
 #include "storage/wal.h"
@@ -31,7 +30,7 @@ struct EngineOptions {
   /// smaller than the working set exercises real eviction + page-store I/O.
   uint64_t pool_pages = 0;
   /// Background dirty-page flusher period (0 = no flusher thread; dirty
-  /// pages write back on eviction and at checkpoints only).
+  /// pages write back on eviction only).
   uint64_t flush_interval_ms = 0;
   /// Group-commit leader linger in microseconds (see Wal::SyncUpTo). 0 keeps
   /// pure natural batching: single-threaded commit behavior is unchanged.
@@ -53,13 +52,10 @@ struct RecoveryResult {
   /// Prepared-but-undecided transactions found in the log (2PC in-doubt).
   std::vector<InDoubtTxn> in_doubt;
   std::vector<uint32_t> rebuild_pending_indexes;
-  /// LSN horizon of the checkpoint recovery started from (0 = no checkpoint:
-  /// the whole log replayed).
+  /// LSN of the first record of the checkpoint base the log starts with (0 =
+  /// no base: the whole log is history).
   uint64_t from_checkpoint_lsn = 0;
-  /// Records past the checkpoint horizon — what redo actually walked. The
-  /// reopened log can be longer when a crash landed between checkpoint
-  /// publish and log truncation; those pre-horizon records are filtered, not
-  /// replayed, and do not count here.
+  /// Records after the base: the history redo replayed.
   size_t log_tail_records = 0;
   /// Heap records whose table no longer exists (e.g. left behind by DDL that
   /// never reached its journal commit marker). Skipped, not replayed — an
@@ -165,25 +161,22 @@ class StorageEngine {
   std::shared_mutex* StatementLatch(uint32_t table_id);
 
   // ----- checkpointing -----
-  /// Captures a quiescent point-in-time image: blocks new Begin() calls,
-  /// waits up to `wait` for in-flight transactions to finish, then snapshots
-  /// every heap and index under meta_mu_. Refuses (FailedPrecondition) if the
-  /// engine does not quiesce in time, or if deferred transactions / pending
-  /// index rebuilds pin the log (their undo needs the full WAL).
-  Result<std::shared_ptr<const CheckpointImage>> CaptureCheckpoint(
-      std::chrono::milliseconds wait);
-
-  /// Installs `base` as the recovery base: Recover() will restore it and
-  /// replay only WAL records with lsn >= base->checkpoint_lsn. Pass nullptr
-  /// to clear. The caller (server layer) persists the image; the engine only
-  /// consumes it.
-  void SetCheckpointBase(std::shared_ptr<const CheckpointImage> base);
-  std::shared_ptr<const CheckpointImage> checkpoint_base() const;
+  /// Rewrites the log as the engine's state (Wal::Rewrite): a kCheckpoint
+  /// record holding the next transaction id, one kPageImage per heap page
+  /// and one kIndexEntries per index. Blocks new Begin() calls and waits up
+  /// to `wait` for in-flight transactions to finish; nothing is appended
+  /// until the rewrite is published, so the base stands for the whole old
+  /// log. Holds one page or one index's entries at a time and never reads
+  /// the old log. Refuses (FailedPrecondition) if the engine does not
+  /// quiesce in time, or if deferred transactions / pending index rebuilds
+  /// pin the log (their undo needs the full log). Fault point
+  /// `ckpt/pre_write` fires once quiesced, before the rewrite.
+  Status Checkpoint(std::chrono::milliseconds wait);
 
   // ----- recovery (§4.5) -----
-  /// Rebuilds all state from the checkpoint base (if any) plus the WAL tail.
-  /// Call after registering tables/indexes. Idempotent: safe to re-run after
-  /// a crash mid-recovery.
+  /// Rebuilds all state from the log: the checkpoint base it starts with (if
+  /// any), then the history after it. Call after registering tables/indexes.
+  /// Idempotent: safe to re-run after a crash mid-recovery.
   Result<RecoveryResult> Recover();
 
   /// Retries deferred work; call when CEKs are (re)installed in the enclave.
@@ -269,7 +262,11 @@ class StorageEngine {
   /// Finishes a deferred txn: logs Abort (if every CLR landed) and releases
   /// its locks.
   void FinishDeferred(const DeferredTxn& txn);
-  Status RebuildIndexFromLog(IndexState* index, uint32_t index_id);
+  /// Streams the checkpoint base to `put`. Holds meta_mu_, quiesced.
+  Status WriteBase(const Wal::RecordSink& put);
+  /// Rebuilds an index from `log`: its base entries, then its committed ops.
+  Status RebuildIndexFromLog(IndexState* index, uint32_t index_id,
+                             const std::vector<LogRecord>& log);
 
   EngineOptions options_;
   // The files first, then the pool before the table/index maps: heaps and
@@ -290,11 +287,10 @@ class StorageEngine {
   uint64_t next_txn_id_ = 1;
   /// Transactions past their active_ erase but before their commit/abort
   /// record is durable. A checkpoint taken in that window would bake loser
-  /// effects with no undo info, so capture waits for this to reach zero too.
+  /// effects with no undo info, so it waits for this to reach zero too.
   uint64_t finalizing_ = 0;
-  /// True while CaptureCheckpoint holds the engine quiescent; Begin() blocks.
+  /// True while Checkpoint holds the engine quiescent; Begin() blocks.
   bool checkpoint_pending_ = false;
-  std::shared_ptr<const CheckpointImage> checkpoint_base_;
 };
 
 }  // namespace aedb::storage

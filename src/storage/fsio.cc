@@ -174,16 +174,18 @@ Status EnsureDir(Fs& fs, const std::string& dir, FsyncCount* fsyncs) {
   return SyncDir(fs, DirName(dir), fsyncs);
 }
 
-Status WriteFileDurable(Fs& fs, const std::string& path, Slice contents,
-                        FsyncCount* fsyncs) {
+Status ReplaceFileDurable(
+    Fs& fs, const std::string& path,
+    const std::function<Status(const std::string& tmp)>& fill,
+    FsyncCount* fsyncs) {
   const std::string tmp = path + ".tmp";
   // A crash can leave a tmp file behind; start it afresh.
   Status cleared = fs.Unlink(tmp);
   if (!cleared.ok() && !cleared.IsNotFound()) return cleared;
-  Status st = fs.Append(tmp, contents);
+  Status st = fill(tmp);
   if (st.ok()) st = SyncFile(fs, tmp, fsyncs);
   // Crash window: tmp durable, target untouched. A die-at here models a kill
-  // between checkpoint write and publish.
+  // between a log rewrite's write and its publish.
   if (st.ok()) st = AEDB_FAULT_POINT("fsio/pre_rename");
   if (st.ok()) st = fs.Rename(tmp, path);
   if (!st.ok()) {
@@ -191,6 +193,14 @@ Status WriteFileDurable(Fs& fs, const std::string& path, Slice contents,
     return st;
   }
   return SyncDir(fs, DirName(path), fsyncs);
+}
+
+Status WriteFileDurable(Fs& fs, const std::string& path, Slice contents,
+                        FsyncCount* fsyncs) {
+  return ReplaceFileDurable(
+      fs, path,
+      [&](const std::string& tmp) { return fs.Append(tmp, contents); },
+      fsyncs);
 }
 
 Status RemoveFileDurable(Fs& fs, const std::string& path, FsyncCount* fsyncs) {

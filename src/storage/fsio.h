@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,8 +13,8 @@
 namespace aedb::storage {
 
 /// \brief The one interface every durable file goes through: the three logs
-/// (wal.log, ddl.log, 2pc.log), the page store, the checkpoint file and the
-/// clean-shutdown marker. PosixFs is the real disk; SimFs (sim_fs.h) is a
+/// (wal.log, ddl.log, 2pc.log), the page store and the clean-shutdown
+/// marker. PosixFs is the real disk; SimFs (sim_fs.h) is a
 /// simulated one that can lose power, and it is what a Database with no data
 /// directory runs on.
 ///
@@ -99,11 +100,18 @@ Status SyncDir(Fs& fs, const std::string& dir, FsyncCount* fsyncs);
 /// power cut must not take a directory, and every file in it, away.
 Status EnsureDir(Fs& fs, const std::string& dir, FsyncCount* fsyncs);
 
-/// Writes `contents` to `path` atomically: tmp file → fsync → rename →
-/// fsync(dir). Readers never observe a partial file. Fault point
-/// `fsio/pre_rename` fires between the tmp fsync and the rename — the window
-/// where a crash leaves only the tmp file (harmless: the next write of the
-/// same file replaces it).
+/// Replaces `path` atomically with the file `fill` writes to the tmp path it
+/// is given: tmp file → fsync → rename → fsync(dir). Readers never observe a
+/// partial file, and a failure removes the tmp file and leaves `path` as it
+/// was. Fault point `fsio/pre_rename` fires between the tmp fsync and the
+/// rename — the window where a crash leaves only the tmp file (harmless: the
+/// next replace of the same file starts it afresh).
+Status ReplaceFileDurable(
+    Fs& fs, const std::string& path,
+    const std::function<Status(const std::string& tmp)>& fill,
+    FsyncCount* fsyncs);
+
+/// ReplaceFileDurable with `contents` as the new file.
 Status WriteFileDurable(Fs& fs, const std::string& path, Slice contents,
                         FsyncCount* fsyncs);
 

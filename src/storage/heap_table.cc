@@ -142,10 +142,6 @@ Status HeapTable::ScrubDead() {
 
 void HeapTable::Clear() {
   std::unique_lock lock(mu_);
-  ClearLocked();
-}
-
-void HeapTable::ClearLocked() {
   // A fresh object id retires every old page (cached frames and store file
   // both); failures only leak unreachable store pages.
   (void)pool_->DropObject(object_id_);
@@ -154,38 +150,24 @@ void HeapTable::ClearLocked() {
   live_rows_ = 0;
 }
 
-Status HeapTable::SerializeTo(Bytes* out) const {
-  std::shared_lock lock(mu_);
-  PutU32(out, static_cast<uint32_t>(page_count_));
-  for (size_t p = 0; p < page_count_; ++p) {
-    PinnedPage pin;
-    AEDB_ASSIGN_OR_RETURN(pin, PinPage(static_cast<uint32_t>(p)));
-    out->insert(out->end(), pin.data(), pin.data() + Page::kPageSize);
-  }
-  return Status::OK();
-}
-
-Status HeapTable::RestoreFrom(Slice in, size_t* offset) {
-  uint32_t count;
-  AEDB_ASSIGN_OR_RETURN(count, GetU32(in, offset));
-  if (*offset + static_cast<size_t>(count) * Page::kPageSize > in.size()) {
-    return Status::Corruption("heap checkpoint image truncated");
+Status HeapTable::RestorePage(uint32_t page_no, Slice image) {
+  if (image.size() != Page::kPageSize) {
+    return Status::Corruption("page image is not one page");
   }
   std::unique_lock lock(mu_);
-  ClearLocked();
-  for (uint32_t p = 0; p < count; ++p) {
-    PinnedPage pin;
-    AEDB_ASSIGN_OR_RETURN(
-        pin, pool_->Pin(PageId{object_id_, p}, /*create=*/true));
-    std::memcpy(pin.data(), in.data() + *offset, Page::kPageSize);
-    pin.MarkDirty();
-    *offset += Page::kPageSize;
-    Page page = Page::Wrap(pin.data());
-    for (uint16_t s = 0; s < page.slot_count(); ++s) {
-      if (page.IsLive(s)) ++live_rows_;
-    }
-    ++page_count_;
+  if (page_no != page_count_) {
+    return Status::Corruption("page image out of order");
   }
+  PinnedPage pin;
+  AEDB_ASSIGN_OR_RETURN(
+      pin, pool_->Pin(PageId{object_id_, page_no}, /*create=*/true));
+  std::memcpy(pin.data(), image.data(), Page::kPageSize);
+  pin.MarkDirty();
+  Page page = Page::Wrap(pin.data());
+  for (uint16_t s = 0; s < page.slot_count(); ++s) {
+    if (page.IsLive(s)) ++live_rows_;
+  }
+  ++page_count_;
   return Status::OK();
 }
 

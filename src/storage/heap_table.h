@@ -67,24 +67,20 @@ class HeapTable {
   /// Drops all rows (used when recovery rebuilds state from the log).
   void Clear();
 
-  /// Appends this heap's checkpoint form to `out`: a page count followed by
-  /// the raw 8 KiB page images. Because Insert placement is deterministic in
-  /// the page state (append-biased, slot-exact), restoring these images and
-  /// replaying the post-checkpoint WAL reproduces RIDs exactly — the same
-  /// property the recovery redo's RID check relies on.
-  Status SerializeTo(Bytes* out) const;
-
-  /// Replaces this heap's contents with a SerializeTo image; live_rows is
-  /// recomputed by scanning slot liveness.
-  Status RestoreFrom(Slice in, size_t* offset);
+  /// Appends `image`, a raw page a checkpoint's base holds, as page
+  /// `page_no`, which must be the next page (Corruption otherwise); its live
+  /// rows are counted by slot liveness. Because Insert placement is
+  /// deterministic in the page state (append-biased, slot-exact), restoring
+  /// the pages and replaying the log after the base reproduces RIDs exactly
+  /// — the same property the recovery redo's RID check relies on.
+  Status RestorePage(uint32_t page_no, Slice image);
 
  private:
   /// Pins page `page_no` (which must exist).
   Result<PinnedPage> PinPage(uint32_t page_no) const;
-  /// Insert/Clear bodies without the latch (Update and RestoreFrom compose
-  /// them under their own exclusive hold).
+  /// Insert's body without the latch (Update composes it under its own
+  /// exclusive hold).
   Result<Rid> InsertLocked(Slice record);
-  void ClearLocked();
 
   /// Readers shared, mutators exclusive (see class comment).
   mutable std::shared_mutex mu_;

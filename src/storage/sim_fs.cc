@@ -11,8 +11,8 @@ namespace aedb::storage {
 namespace {
 
 /// Unsynced writes a file keeps undo records for. Past this the oldest half
-/// reaches the disk, as an OS writes dirty pages back on its own, so a page
-/// store that spills for long without a checkpoint stays bounded.
+/// reaches the disk, as an OS writes dirty pages back on its own, so the
+/// page store, whose files nothing fsyncs, stays bounded.
 constexpr size_t kMaxPendingWrites = 256;
 
 /// One unsynced write's undo record.

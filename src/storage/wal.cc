@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "fault/fault.h"
@@ -25,10 +26,10 @@ constexpr size_t kFrameOverhead = 8;  // u32 length + u32 checksum
 
 /// The one frame walker behind every framed-stream reader. Hands `visit`
 /// each intact frame's body and end offset, in order, until a frame is cut
-/// short, fails its checksum (if `verify`) or is rejected by `visit`.
-/// Returns the offset just past the last accepted frame.
+/// short, fails its checksum or is rejected by `visit`. Returns the offset
+/// just past the last accepted frame.
 template <typename Visit>
-size_t WalkFrames(Slice image, Visit&& visit, bool verify = true) {
+size_t WalkFrames(Slice image, Visit&& visit) {
   size_t off = 0;
   while (off + kFrameOverhead <= image.size()) {
     size_t cursor = off;
@@ -37,7 +38,7 @@ size_t WalkFrames(Slice image, Visit&& visit, bool verify = true) {
     if (!len_res.ok() || !sum_res.ok()) break;
     if (cursor + *len_res > image.size()) break;  // truncated body: torn tail
     Slice body(image.data() + cursor, *len_res);
-    if (verify && Fnv1a(body) != *sum_res) break;
+    if (Fnv1a(body) != *sum_res) break;
     if (!visit(body, cursor + body.size())) break;
     off = cursor + body.size();
   }
@@ -50,9 +51,70 @@ Result<uint64_t> FrameLsn(Slice body) {
   return GetU64(body, &at);
 }
 
-}  // namespace
+/// `record` framed for the file.
+Bytes Frame(const LogRecord& record) {
+  Bytes body;
+  record.SerializeTo(&body);
+  Bytes frame;
+  frame.reserve(kFrameOverhead + body.size());
+  PutU32(&frame, static_cast<uint32_t>(body.size()));
+  PutU32(&frame, Fnv1a(body));
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
 
-uint32_t FrameChecksum(Slice body) { return Fnv1a(body); }
+/// The kRewrite frame that opens a rewritten log `base` bytes long.
+Bytes RewriteFrame(uint64_t lsn, uint64_t base) {
+  LogRecord header;
+  header.lsn = lsn;
+  header.type = LogRecordType::kRewrite;
+  PutU64(&header.payload1, base);
+  return Frame(header);
+}
+
+/// The size of every kRewrite frame.
+const size_t kRewriteFrameBytes = RewriteFrame(0, 0).size();
+
+/// The record in `image`'s first frame, when that frame is intact.
+std::optional<LogRecord> FirstRecord(Slice image) {
+  std::optional<LogRecord> first;
+  WalkFrames(image, [&first](Slice body, size_t) {
+    size_t at = 0;
+    auto rec = LogRecord::Deserialize(body, &at);
+    if (rec.ok() && at == body.size()) first = std::move(*rec);
+    return false;  // the first frame only
+  });
+  return first;
+}
+
+/// The length of the base `image` starts with (0 when its first frame is
+/// not a kRewrite), given that its first `intact` bytes are intact frames.
+/// Corruption when a bad frame lies inside the base, or when the first
+/// frame is bad but an intact one starts where a kRewrite frame would end:
+/// a torn first append is never followed by an intact frame.
+Result<uint64_t> BaseBytes(Slice image, size_t intact) {
+  const std::optional<LogRecord> first = FirstRecord(image);
+  if (!first.has_value()) {
+    if (image.size() > kRewriteFrameBytes &&
+        FirstRecord(image.subslice(kRewriteFrameBytes,
+                                   image.size() - kRewriteFrameBytes))
+            .has_value()) {
+      return Status::Corruption("log: the first frame is damaged");
+    }
+    return uint64_t{0};
+  }
+  if (first->type != LogRecordType::kRewrite) return uint64_t{0};
+  size_t off = 0;
+  uint64_t base;
+  AEDB_ASSIGN_OR_RETURN(base, GetU64(first->payload1, &off));
+  if (base > intact) {
+    return Status::Corruption("log: a bad frame inside its " +
+                              std::to_string(base) + "-byte base");
+  }
+  return base;
+}
+
+}  // namespace
 
 void LogRecord::SerializeTo(Bytes* out) const {
   PutU64(out, lsn);
@@ -69,7 +131,8 @@ Result<LogRecord> LogRecord::Deserialize(Slice in, size_t* offset) {
   AEDB_ASSIGN_OR_RETURN(rec.txn_id, GetU64(in, offset));
   if (*offset >= in.size()) return Status::Corruption("truncated log record");
   rec.type = static_cast<LogRecordType>(in[(*offset)++]);
-  if (rec.type < LogRecordType::kBegin || rec.type > LogRecordType::kDdl) {
+  if (rec.type < LogRecordType::kBegin ||
+      rec.type > LogRecordType::kIndexEntries) {
     return Status::Corruption("unknown log record type");
   }
   AEDB_ASSIGN_OR_RETURN(rec.object_id, GetU32(in, offset));
@@ -96,7 +159,7 @@ Status Wal::Open() {
     AEDB_RETURN_IF_ERROR(fs_->Append(path_, Slice()));
     AEDB_RETURN_IF_ERROR(
         fsio::SyncDir(*fs_, fsio::DirName(path_), &fsyncs_));
-    bytes_ = 0;
+    bytes_ = base_bytes_ = 0;
     return Status::OK();
   }
   if (!read.ok()) return read.status();
@@ -108,14 +171,18 @@ Status Wal::Open() {
     if (lsn.ok()) last_lsn = *lsn;
     return lsn.ok();
   });
+  uint64_t base;
+  AEDB_ASSIGN_OR_RETURN(base, BaseBytes(contents, intact));
   if (intact < contents.size()) {
     // Durably drop the torn tail — the real-log analog of zeroing past
     // end-of-log — so a later crash cannot resurrect half a frame.
     torn_dropped_ += contents.size() - intact;
-    AEDB_RETURN_IF_ERROR(RewriteLocked(Slice(contents.data(), intact)));
+    AEDB_RETURN_IF_ERROR(
+        ReplaceWithPrefixLocked(Slice(contents.data(), intact)));
   }
   next_lsn_ = std::max(next_lsn_, last_lsn + 1);
   bytes_ = intact;
+  base_bytes_ = base;
   poisoned_ = false;
   return Status::OK();
 }
@@ -125,13 +192,7 @@ Result<uint64_t> Wal::Append(LogRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (poisoned_) return PoisonedError();
   record.lsn = next_lsn_++;
-  Bytes body;
-  record.SerializeTo(&body);
-  Bytes frame;
-  frame.reserve(kFrameOverhead + body.size());
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  PutU32(&frame, Fnv1a(body));
-  frame.insert(frame.end(), body.begin(), body.end());
+  const Bytes frame = Frame(record);
 
   Status st = Status::OK();
   size_t landed = frame.size();
@@ -174,7 +235,7 @@ Status Wal::Sync() {
     // A failed fsync may have lost the writes it covered, and a retried one
     // can "succeed" without them (the kernel reports a writeback error
     // once). Poison the log so every later barrier fails until an atomic
-    // rewrite (e.g. checkpoint truncation) re-lands the whole log.
+    // rewrite (e.g. a checkpoint) re-lands the whole log.
     poisoned_ = true;
     ++file_errors_;
   }
@@ -211,10 +272,10 @@ Status Wal::SyncUpTo(uint64_t lsn) {
     uint64_t covered = next_lsn_ - 1;
     // fsync outside mu_ — this is what lets followers append their commit
     // records while the leader syncs, forming the next cohort. A rewrite
-    // (TruncateBefore, LoadImage) can run meanwhile and replace the file.
-    // The barrier stays sound: every record up to `covered` was appended
-    // before that rewrite took mu_, so the rewrite, which fsyncs its new
-    // file before the rename, keeps it durable unless it cut it on purpose.
+    // (Rewrite, LoadImage) can run meanwhile and replace the file. The
+    // barrier stays sound: every record up to `covered` was appended before
+    // that rewrite took mu_, so the rewrite, which fsyncs its new file
+    // before the rename, makes what replaces it durable.
     lock.unlock();
     Status synced = fsio::SyncFile(*fs_, path_, &fsyncs_);
     lock.lock();
@@ -264,9 +325,31 @@ uint64_t Wal::next_lsn() const {
   return next_lsn_;
 }
 
-void Wal::EnsureNextLsn(uint64_t lsn) {
+Status Wal::Rewrite(const std::function<Status(const RecordSink&)>& write) {
   std::lock_guard<std::mutex> lock(mu_);
-  next_lsn_ = std::max(next_lsn_, lsn);
+  const uint64_t first_lsn = next_lsn_;
+  uint64_t lsn = first_lsn;
+  uint64_t size = 0;
+  Status written = ReplaceLocked([&](const std::string& tmp) -> Status {
+    // The kRewrite frame goes first, claiming a base longer than any file
+    // (so it cannot pass for a whole one), and is overwritten in place once
+    // the length is known.
+    AEDB_RETURN_IF_ERROR(fs_->Append(tmp, RewriteFrame(lsn++, UINT64_MAX)));
+    size = kRewriteFrameBytes;
+    AEDB_RETURN_IF_ERROR(write([&](LogRecord record) -> Status {
+      record.lsn = lsn++;
+      const Bytes frame = Frame(record);
+      size += frame.size();
+      return fs_->Append(tmp, frame);
+    }));
+    return fs_->Pwrite(tmp, 0, RewriteFrame(first_lsn, size));
+  });
+  if (!written.ok()) return written;
+  next_lsn_ = lsn;
+  // The base is durable: it stands for everything the old file held.
+  synced_lsn_ = lsn - 1;
+  bytes_ = base_bytes_ = size;
+  return Status::OK();
 }
 
 Bytes Wal::RawBytes() const {
@@ -302,42 +385,32 @@ WalLoadResult Wal::LoadImage(Slice image) {
   // The file must now hold what next_lsn_ was computed from: a failed
   // rewrite poisons the log. This API has no status channel, so
   // file_errors() and poisoned() are the observables.
-  if (!RewriteLocked(image.subslice(0, parsed.bytes_consumed)).ok()) {
+  const Slice kept = image.subslice(0, parsed.bytes_consumed);
+  if (!ReplaceWithPrefixLocked(kept).ok()) {
     poisoned_ = true;
   }
+  auto base = BaseBytes(kept, kept.size());
+  base_bytes_ = base.ok() ? *base : 0;
   return parsed;
 }
 
-Status Wal::TruncateBefore(uint64_t lsn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto read = fs_->ReadFile(path_);
-  if (read.status().IsNotFound()) return Status::OK();  // nothing to cut
-  if (!read.ok()) return read.status();
-  const Slice image(*read);
-  // LSNs grow along the file: cut at the first frame that reaches the
-  // horizon. Checksums are skipped there, as those frames go and a torn one
-  // (nothing follows it) is cut short. The second walk finds the intact end.
-  auto below = [lsn](Slice body, size_t) {
-    auto frame_lsn = FrameLsn(body);
-    return frame_lsn.ok() && *frame_lsn < lsn;
-  };
-  const size_t cut = WalkFrames(image, below, /*verify=*/false);
-  const size_t end =
-      cut + WalkFrames(image.subslice(cut, image.size() - cut),
-                       [](Slice, size_t) { return true; });
-  return RewriteLocked(image.subslice(cut, end - cut));
-}
-
-Status Wal::RewriteLocked(Slice image) {
-  Status written = fsio::WriteFileDurable(*fs_, path_, image, &fsyncs_);
+Status Wal::ReplaceLocked(
+    const std::function<Status(const std::string&)>& fill) {
+  Status written = fsio::ReplaceFileDurable(*fs_, path_, fill, &fsyncs_);
   if (!written.ok()) {
-    // The rename never happened: the old file, a superset of `image`, is
-    // still the live log, so durability is intact. Count and report.
+    // The rename never happened: the old file is still the live log, so
+    // durability is intact. Count and report.
     ++file_errors_;
     return written;
   }
-  bytes_ = image.size();
   poisoned_ = false;
+  return Status::OK();
+}
+
+Status Wal::ReplaceWithPrefixLocked(Slice image) {
+  AEDB_RETURN_IF_ERROR(ReplaceLocked(
+      [&](const std::string& tmp) { return fs_->Append(tmp, image); }));
+  bytes_ = image.size();
   return Status::OK();
 }
 
@@ -362,6 +435,11 @@ uint64_t Wal::torn_bytes_dropped() const {
 uint64_t Wal::wal_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_;
+}
+
+uint64_t Wal::base_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return base_bytes_;
 }
 
 uint64_t Wal::file_errors() const {

@@ -2,6 +2,7 @@
 #define AEDB_STORAGE_WAL_H_
 
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -37,6 +38,20 @@ enum class LogRecordType : uint8_t {
   /// catalog's next table, index and CEK ids as three u32s, then the SQL
   /// text). A `kCommit` right after it marks the statement acknowledged.
   kDdl = 10,
+  /// First frame of a rewritten log (Wal::Rewrite): payload1 = the byte
+  /// length of the rewritten part (the base), this frame included, as a u64.
+  kRewrite = 11,
+  /// The rest of a checkpoint's base (StorageEngine::Checkpoint), all in no
+  /// transaction. kCheckpoint: payload1 = the engine's next transaction id
+  /// (u64).
+  kCheckpoint = 12,
+  /// One heap page's raw image: object_id = table, rid.page = page number,
+  /// payload1 = the 8 KiB page.
+  kPageImage = 13,
+  /// One index's entries in tree order: object_id = index, payload1 = the
+  /// index's invalid flag (u8), then per entry its length-prefixed key and
+  /// its rid (u64).
+  kIndexEntries = 14,
 };
 
 /// One WAL record. Row images and index keys are stored exactly as they live
@@ -71,11 +86,6 @@ struct WalLoadResult {
   bool torn_tail = false;
 };
 
-/// The WAL's frame checksum (FNV-1a 32-bit). Not cryptographic — it only
-/// needs to tell "frame ends at a clean boundary" from "torn mid-write".
-/// The checkpoint file reuses it.
-uint32_t FrameChecksum(Slice body);
-
 /// Append-only log of `LogRecord`s. Every append-only file in a data
 /// directory is one: a shard's `wal.log` (data ops), its `ddl.log` (`kDdl`
 /// statements and their `kCommit` markers) and the 2PC coordinator's
@@ -83,11 +93,16 @@ uint32_t FrameChecksum(Slice body);
 /// group commit, fault points and the poison rule have one implementation.
 ///
 /// The log's file is its only copy: Append writes the frame to the file
-/// through the Fs, Sync fsyncs it, and Snapshot, RawBytes, TruncateBefore and
-/// record_count read it back. RawBytes is the adversary-observable disk form,
-/// scanned by leakage tests and cut at arbitrary prefixes by the torture
-/// harness. Truncation rewrites the file atomically (tmp → fsync → rename →
-/// fsync dir).
+/// through the Fs, Sync fsyncs it, and Snapshot, RawBytes and record_count
+/// read it back. RawBytes is the adversary-observable disk form, scanned by
+/// leakage tests and cut at arbitrary prefixes by the torture harness.
+///
+/// Rewrite replaces the file atomically (tmp → fsync → rename → fsync dir)
+/// with records its caller streams: a checkpoint's base, or the 2PC log's
+/// pending decisions. Its first frame, a kRewrite record, holds the length
+/// of that base, and Open refuses a log whose base is damaged (Corruption):
+/// a rewrite lands whole, so a bad frame inside it cannot be a torn tail.
+/// Appends after the base tear as any append does.
 ///
 /// On-disk framing, per record:
 ///
@@ -121,6 +136,7 @@ class Wal {
   /// Adopts the file as the log when a process starts over it: creates it
   /// (durably, with its directory entry) when missing, drops any torn tail
   /// durably, and continues its LSNs. Recovery then replays it (Snapshot).
+  /// A damaged base fails with Corruption and leaves the file as it is.
   Status Open();
 
   /// Assigns the next LSN, frames the record and appends it to the file
@@ -160,9 +176,17 @@ class Wal {
   /// Reads the file and parses it up to any torn tail (the recovery source).
   Result<std::vector<LogRecord>> Snapshot() const;
   uint64_t next_lsn() const;
-  /// Raises next_lsn to at least `lsn` — used after loading a checkpoint
-  /// whose LSN horizon is past the (possibly truncated-to-empty) log tail.
-  void EnsureNextLsn(uint64_t lsn);
+
+  /// Receives a rewrite's records, in order (see Rewrite).
+  using RecordSink = std::function<Status(LogRecord)>;
+
+  /// Replaces the log with a kRewrite frame followed by the records `write`
+  /// hands its sink, at fresh LSNs. They stream to a tmp file, one record at
+  /// a time; it is fsynced, `fsio/pre_rename` fires, a rename makes it the
+  /// log and the directory is fsynced. Holds the log throughout, so nothing
+  /// is appended in between, and never reads the old file. A failure leaves
+  /// the old file as the log; success lifts the poison.
+  Status Rewrite(const std::function<Status(const RecordSink&)>& write);
 
   /// The file's bytes (adversary view; framed). Empty when it is missing.
   Bytes RawBytes() const;
@@ -175,14 +199,6 @@ class Wal {
   /// parse result so callers can see how much of the tail was lost.
   WalLoadResult LoadImage(Slice image);
 
-  /// Drops records up to `lsn` exclusive (log truncation after checkpoint),
-  /// and everything from the first bad frame on, by rewriting the file
-  /// atomically. A crash between the checkpoint publish and this rewrite
-  /// only leaves already-checkpointed records in the file, which recovery
-  /// filters out by LSN. May run while other threads Append and SyncUpTo
-  /// (see SyncUpTo).
-  Status TruncateBefore(uint64_t lsn);
-
   /// Intact frames in the file.
   size_t record_count() const;
 
@@ -193,21 +209,28 @@ class Wal {
   uint64_t torn_bytes_dropped() const;
   /// The file's size in bytes, as this log has written it.
   uint64_t wal_bytes() const;
+  /// The base's length in bytes: the part of the file the last rewrite
+  /// wrote (0 when it holds none). wal_bytes() - base_bytes() is what was
+  /// appended since.
+  uint64_t base_bytes() const;
   /// Torn log writes, failed fsyncs, and failed rewrites.
   uint64_t file_errors() const;
   /// True after the log became unwritable: a write left a partial frame (no
   /// reader gets past it to a later record), an fsync failed (a retried
   /// fsync may "succeed" with the failed writes lost), or a rewrite that was
   /// to replace the log failed. Append/Sync/SyncUpTo refuse until a
-  /// successful TruncateBefore (e.g. the next checkpoint), LoadImage or Open
-  /// (e.g. Database::Restart) rewrites the log from its intact prefix. A
-  /// tear first makes that prefix durable: SyncUpTo still acks it.
+  /// successful Rewrite (e.g. the next checkpoint), LoadImage or Open (e.g.
+  /// Database::Restart) replaces the file. A tear first makes the intact
+  /// prefix durable: SyncUpTo still acks it.
   bool poisoned() const;
 
  private:
-  /// Atomically replaces the file with `image`; success clears poisoned_.
-  /// Holds mu_.
-  Status RewriteLocked(Slice image);
+  /// The one way the file is replaced: `fill` writes the new file's bytes to
+  /// the tmp path it is given, fsio::ReplaceFileDurable publishes it, and
+  /// success clears poisoned_. Holds mu_.
+  Status ReplaceLocked(const std::function<Status(const std::string&)>& fill);
+  /// ReplaceLocked with `image`, a prefix of the file, as the new file.
+  Status ReplaceWithPrefixLocked(Slice image);
   Status PoisonedError() const;
 
   Fs* const fs_;
@@ -216,6 +239,7 @@ class Wal {
   mutable std::mutex mu_;
   uint64_t next_lsn_ = 1;
   uint64_t bytes_ = 0;  // the file's size, torn tail included
+  uint64_t base_bytes_ = 0;  // see base_bytes()
 
   // ----- group commit (guarded by mu_; sync_cv_ signals leader handoff) ---
   std::condition_variable sync_cv_;

@@ -445,6 +445,37 @@ TEST(BatchEquivTest, ColumnSubsetSelectsMatchSelectStar) {
   }
 }
 
+// An enclave BETWEEN reads its column for both bounds. The morsel decrypts
+// it once, and each bound once: a scan of kRows rows decrypts kRows + 2
+// cells, and returns the same rows at every batch size.
+TEST(BatchEquivTest, EnclaveBetweenDecryptsItsColumnOnce) {
+  const std::string sql =
+      "SELECT AcctID FROM Account WHERE AcctBal BETWEEN @lo AND @hi";
+  const std::vector<std::pair<std::string, Value>> params = {
+      {"lo", Value::Int64(100)}, {"hi", Value::Int64(300)}};
+  std::vector<std::vector<std::string>> results;
+  for (size_t batch_size : kBatchSizes) {
+    SCOPED_TRACE("batch size " + std::to_string(batch_size));
+    Deployment dep(batch_size);
+    dep.CreateSchemaAndLoad(kRows);
+    if (::testing::Test::HasFatalFailure()) return;
+    // The first run attests and sends the keys; the second is measured.
+    ASSERT_TRUE(dep.driver->Query(sql, params).ok());
+    const enclave::EnclaveStats& stats = dep.db->enclave()->stats();
+    const uint64_t before = stats.decrypts.load();
+    auto rows = dep.driver->Query(sql, params);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    if (batch_size == 256) {
+      EXPECT_EQ(stats.decrypts.load() - before, kRows + 2u);
+    }
+    results.push_back(Canonical(*rows));
+  }
+  ASSERT_EQ(results.size(), kBatchSizes.size());
+  EXPECT_FALSE(results[0].empty());
+  EXPECT_EQ(results[0], results[1]);
+  EXPECT_EQ(results[0], results[2]);
+}
+
 TEST(BatchEquivTest, JoinResidualIdenticalAcrossBatchSizes) {
   std::vector<std::vector<std::string>> results(kBatchSizes.size());
   std::vector<uint64_t> evals_delta(kBatchSizes.size());

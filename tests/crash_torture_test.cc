@@ -24,8 +24,9 @@
 // A real aedb_serverd child serves encrypted TPC-C over TCP from a durable
 // --data-dir. The harness SIGKILLs it at seeded random points — plus forced
 // crashes at wal/append, wal/sync (the commit durability point),
-// fsio/pre_rename (mid-checkpoint publish), ckpt/pre_truncate (checkpoint
-// published, WAL not yet truncated) and recovery/replay (mid-recovery) — then
+// fsio/pre_rename (a checkpoint's log rewrite written but not yet renamed),
+// ckpt/pre_write (a checkpoint quiesced, nothing written yet) and
+// recovery/replay (mid-recovery) — then
 // restarts it over the same files and verifies from the client side that
 // exactly the acknowledged-commit prefix survived, with zero wrong results,
 // while the one long-lived driver re-attests transparently.
@@ -252,9 +253,8 @@ class CrashTortureTest : public ::testing::Test {
   std::vector<std::string> ListDataDirFiles() const {
     std::vector<std::string> out;
     // The data dir is flat; reuse the durable-file helpers' naming.
-    for (const char* name : {"wal.log", "ddl.log", "checkpoint.db",
-                             "clean_shutdown", "checkpoint.db.tmp",
-                             "wal.log.tmp"}) {
+    for (const char* name :
+         {"wal.log", "ddl.log", "clean_shutdown", "wal.log.tmp"}) {
       std::string path = data_dir_ + "/" + name;
       if (OnDisk(path)) out.push_back(path);
     }
@@ -316,15 +316,15 @@ TEST_F(CrashTortureTest, AckedPrefixSurvivesTwentyPlusKillNineCycles) {
             {"wal/sync:" + std::to_string(rng.Uniform(3, 25))}));
         break;
       case 2:
-        // Mid-checkpoint publish: dies between the checkpoint tmp-file fsync
-        // and its rename.
+        // Mid-checkpoint publish: dies between the log rewrite's tmp-file
+        // fsync and its rename.
         ASSERT_TRUE(server_->Kill().ok());
         ASSERT_TRUE(StartServer({"fsio/pre_rename"}));
         break;
       case 3:
-        // Checkpoint published but the WAL never truncated.
+        // Checkpoint quiesced, before its log rewrite starts.
         ASSERT_TRUE(server_->Kill().ok());
-        ASSERT_TRUE(StartServer({"ckpt/pre_truncate"}));
+        ASSERT_TRUE(StartServer({"ckpt/pre_write"}));
         break;
       default:
         die_armed = false;  // raw SIGKILL at a seeded random moment

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/driver.h"
@@ -16,7 +17,6 @@
 #include "server/database.h"
 #include "server/router.h"
 #include "storage/btree.h"
-#include "storage/checkpoint.h"
 #include "storage/engine.h"
 #include "storage/fsio.h"
 #include "storage/sim_fs.h"
@@ -31,7 +31,6 @@ using server::Database;
 using server::ServerOptions;
 using storage::BinaryComparator;
 using storage::BTree;
-using storage::CheckpointImage;
 using storage::LogRecord;
 using storage::LogRecordType;
 using storage::Rid;
@@ -159,7 +158,7 @@ TEST_F(DurabilityTest, FileWalSyncFaultSkipsFsync) {
   EXPECT_EQ(wal.fsyncs(), before + 1);
 }
 
-TEST_F(DurabilityTest, FailedTruncationRewriteIsObservableAndNonFatal) {
+TEST_F(DurabilityTest, FailedRewriteIsObservableAndNonFatal) {
   TempDir dir;
   const std::string path = dir.File("wal.log");
   storage::PosixFs disk;
@@ -169,20 +168,23 @@ TEST_F(DurabilityTest, FailedTruncationRewriteIsObservableAndNonFatal) {
   ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kHeapInsert, "a")).ok());
   ASSERT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kCommit, "")).ok());
   ASSERT_TRUE(wal.Sync().ok());
-  const uint64_t cut = wal.next_lsn();
 
-  // The truncation's atomic rewrite dies before its rename. The old file —
-  // a superset of the trimmed log — is still the live log, so durability is
-  // intact; the failed rewrite must be gauged.
+  // The rewrite dies before its rename. The old file is still the live log,
+  // so durability is intact; the failed rewrite must be gauged, and its tmp
+  // file gone.
   fault::FaultSpec spec;
   spec.trigger = fault::FaultSpec::Trigger::kOneShot;
   fault::FaultRegistry::Global().Arm("fsio/pre_rename", spec);
-  EXPECT_FALSE(wal.TruncateBefore(cut).ok());
+  EXPECT_FALSE(wal.Rewrite([](const Wal::RecordSink& put) {
+                    return put(MakeRecord(0, LogRecordType::kCheckpoint, ""));
+                  }).ok());
   EXPECT_EQ(wal.file_errors(), 1u);
   EXPECT_FALSE(wal.poisoned());
+  EXPECT_EQ(wal.base_bytes(), 0u);
+  EXPECT_FALSE(OnDisk(path + ".tmp"));
 
   // The log keeps working: appends and fsyncs still reach the file, and a
-  // reopen sees the never-truncated prefix plus the new tail.
+  // reopen sees the never-rewritten log plus the new tail.
   ASSERT_TRUE(wal.Append(MakeRecord(2, LogRecordType::kBegin, "")).ok());
   ASSERT_TRUE(wal.Sync().ok());
   storage::PosixFs reopened_disk;
@@ -193,60 +195,73 @@ TEST_F(DurabilityTest, FailedTruncationRewriteIsObservableAndNonFatal) {
   auto records = *reopened.Snapshot();
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records.back().type, LogRecordType::kBegin);
+  EXPECT_EQ(records.back().lsn, 4u);
 }
 
 // ===========================================================================
-// Checkpoint image serialization
+// The log's checkpoint base
 // ===========================================================================
 
-TEST_F(DurabilityTest, CheckpointImageRoundTrips) {
-  CheckpointImage img;
-  img.checkpoint_lsn = 42;
-  img.next_txn_id = 17;
-  CheckpointImage::TableImage table;
-  table.table_id = 3;
-  table.heap = B("opaque heap page bytes");
-  img.tables.push_back(table);
-  CheckpointImage::IndexImage index;
-  index.index_id = 9;
-  index.invalid = true;
-  index.entries.emplace_back(B("key-1"), Rid{0, 5});
-  index.entries.emplace_back(B("key-2"), Rid{1, 0});
-  img.indexes.push_back(index);
-
-  Bytes wire = img.Serialize();
-  auto back = CheckpointImage::Deserialize(wire);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->checkpoint_lsn, 42u);
-  EXPECT_EQ(back->next_txn_id, 17u);
-  ASSERT_EQ(back->tables.size(), 1u);
-  EXPECT_EQ(back->tables[0].table_id, 3u);
-  EXPECT_EQ(back->tables[0].heap, B("opaque heap page bytes"));
-  ASSERT_EQ(back->indexes.size(), 1u);
-  EXPECT_TRUE(back->indexes[0].invalid);
-  ASSERT_EQ(back->indexes[0].entries.size(), 2u);
-  EXPECT_EQ(back->indexes[0].entries[1].first, B("key-2"));
-  EXPECT_EQ(back->indexes[0].entries[0].second.Encode(), (Rid{0, 5}).Encode());
+/// A base streamed by a rewrite, with a history record appended after it.
+/// Returns the base's length.
+uint64_t WriteBaseAndTail(storage::Fs* fs, const std::string& path) {
+  Wal wal(fs, path);
+  EXPECT_TRUE(wal.Open().ok());
+  EXPECT_TRUE(wal.Rewrite([](const Wal::RecordSink& put) -> Status {
+                   AEDB_RETURN_IF_ERROR(
+                       put(MakeRecord(0, LogRecordType::kCheckpoint, "ids")));
+                   return put(MakeRecord(0, LogRecordType::kPageImage,
+                                         std::string(300, 'p')));
+                 }).ok());
+  EXPECT_TRUE(wal.Append(MakeRecord(1, LogRecordType::kCommit, "")).ok());
+  EXPECT_TRUE(wal.Sync().ok());
+  return wal.base_bytes();
 }
 
-TEST_F(DurabilityTest, CheckpointImageDetectsCorruptionAndTruncation) {
-  CheckpointImage img;
-  img.checkpoint_lsn = 1;
-  Bytes wire = img.Serialize();
-  for (size_t i = 0; i < wire.size(); i += 3) {
-    Bytes bad = wire;
+/// A rewrite lands whole (by rename), so damage inside the base is never a
+/// torn tail: Open fails with Corruption and leaves the file as it found
+/// it. Damage after the base is a torn tail, dropped as before.
+TEST_F(DurabilityTest, DamagedBaseFailsOpenAndLeavesTheLogAlone) {
+  storage::SimFs fs;
+  const uint64_t base = WriteBaseAndTail(&fs, "wal.log");
+  const Bytes good = *fs.ReadFile("wal.log");
+  ASSERT_GT(base, 0u);
+  ASSERT_LT(base, good.size());
+  storage::fsio::FsyncCount fsyncs{0};
+  auto open_over = [&](const Bytes& image) {
+    EXPECT_TRUE(
+        storage::fsio::WriteFileDurable(fs, "wal.log", image, &fsyncs).ok());
+    Wal wal(&fs, "wal.log");
+    return wal.Open();
+  };
+  // Every byte of the base, its kRewrite frame included.
+  for (size_t i = 0; i < base; i += 3) {
+    Bytes bad = good;
     bad[i] ^= 0x5A;
-    EXPECT_FALSE(CheckpointImage::Deserialize(bad).ok())
-        << "bit flip at byte " << i << " went undetected";
+    Status st = open_over(bad);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << "flip at byte " << i << ": " << st.ToString();
+    EXPECT_EQ(*fs.ReadFile("wal.log"), bad) << "flip at byte " << i;
   }
-  for (size_t n = 0; n < wire.size(); ++n) {
-    EXPECT_FALSE(CheckpointImage::Deserialize(Slice(wire.data(), n)).ok())
-        << "accepted a " << n << "-byte truncation";
+  // A base cut short, past its first frame.
+  for (size_t n = Wal::ParseImage(good).frame_ends[0]; n < base; n += 7) {
+    const Bytes cut(good.begin(), good.begin() + n);
+    Status st = open_over(cut);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << "cut at byte " << n << ": " << st.ToString();
+    EXPECT_EQ(*fs.ReadFile("wal.log"), cut) << "cut at byte " << n;
   }
+  Bytes torn = good;
+  torn[base + 3] ^= 0x5A;
+  ASSERT_TRUE(open_over(torn).ok());
+  Wal reopened(&fs, "wal.log");
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.wal_bytes(), base);
+  EXPECT_EQ(reopened.base_bytes(), base);
 }
 
 // ===========================================================================
-// Engine checkpoint capture + recovery from base
+// Engine checkpoint + recovery from the base
 // ===========================================================================
 
 constexpr uint32_t kTable = 1;
@@ -310,36 +325,97 @@ TEST_F(DurabilityTest, CommitRecordIsAppendedBeforeTheDurabilitySync) {
   EXPECT_EQ(live, 0u);
 }
 
+/// The checkpoint's base round-trips through the log: a fresh engine
+/// recovering it holds the same rows at the same RIDs, the same index
+/// entries, an invalidated index still invalid, and no reused txn id.
+TEST_F(DurabilityTest, CheckpointBaseRoundTrips) {
+  constexpr uint32_t kInvalidIndex = kIndex + 1;
+  auto catalog = [] {
+    auto engine = MakeCatalogedEngine();
+    EXPECT_TRUE(engine
+                    ->CreateIndex(kInvalidIndex, kTable,
+                                  std::make_unique<BinaryComparator>(),
+                                  /*unique=*/false)
+                    .ok());
+    return engine;
+  };
+  auto engine = catalog();
+  ASSERT_TRUE(CommitRow(engine.get(), "row-1", "key-1").ok());
+  ASSERT_TRUE(CommitRow(engine.get(), "row-2", "key-2").ok());
+  ASSERT_TRUE(engine->InvalidateIndex(kInvalidIndex).ok());
+  const uint64_t last_txn = engine->Begin();
+  ASSERT_TRUE(engine->Commit(last_txn).ok());
+  ASSERT_TRUE(engine->Checkpoint(std::chrono::milliseconds(500)).ok());
+
+  // The log is the base alone, in no transaction: its kRewrite frame, the
+  // next txn id, the table's page, then each index's entries.
+  std::vector<LogRecord> log = *engine->wal().Snapshot();
+  std::vector<LogRecordType> types;
+  for (const LogRecord& rec : log) {
+    types.push_back(rec.type);
+    EXPECT_EQ(rec.txn_id, 0u);
+  }
+  EXPECT_EQ(types, (std::vector<LogRecordType>{
+                       LogRecordType::kRewrite, LogRecordType::kCheckpoint,
+                       LogRecordType::kPageImage, LogRecordType::kIndexEntries,
+                       LogRecordType::kIndexEntries}));
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(log[2].payload1.size(), storage::Page::kPageSize);
+
+  auto fresh = catalog();
+  fresh->wal().LoadImage(engine->wal().RawBytes());
+  auto recovered = fresh->Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->from_checkpoint_lsn, log[0].lsn);
+  EXPECT_EQ(recovered->log_tail_records, 0u);
+  EXPECT_EQ(recovered->redone, 0u);
+  auto rows = [](StorageEngine* e) {
+    std::vector<std::string> out;
+    e->table(kTable)->Scan([&](const Rid& rid, Slice row) {
+      out.push_back(std::to_string(rid.Encode()) + " " + row.ToString());
+      return true;
+    });
+    return out;
+  };
+  EXPECT_EQ(rows(fresh.get()).size(), 2u);
+  EXPECT_EQ(rows(fresh.get()), rows(engine.get()));
+  auto entries = [](StorageEngine* e) {
+    std::vector<std::string> out;
+    for (BTree::Iterator it = e->index_tree(kIndex)->Begin(); it.Valid();
+         it.Next()) {
+      out.push_back(Slice(*it.key()).ToString() + "@" +
+                    std::to_string(it.rid().Encode()));
+    }
+    return out;
+  };
+  EXPECT_EQ(entries(fresh.get()).size(), 2u);
+  EXPECT_EQ(entries(fresh.get()), entries(engine.get()));
+  EXPECT_TRUE(fresh->IndexInvalid(kInvalidIndex));
+  EXPECT_GT(fresh->Begin(), last_txn);
+}
+
 TEST_F(DurabilityTest, RecoveryFromCheckpointPlusWalTail) {
   auto engine = MakeCatalogedEngine();
   ASSERT_TRUE(CommitRow(engine.get(), "baked-1", "a").ok());
   ASSERT_TRUE(CommitRow(engine.get(), "baked-2", "b").ok());
 
-  auto captured = engine->CaptureCheckpoint(std::chrono::milliseconds(500));
-  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
-  const uint64_t horizon = (*captured)->checkpoint_lsn;
-  EXPECT_EQ(horizon, engine->wal().next_lsn());
+  const uint64_t base_lsn = engine->wal().next_lsn();
+  ASSERT_TRUE(engine->Checkpoint(std::chrono::milliseconds(500)).ok());
 
   // Post-checkpoint tail: one more committed row, one loser in flight.
   ASSERT_TRUE(CommitRow(engine.get(), "tail-3", "c").ok());
   uint64_t loser = engine->Begin();
   ASSERT_TRUE(engine->HeapInsert(loser, kTable, B("loser")).ok());
 
-  // Checkpoint publish + log truncation, then a crash: rebuild a fresh
-  // engine from (serialized image, truncated log) exactly as Open() would.
-  ASSERT_TRUE(engine->wal().TruncateBefore(horizon).ok());
-  Bytes image_wire = (*captured)->Serialize();
-  Bytes log_image = engine->wal().RawBytes();
-
+  // A crash: rebuild a fresh engine from the log exactly as Open() would.
   auto fresh = MakeCatalogedEngine();
-  auto base = CheckpointImage::Deserialize(image_wire);
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-  fresh->SetCheckpointBase(
-      std::make_shared<const CheckpointImage>(std::move(base).value()));
-  fresh->wal().LoadImage(log_image);
+  fresh->wal().LoadImage(engine->wal().RawBytes());
   auto recovered = fresh->Recover();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->from_checkpoint_lsn, horizon);
+  EXPECT_EQ(recovered->from_checkpoint_lsn, base_lsn);
+  // Only the records after the base are history: tail-3's insert, index
+  // insert and commit, and the loser's insert.
+  EXPECT_EQ(recovered->log_tail_records, 4u);
 
   // All three committed rows live, the loser vanished, the index sees
   // exactly the three committed keys.
@@ -356,20 +432,19 @@ TEST_F(DurabilityTest, RecoveryFromCheckpointPlusWalTail) {
   EXPECT_EQ(fresh->index_tree(kIndex)->size(), 3u);
 
   // New transactions must not reuse LSNs or txn ids from before the crash.
-  EXPECT_GE(fresh->wal().next_lsn(), horizon);
+  EXPECT_GT(fresh->wal().next_lsn(), base_lsn);
   uint64_t next = fresh->Begin();
-  EXPECT_GE(next, (*captured)->next_txn_id);
+  EXPECT_GT(next, loser);
 }
 
 TEST_F(DurabilityTest, CheckpointRefusedUntilQuiescent) {
   auto engine = MakeCatalogedEngine();
   uint64_t txn = engine->Begin();
   ASSERT_TRUE(engine->HeapInsert(txn, kTable, B("open")).ok());
-  auto refused = engine->CaptureCheckpoint(std::chrono::milliseconds(50));
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  Status refused = engine->Checkpoint(std::chrono::milliseconds(50));
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(engine->Commit(txn).ok());
-  EXPECT_TRUE(engine->CaptureCheckpoint(std::chrono::milliseconds(50)).ok());
+  EXPECT_TRUE(engine->Checkpoint(std::chrono::milliseconds(50)).ok());
 }
 
 TEST_F(DurabilityTest, RecoveryIsIdempotentAfterMidRecoveryCrash) {
@@ -470,7 +545,8 @@ class DurableDatabaseTest : public DurabilityTest {
   /// Boots a server process stand-in over the data dir and returns a driver
   /// wired to it. Fresh HGS + enclave per call: a restart loses all enclave
   /// state, exactly like the real daemon.
-  void Boot(const std::string& data_dir, uint64_t checkpoint_wal_bytes = 0) {
+  void Boot(const std::string& data_dir, uint64_t checkpoint_wal_bytes = 0,
+            uint64_t flush_interval_ms = 0) {
     driver_.reset();
     db_.reset();
     Bytes seed;
@@ -479,6 +555,7 @@ class DurableDatabaseTest : public DurabilityTest {
     ServerOptions opts;
     opts.data_dir = data_dir;
     opts.checkpoint_wal_bytes = checkpoint_wal_bytes;
+    opts.engine.flush_interval_ms = flush_interval_ms;
     db_ = std::make_unique<Database>(opts, hgs_.get(), &image_);
     hgs_->RegisterTcgLog(db_->platform()->tcg_log());
     Status opened = db_->Open();
@@ -570,13 +647,12 @@ TEST_F(DurableDatabaseTest, CleanShutdownRoundTrip) {
   Status shut = db_->Shutdown();
   ASSERT_TRUE(shut.ok()) << shut.ToString();
   EXPECT_TRUE(OnDisk(dir.File("clean_shutdown")));
-  EXPECT_TRUE(OnDisk(dir.File("checkpoint.db")));
 
   Boot(dir.path());
   const Database::RecoveryInfo& ri = db_->recovery_info();
   EXPECT_TRUE(ri.ran);
   EXPECT_TRUE(ri.clean_shutdown);
-  // The final checkpoint drained the log: nothing to replay.
+  // The final checkpoint left the log a base with nothing after it.
   EXPECT_EQ(ri.wal_records_replayed, 0u);
   EXPECT_GT(ri.from_checkpoint_lsn, 0u);
   EXPECT_GE(ri.ddl_statements_replayed, 4u);  // CMK, CEK, table, index
@@ -609,21 +685,22 @@ TEST_F(DurableDatabaseTest, DirtyRestartReplaysWalTail) {
   EXPECT_GT(stats.fsyncs, 0u);
 }
 
-TEST_F(DurableDatabaseTest, CheckpointTruncatesWalAndRestartUsesIt) {
+TEST_F(DurableDatabaseTest, CheckpointRewritesWalAndRestartUsesIt) {
   TempDir dir;
   Boot(dir.path());
   ProvisionAndCreateSchema();
   LoadAccounts();
-  const uint64_t wal_before = db_->Stats().wal_bytes;
-  ASSERT_GT(wal_before, 0u);
+  ASSERT_GT(db_->Stats().wal_bytes, 0u);
   Status ckpt = db_->Checkpoint();
   ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
   EXPECT_EQ(db_->Stats().checkpoints_taken, 1u);
-  EXPECT_LT(db_->Stats().wal_bytes, wal_before);
-  ASSERT_TRUE(OnDisk(dir.File("checkpoint.db")));
+  // The log is now the base alone, and the data dir holds no other copy.
+  EXPECT_GT(db_->engine().wal().base_bytes(), 0u);
+  EXPECT_EQ(db_->Stats().wal_bytes, db_->engine().wal().base_bytes());
+  EXPECT_FALSE(OnDisk(dir.File("checkpoint.db")));
 
   // More traffic after the checkpoint, then a dirty restart: recovery is
-  // checkpoint + tail.
+  // the base + the records after it.
   InsertAccount(9, "Berlin", 900, "POST-CKPT");
   driver_.reset();
   db_.reset();
@@ -765,46 +842,86 @@ TEST_F(DurableDatabaseTest, TornDdlWritePoisonsTheDdlLog) {
   EXPECT_TRUE(created.ok()) << created.ToString();
 }
 
-TEST_F(DurableDatabaseTest, CrashBetweenPublishAndTruncateRecovers) {
+// A flipped byte inside the checkpoint base is corruption, not a torn tail:
+// Open() fails and leaves wal.log byte-identical for whoever repairs it.
+TEST_F(DurableDatabaseTest, DamagedBaseFailsOpenWithCorruption) {
   TempDir dir;
   Boot(dir.path());
   ProvisionAndCreateSchema();
   LoadAccounts();
-  // The checkpoint file IS published but the WAL truncation never runs: the
-  // log still holds pre-checkpoint records, which recovery must filter by
-  // LSN rather than double-apply.
-  fault::FaultSpec spec;
-  spec.trigger = fault::FaultSpec::Trigger::kOneShot;
-  fault::FaultRegistry::Global().Arm("ckpt/pre_truncate", spec);
-  EXPECT_FALSE(db_->Checkpoint().ok());
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  const uint64_t base = db_->engine().wal().base_bytes();
+  ASSERT_GT(base, 0u);
   driver_.reset();
   db_.reset();
 
-  Boot(dir.path());
-  EXPECT_GT(db_->recovery_info().from_checkpoint_lsn, 0u);
-  ExpectAccountsIntact();
+  storage::PosixFs disk;
+  const std::string wal = dir.File("wal.log");
+  Bytes damaged = *disk.ReadFile(wal);
+  damaged[base / 2] ^= 0x01;
+  storage::fsio::FsyncCount fsyncs{0};
+  ASSERT_TRUE(
+      storage::fsio::WriteFileDurable(disk, wal, damaged, &fsyncs).ok());
+  ServerOptions opts;
+  opts.data_dir = dir.path();
+  Database db(opts, hgs_.get(), &image_);
+  Status opened = db.Open();
+  EXPECT_EQ(opened.code(), StatusCode::kCorruption) << opened.ToString();
+  EXPECT_EQ(*disk.ReadFile(wal), damaged);
+}
+
+// The background checkpointer fires on the log's growth since the last
+// checkpoint, not on its size, which includes the base: with a threshold
+// below the base's size it takes one checkpoint per growth, not one per
+// poll.
+TEST_F(DurableDatabaseTest, BackgroundCheckpointerFiresOncePerGrowth) {
+  constexpr uint64_t kThreshold = 128;  // less than one row's records
+  TempDir dir;
+  Boot(dir.path(), kThreshold);
+  ProvisionAndCreateSchema();
+  auto wait_for = [&](uint64_t n) {
+    for (int i = 0; i < 200 && db_->Stats().checkpoints_taken < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    // Ten more polls of the checkpointer: none may fire again.
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    return db_->Stats().checkpoints_taken;
+  };
+  const uint64_t before = db_->Stats().checkpoints_taken;
+  InsertAccount(1, "Seattle", 100, "SMITH");
+  EXPECT_EQ(wait_for(before + 1), before + 1);
+  ASSERT_GT(db_->engine().wal().base_bytes(), kThreshold);
+  InsertAccount(2, "Zurich", 550, "BARNES");
+  EXPECT_EQ(wait_for(before + 2), before + 2);
+  InsertAccount(3, "Zurich", 75, "WILLOWBY");
+  EXPECT_EQ(wait_for(before + 3), before + 3);
 }
 
 TEST_F(DurableDatabaseTest, NoPlaintextAtRestAnywhereInDataDir) {
   TempDir dir;
-  Boot(dir.path());
+  Boot(dir.path(), /*checkpoint_wal_bytes=*/0, /*flush_interval_ms=*/5);
   ProvisionAndCreateSchema();
   LoadAccounts();
-  ASSERT_TRUE(db_->Checkpoint().ok());  // put a checkpoint file on disk too
-  InsertAccount(4, "Seattle", 25, "SMITH");  // and a fresh WAL tail
+  ASSERT_TRUE(db_->Checkpoint().ok());  // put a checkpoint base on disk too
+  InsertAccount(4, "Seattle", 25, "SMITH");  // and records after it
+  // The background flusher writes the pool's dirty pages to the page store.
+  for (int i = 0; i < 400 && db_->Stats().pool_writebacks == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   ASSERT_TRUE(db_->Shutdown().ok());
 
-  // The strong adversary reads every byte the server ever fsynced: WAL, DDL
-  // journal, checkpoint, markers, AND the buffer pool's page-store spill
-  // files. No encrypted column's plaintext may appear in any of them.
+  // The strong adversary reads every byte the server ever wrote: the WAL
+  // with its checkpoint base, the DDL journal, markers, AND the buffer
+  // pool's page-store spill files. No encrypted column's plaintext may
+  // appear in any of them.
   std::vector<std::string> files = dir.Files();
-  ASSERT_GE(files.size(), 3u);  // wal.log, ddl.log, checkpoint.db at least
+  ASSERT_GE(files.size(), 3u);  // wal.log, ddl.log, a page file at least
   size_t page_store_files = 0;
   for (const std::string& file : files) {
     if (file.find("/pages/") != std::string::npos) ++page_store_files;
   }
-  // The checkpoint flushed the pool, so evicted page images must be on disk —
-  // if this is zero the scan is not actually covering the page store.
+  // The flusher wrote the pool's pages back, so page images must be on disk
+  // — if this is zero the scan is not actually covering the page store.
   EXPECT_GT(page_store_files, 0u);
   size_t scanned = 0;
   for (const std::string& file : files) {
@@ -895,8 +1012,9 @@ std::vector<std::string> Fingerprint(Database* db) {
 }
 
 /// Restart() is a reopen: what it rebuilds — the catalog replayed from
-/// ddl.log, rows and index entries from the WAL — is exactly what a fresh
-/// Database opened over the same disk rebuilds.
+/// ddl.log, rows and index entries from the WAL's base and the records
+/// after it — is exactly what a fresh Database opened over the same disk
+/// rebuilds.
 TEST_F(DurabilityTest, RestartRecoversWhatAFreshOpenRecovers) {
   auto fs = std::make_shared<storage::SimFs>();
   ServerOptions opts;
@@ -911,6 +1029,8 @@ TEST_F(DurabilityTest, RestartRecoversWhatAFreshOpenRecovers) {
     ASSERT_TRUE(db.ExecuteDdl("CREATE INDEX idx_name ON T (Name)").ok());
     ASSERT_TRUE(db.ExecuteDdl("CREATE TABLE U (V INT)").ok());
     for (int i = 0; i < 10; ++i) {
+      // Half the rows reach the log before a checkpoint, half after it.
+      if (i == 5) ASSERT_TRUE(db.Checkpoint().ok());
       ASSERT_TRUE(db.Execute("INSERT INTO T (Id, Name) VALUES (@i, @n)",
                              {Value::Int32(i),
                               Value::String("n" + std::to_string(i % 4))})
@@ -943,7 +1063,7 @@ TEST_F(DurabilityTest, RestartRecoversWhatAFreshOpenRecovers) {
 
 // ---------------------------------------------------------------------------
 // Sharded durability: shard i persists under <root>/shard-<i> with its OWN
-// wal.log / ddl.log / checkpoint.db, recovered independently of its peers.
+// wal.log / ddl.log, recovered independently of its peers.
 
 class ShardedDurabilityTest : public DurabilityTest {
  protected:
@@ -1036,8 +1156,8 @@ TEST_F(ShardedDurabilityTest, CrashingShardReplaysOnlyItsOwnLog) {
   EXPECT_EQ(s1->rows[0][0].i64(), 6) << "shard 1 lost rows across restart";
 }
 
-// Checkpointing one shard truncates that shard's WAL only; the next restart
-// recovers shard 0 from its checkpoint and shard 1 from its full log.
+// Checkpointing one shard rewrites that shard's WAL only; the next restart
+// recovers shard 0 from its base and shard 1 from its full log.
 TEST_F(ShardedDurabilityTest, PerShardCheckpointsAreIndependent) {
   TempDir dir;
   Boot(dir.path(), 2);
@@ -1049,10 +1169,8 @@ TEST_F(ShardedDurabilityTest, PerShardCheckpointsAreIndependent) {
   }
   Status ckpt = sharded_->shard(0)->Checkpoint();
   ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
-  EXPECT_TRUE(
-      OnDisk(dir.path() + "/shard-0/checkpoint.db"));
-  EXPECT_FALSE(
-      OnDisk(dir.path() + "/shard-1/checkpoint.db"))
+  EXPECT_GT(sharded_->shard(0)->engine().wal().base_bytes(), 0u);
+  EXPECT_EQ(sharded_->shard(1)->engine().wal().base_bytes(), 0u)
       << "checkpointing shard 0 leaked a checkpoint onto shard 1";
 
   driver_.reset();

@@ -105,6 +105,27 @@ class E2eTest : public ::testing::Test {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
 
+  /// An enclave-disabled key, and a Cards table with a plaintext Pan column
+  /// of five rows for the client-side tool to encrypt.
+  void ProvisionColdKeyAndCards() {
+    ASSERT_TRUE(driver_
+                    ->ProvisionCmk("ColdCMK", vault_->name(),
+                                   kVaultPathNoEnclave,
+                                   /*enclave_enabled=*/false)
+                    .ok());
+    ASSERT_TRUE(driver_->ProvisionCek("ColdCEK", "ColdCMK").ok());
+    ASSERT_TRUE(
+        driver_->ExecuteDdl("CREATE TABLE Cards (Id INT, Pan VARCHAR(19))")
+            .ok());
+    for (int i = 0; i < 5; ++i) {
+      auto r = driver_->Query(
+          "INSERT INTO Cards (Id, Pan) VALUES (@i, @p)",
+          {{"i", Value::Int32(i)},
+           {"p", Value::String("4111-1111-" + std::to_string(i))}});
+      ASSERT_TRUE(r.ok());
+    }
+  }
+
   void LoadSampleAccounts() {
     InsertAccount(1, "Seattle", 100, "SMITH");
     InsertAccount(2, "Seattle", 200, "SMYTHE");
@@ -432,18 +453,7 @@ TEST_F(E2eTest, CrashRecoveryWithDeferredTransactionsEndToEnd) {
 
 TEST_F(E2eTest, ClientSideToolForEnclaveDisabledKeys) {
   ProvisionAndCreateSchema();
-  ASSERT_TRUE(driver_
-                  ->ProvisionCmk("ColdCMK", vault_->name(), kVaultPathNoEnclave,
-                                 /*enclave_enabled=*/false)
-                  .ok());
-  ASSERT_TRUE(driver_->ProvisionCek("ColdCEK", "ColdCMK").ok());
-  ASSERT_TRUE(driver_->ExecuteDdl("CREATE TABLE Cards (Id INT, Pan VARCHAR(19))").ok());
-  for (int i = 0; i < 5; ++i) {
-    auto r = driver_->Query("INSERT INTO Cards (Id, Pan) VALUES (@i, @p)",
-                            {{"i", Value::Int32(i)},
-                             {"p", Value::String("4111-1111-" + std::to_string(i))}});
-    ASSERT_TRUE(r.ok());
-  }
+  ProvisionColdKeyAndCards();
   // In-place DDL must refuse (enclave-disabled key)...
   Status direct = db_->ExecuteDdl(
       "ALTER TABLE Cards ALTER COLUMN Pan VARCHAR(19) ENCRYPTED WITH ("
@@ -454,6 +464,27 @@ TEST_F(E2eTest, ClientSideToolForEnclaveDisabledKeys) {
   Status st = driver_->ClientSideEncryptColumn("Cards", "Pan", "ColdCEK",
                                                EncKind::kDeterministic, "Id");
   ASSERT_TRUE(st.ok()) << st.ToString();
+  auto r = driver_->Query("SELECT Id FROM Cards WHERE Pan = @p",
+                          {{"p", Value::String("4111-1111-3")}});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].i32(), 3);
+}
+
+// The tool's column change is DDL: it must outlive a restart, or the column
+// reads as plaintext over the tool's ciphertext.
+TEST_F(E2eTest, ClientSideToolChangeSurvivesRestart) {
+  ProvisionColdKeyAndCards();
+  Status st = driver_->ClientSideEncryptColumn("Cards", "Pan", "ColdCEK",
+                                               EncKind::kDeterministic, "Id");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto restarted = db_->Restart();
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  driver_->InvalidateSession();
+
+  auto enc = db_->ColumnEncryption("Cards", "Pan");
+  ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+  EXPECT_EQ(enc->kind, EncKind::kDeterministic);
   auto r = driver_->Query("SELECT Id FROM Cards WHERE Pan = @p",
                           {{"p", Value::String("4111-1111-3")}});
   ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -293,17 +293,20 @@ TEST_F(FaultTest, WalTornWritePoisonsUntilRewrite) {
     EXPECT_TRUE(seen.torn_tail);
     EXPECT_EQ(seen.records.size(), 1u);
 
-    // Cutting nothing still rewrites the log from its intact prefix, which
-    // drops the torn bytes and lifts the poison.
-    ASSERT_TRUE(wal.TruncateBefore(1).ok());
+    // A rewrite, as a checkpoint makes, replaces the file: that drops the
+    // torn bytes and lifts the poison.
+    ASSERT_TRUE(wal.Rewrite([](const storage::Wal::RecordSink& put) {
+                     return put(SampleRecord(1, "intact"));
+                   }).ok());
     EXPECT_FALSE(wal.poisoned());
     auto lsn = wal.Append(commit);
     ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
     ASSERT_TRUE(wal.SyncUpTo(*lsn).ok());
     seen = reopen();
     EXPECT_FALSE(seen.torn_tail);
-    ASSERT_EQ(seen.records.size(), 2u);
-    EXPECT_EQ(seen.records[1].type, storage::LogRecordType::kCommit);
+    ASSERT_EQ(seen.records.size(), 3u);  // kRewrite, "intact", kCommit
+    EXPECT_EQ(seen.records[1].payload1, B("intact"));
+    EXPECT_EQ(seen.records[2].type, storage::LogRecordType::kCommit);
   }
 }
 
@@ -417,7 +420,7 @@ TEST_F(EngineFaultTest, FailedCommitBarrierAnswersOutcomeUnknown) {
 /// A tear mid-transaction poisons the log, so the abort's compensation
 /// records cannot land. The abort must still undo every op in memory and
 /// release the locks, leaving the txn a loser in the log. A checkpoint taken
-/// then, whose truncation lifts the poison, must capture none of its rows.
+/// then, whose rewrite lifts the poison, must capture none of its rows.
 TEST_F(EngineFaultTest, AbortAfterTornAppendUndoesEverything) {
   auto engine = MakeEngine();
   uint64_t txn = engine->Begin();
@@ -440,12 +443,10 @@ TEST_F(EngineFaultTest, AbortAfterTornAppendUndoesEverything) {
     EXPECT_EQ(crashed->table(kTable)->live_rows(), 0u);
   }
 
-  auto captured = engine->CaptureCheckpoint(std::chrono::milliseconds(500));
-  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
-  ASSERT_TRUE(engine->wal().TruncateBefore((*captured)->checkpoint_lsn).ok());
+  Status checkpointed = engine->Checkpoint(std::chrono::milliseconds(500));
+  ASSERT_TRUE(checkpointed.ok()) << checkpointed.ToString();
   EXPECT_FALSE(engine->wal().poisoned());
   auto restarted = MakeEngine();
-  restarted->SetCheckpointBase(*captured);
   restarted->wal().LoadImage(engine->wal().RawBytes());
   ASSERT_TRUE(restarted->Recover().ok());
   EXPECT_EQ(restarted->table(kTable)->live_rows(), 0u);

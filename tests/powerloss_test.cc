@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -180,15 +181,17 @@ TEST_F(PowerLossTest, EncryptedTpccKeepsEveryAcknowledgedCommit) {
   config.items = 20;
   config.initial_orders_per_district = 3;
   config.encryption = tpcc::Encryption::kDeterministic;
-  // Rounds of kTxns transactions with a checkpoint every kCheckpointEvery;
-  // the power fails at fsync 1, 2, ..., kSpan of a round, which covers all
-  // of a round's (about 55) fsyncs: its commits, and its checkpoints' page
-  // store, checkpoint file, directory and log-rewrite fsyncs. Each cut is
-  // taken twice, with different seeds.
+  // Rounds of kTxns transactions with a checkpoint every kCheckpointEvery.
+  // The first kMeasured rounds run whole and count their fsyncs: their
+  // commits', and their checkpoints' log rewrites' (the tmp file and the
+  // directory). kSpan must cover every one of them. In each later round the
+  // power fails at fsync 1, 2, ..., kSpan; each cut is taken twice, with
+  // different seeds.
   constexpr int kTxns = 12;
   constexpr int kCheckpointEvery = 4;
-  constexpr int kSpan = 56;
-  constexpr int kRounds = 2 * kSpan;
+  constexpr int kSpan = 16;
+  constexpr int kMeasured = 3;
+  constexpr int kRounds = kMeasured + 2 * kSpan;
 
   auto fs = std::make_shared<SimFs>();
   auto open = [&]() {
@@ -216,6 +219,7 @@ TEST_F(PowerLossTest, EncryptedTpccKeepsEveryAcknowledgedCommit) {
   int acked_orders = 0, unknown_orders = 0;
   int acked_payments = 0, unknown_payments = 0;
   int cuts = 0;
+  uint64_t round_fsyncs = 0;  // the most a measured round issued
   for (int round = 0; round <= kRounds; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     auto db = open();
@@ -235,21 +239,36 @@ TEST_F(PowerLossTest, EncryptedTpccKeepsEveryAcknowledgedCommit) {
 
     auto driver = MakeDriver(db.get());
     tpcc::TpccTerminal terminal(driver.get(), config, round + 1);
-    const uint64_t cut = 1 + round % kSpan;
+    const bool measured = round < kMeasured;
+    const uint64_t cut = 1 + (round - kMeasured) % kSpan;
     const uint64_t syncs0 = fs->syncs();
-    fs->CutPowerAtSync(cut);
+    if (!measured) fs->CutPowerAtSync(cut);
+    // Until the power fails, what the last crash left must work: a failure
+    // with the power on means the crash broke the database.
+    auto power_on = [&] { return measured || fs->syncs() - syncs0 < cut; };
     for (int i = 0; i < kTxns; ++i) {
-      if (i > 0 && i % kCheckpointEvery == 0 && !db->Checkpoint().ok()) break;
+      if (i > 0 && i % kCheckpointEvery == 0) {
+        Status ckpt = db->Checkpoint();
+        EXPECT_TRUE(ckpt.ok() || !power_on())
+            << "checkpoint: " << ckpt.ToString();
+        if (!ckpt.ok()) break;
+      }
       const bool new_order = i % 2 == 0;
       const uint64_t committed = terminal.committed();
       Status st = new_order ? terminal.NewOrder() : terminal.Payment();
+      EXPECT_TRUE(st.ok() || !power_on())
+          << "txn " << i << ": " << st.ToString();
       int* acked = new_order ? &acked_orders : &acked_payments;
       int* unknown = new_order ? &unknown_orders : &unknown_payments;
       if (terminal.committed() > committed) ++*acked;
       if (st.code() == StatusCode::kUnavailable) ++*unknown;
       if (!st.ok()) break;
     }
-    if (fs->syncs() - syncs0 >= cut) ++cuts;
+    if (measured) {
+      round_fsyncs = std::max(round_fsyncs, fs->syncs() - syncs0);
+    } else if (fs->syncs() - syncs0 >= cut) {
+      ++cuts;
+    }
     fs->CutPower();
     driver.reset();
     db.reset();
@@ -273,8 +292,12 @@ TEST_F(PowerLossTest, EncryptedTpccKeepsEveryAcknowledgedCommit) {
       }
     }
   }
-  // Nearly every round reached its cut: the sweep covers a whole round.
-  EXPECT_GE(cuts, kRounds * 9 / 10);
+  // The sweep covers a whole round, and nearly every round reached its cut.
+  EXPECT_GT(round_fsyncs, 0u);
+  EXPECT_LE(round_fsyncs, static_cast<uint64_t>(kSpan))
+      << "a round issues fsyncs past the sweep";
+  EXPECT_GE(cuts, (kRounds - kMeasured) * 9 / 10)
+      << "a round issues only " << round_fsyncs << " fsyncs";
 }
 
 }  // namespace

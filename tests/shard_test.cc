@@ -239,6 +239,49 @@ TEST_F(ShardTest, PerShardAttestationIsolation) {
   EXPECT_GE(driver->retries(), 1);
 }
 
+// The client-side tool's column change reaches every shard's DDL log: after
+// every shard restarts, the column is still DET on each, and an equality
+// query finds the row wherever it lives.
+TEST_F(ShardTest, ClientSideToolChangeSurvivesEveryShardRestart) {
+  ASSERT_TRUE(vault_->CreateKey("kv/shard-cold", 1024).ok());
+  Build(2);
+  auto driver = MakeDriver(sharded_.get());
+  ASSERT_TRUE(driver
+                  ->ProvisionCmk("ColdCMK", vault_->name(), "kv/shard-cold",
+                                 /*enclave_enabled=*/false)
+                  .ok());
+  ASSERT_TRUE(driver->ProvisionCek("ColdCEK", "ColdCMK").ok());
+  ASSERT_TRUE(
+      driver->ExecuteDdl("CREATE TABLE Cards (W_ID INT, Id INT, Pan VARCHAR)")
+          .ok());
+  for (int i = 0; i < 6; ++i) {
+    auto r = driver->Query(
+        "INSERT INTO Cards (W_ID, Id, Pan) VALUES (@w, @i, @p)",
+        {{"w", Value::Int32(1 + i % 2)},
+         {"i", Value::Int32(i)},
+         {"p", Value::String("4111-1111-" + std::to_string(i))}});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  Status st = driver->ClientSideEncryptColumn(
+      "Cards", "Pan", "ColdCEK", types::EncKind::kDeterministic, "Id");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (uint32_t s = 0; s < 2; ++s) {
+    auto rec = sharded_->RestartShard(s);
+    ASSERT_TRUE(rec.ok()) << "shard " << s << ": " << rec.status().ToString();
+    auto enc = sharded_->shard(s)->ColumnEncryption("Cards", "Pan");
+    ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+    EXPECT_EQ(enc->kind, types::EncKind::kDeterministic) << "shard " << s;
+  }
+  for (int i : {2, 3}) {  // one row on each shard
+    auto r = driver->Query(
+        "SELECT Id FROM Cards WHERE Pan = @p",
+        {{"p", Value::String("4111-1111-" + std::to_string(i))}});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(r->rows[0][0].i32(), i);
+  }
+}
+
 // Deadlock detection across shards. Each test waits under the default 2 s
 // lock timeout, so a cycle that resolves in milliseconds was detected.
 class ShardLockTest : public ShardTest {

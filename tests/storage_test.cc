@@ -386,45 +386,58 @@ void ExpectLogHolds(const Wal& wal, const std::vector<uint64_t>& lsns) {
   EXPECT_EQ(fresh.record_count(), lsns.size());
 }
 
-TEST(WalTest, TruncateBefore) {
+TEST(WalTest, RewriteReplacesTheLogWithAStreamedBase) {
   SimFs fs;
   Wal wal(&fs, "wal.log");
   LogRecord r;
   r.type = LogRecordType::kBegin;
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(wal.Append(r).ok());
-  const Bytes full = wal.RawBytes();
+  EXPECT_EQ(wal.base_bytes(), 0u);
+  auto two = [&r](const Wal::RecordSink& put) -> Status {
+    AEDB_RETURN_IF_ERROR(put(r));
+    return put(r);
+  };
 
-  // Horizon before the first record: nothing to cut.
-  ASSERT_TRUE(wal.TruncateBefore(1).ok());
-  EXPECT_EQ(wal.RawBytes(), full);
-  ExpectLogHolds(wal, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  // The base: a kRewrite frame holding its length, then the streamed
+  // records, at LSNs that keep counting.
+  ASSERT_TRUE(wal.Rewrite(two).ok());
+  ExpectLogHolds(wal, {11, 12, 13});
+  EXPECT_EQ(wal.Snapshot()->front().type, LogRecordType::kRewrite);
+  EXPECT_EQ(wal.base_bytes(), wal.RawBytes().size());
+  EXPECT_EQ(wal.wal_bytes(), wal.base_bytes());
 
-  // Mid-log: the kept bytes are the original image's tail, frames intact.
-  ASSERT_TRUE(wal.TruncateBefore(6).ok());
-  const Bytes kept = wal.RawBytes();
-  ASSERT_LT(kept.size(), full.size());
-  EXPECT_TRUE(std::equal(kept.begin(), kept.end(), full.end() - kept.size()));
-  ExpectLogHolds(wal, {6, 7, 8, 9, 10});
+  // Appends follow the base; a reopen adopts both, and the base's length.
+  EXPECT_EQ(wal.Append(r).value(), 14u);
+  Wal reopened(&fs, "wal.log");
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.base_bytes(), wal.base_bytes());
+  EXPECT_EQ(reopened.wal_bytes(), wal.wal_bytes());
+  EXPECT_EQ(reopened.next_lsn(), 15u);
 
-  // Past the last record: the log empties, and LSNs keep counting.
-  ASSERT_TRUE(wal.TruncateBefore(wal.next_lsn()).ok());
-  EXPECT_TRUE(wal.RawBytes().empty());
-  ExpectLogHolds(wal, {});
-  EXPECT_EQ(wal.Append(r).value(), 11u);
-  EXPECT_EQ(wal.Append(r).value(), 12u);
+  // A rewrite whose records fail leaves the old log, and no tmp file.
+  const Bytes before = wal.RawBytes();
+  EXPECT_FALSE(wal.Rewrite([](const Wal::RecordSink&) {
+                    return Status::Internal("no base");
+                  }).ok());
+  EXPECT_EQ(wal.RawBytes(), before);
+  EXPECT_FALSE(fs.Size("wal.log.tmp").ok());
+  EXPECT_EQ(wal.file_errors(), 1u);
+  EXPECT_EQ(wal.Append(r).value(), 15u);
 
-  // An image ending in a torn frame: the cut drops the torn bytes too, and
-  // the next record follows the last kept frame.
+  // After a torn append, a rewrite drops the torn bytes and lifts the
+  // poison; the next record follows the new base.
   fault::FaultRegistry::Global().Arm(
       "wal/torn_append", fault::FaultSpec::OneShot(Status::Internal("crash")));
   EXPECT_FALSE(wal.Append(r).ok());
   fault::FaultRegistry::Global().Reset();
+  ASSERT_TRUE(wal.poisoned());
   ASSERT_TRUE(Wal::ParseImage(wal.RawBytes()).torn_tail);
-  ASSERT_TRUE(wal.TruncateBefore(12).ok());
-  ExpectLogHolds(wal, {12});
+  ASSERT_TRUE(wal.Rewrite(two).ok());
+  EXPECT_FALSE(wal.poisoned());
+  ExpectLogHolds(wal, {16, 17, 18});
   auto next = wal.Append(r);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
-  ExpectLogHolds(wal, {12, *next});
+  ExpectLogHolds(wal, {16, 17, 18, *next});
 }
 
 // --- LockManager ---
