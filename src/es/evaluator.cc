@@ -466,25 +466,30 @@ Result<Columns> EsEvaluator::EvalBatch(const EsProgram& program,
               "host evaluator cannot access encrypted data");
         }
         const Instruction* by = plain_by[ins.index];
-        if (by == nullptr || by->data_type != ins.data_type ||
-            !(by->enc == ins.enc)) {
-          compute(shared, ins.enc.cek_id, [&](size_t i) -> Result<Value> {
-            Value value;
-            AEDB_ASSIGN_OR_RETURN(value, ctx_.crypto->DecryptDatum(
-                                             ins.enc, ins.data_type, in[i]));
-            if (!TypeCompatible(ins.data_type, value)) {
-              return Status::TypeCheckError("decrypted datum has wrong type");
-            }
-            return value;
-          });
+        if (by != nullptr && by->data_type == ins.data_type &&
+            by->enc == ins.enc) {
+          BatchSlot col;
+          col.input = plain[ins.index];
+          col.taint_cek = ins.enc.cek_id;
+          stack.push_back(std::move(col));
+          return Status::OK();
+        }
+        compute(shared, ins.enc.cek_id, [&](size_t i) -> Result<Value> {
+          Value value;
+          AEDB_ASSIGN_OR_RETURN(value, ctx_.crypto->DecryptDatum(
+                                           ins.enc, ins.data_type, in[i]));
+          if (!TypeCompatible(ins.data_type, value)) {
+            return Status::TypeCheckError("decrypted datum has wrong type");
+          }
+          return value;
+        });
+        // Only the first read fills the cache: slots already on the stack
+        // view it, so a later read under another annotation keeps its own.
+        if (by == nullptr) {
           plain[ins.index] = std::move(stack.back().owned);
           plain_by[ins.index] = &ins;
-          stack.pop_back();
+          stack.back().input = plain[ins.index];
         }
-        BatchSlot col;
-        col.input = plain[ins.index];
-        col.taint_cek = ins.enc.cek_id;
-        stack.push_back(std::move(col));
         return Status::OK();
       }
       case OpCode::kSetData: {

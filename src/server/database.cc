@@ -221,6 +221,14 @@ Status Database::Open() {
   const auto t0 = std::chrono::steady_clock::now();
   AEDB_RETURN_IF_ERROR(
       storage::fsio::EnsureDir(*fs_, options_.data_dir, &fsyncs_));
+  // Older data dirs kept their checkpoint in checkpoint.db, beside a log cut
+  // to what followed it. wal.log alone holds no rows there: refuse the dir,
+  // touching nothing, rather than serve empty tables.
+  if (storage::fsio::FileExists(*fs_, options_.data_dir + "/checkpoint.db")) {
+    return Status::FailedPrecondition(
+        "data dir holds checkpoint.db, a format this version does not read "
+        "(the checkpoint is now the head of wal.log)");
+  }
 
   // The clean-shutdown marker is consumed, not just read: it must be durably
   // gone before any recovery work so a crash during THIS open cannot

@@ -214,7 +214,7 @@ Result<PinnedPage> BufferPool::Pin(PageId id, bool create) {
   }
 }
 
-Status BufferPool::WriteBackDirtyLocked(bool skip_pinned) {
+Status BufferPool::WriteBackDirtyLocked() {
   for (auto& fp : frames_) {
     Frame& f = *fp;
     if (!f.valid || f.doomed || !f.dirty.load(std::memory_order_relaxed)) {
@@ -223,9 +223,9 @@ Status BufferPool::WriteBackDirtyLocked(bool skip_pinned) {
     // A pinned frame's holder may be mid-mutation under only its table latch:
     // writing it back could snapshot torn bytes, and a MarkDirty landing
     // between the store write and the dirty-bit clear would be lost (frame
-    // clean, changes unsaved). Skipped frames land at eviction or FlushAll
-    // (whose caller keeps pinned frames stable).
-    if (skip_pinned && f.pins > 0) continue;
+    // clean, changes unsaved). Skipped frames land at eviction or a later
+    // cycle.
+    if (f.pins > 0) continue;
     AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("pool/writeback"));
     AEDB_RETURN_IF_ERROR(
         store_->Write(f.id, Slice(f.data.get(), Page::kPageSize)));
@@ -233,11 +233,6 @@ Status BufferPool::WriteBackDirtyLocked(bool skip_pinned) {
     ++stats_.writebacks;
   }
   return Status::OK();
-}
-
-Status BufferPool::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return WriteBackDirtyLocked(/*skip_pinned=*/false);
 }
 
 Status BufferPool::DropObject(uint32_t object_id) {
@@ -273,7 +268,7 @@ void BufferPool::FlusherLoop(uint64_t interval_ms) {
       // next cycle or eviction. Pinned frames are skipped
       // — their holders may be mutating the bytes right now.
       std::lock_guard<std::mutex> pool_lock(mu_);
-      (void)WriteBackDirtyLocked(/*skip_pinned=*/true);
+      (void)WriteBackDirtyLocked();
     }
     lock.lock();
   }

@@ -127,7 +127,7 @@ class PinnedPage {
 ///   pool/evict      fires before a victim frame is evicted; Pin fails, the
 ///                   victim stays cached.
 ///   pool/writeback  fires before a dirty page is written to the store
-///                   (eviction, FlushAll, or the background flusher).
+///                   (eviction or the background flusher).
 class BufferPool {
  public:
   /// Floor on capacity: splits pin two node pages plus a parent's, and the
@@ -151,10 +151,6 @@ class BufferPool {
   /// a page the store has never seen comes back zero-filled (the caller
   /// formats it); without, that is NotFound.
   Result<PinnedPage> Pin(PageId id, bool create);
-
-  /// Writes back every dirty frame, pinned ones included: the caller keeps
-  /// every pinned page still meanwhile. No sync: the store is a cache.
-  Status FlushAll();
 
   /// Drops the object everywhere: store pages are deleted now, unpinned
   /// cached frames are freed now (their buffers too, so dropping and
@@ -196,13 +192,12 @@ class BufferPool {
   /// kNoFrame when everything is pinned, or an eviction/writeback error.
   /// Caller holds mu_.
   Result<size_t> SweepLocked();
-  /// Writes dirty frames back to the store; doomed frames are always
-  /// excluded. `skip_pinned` (the background flusher) also excludes frames
-  /// with live pins — their holders mutate page bytes under only the table
+  /// Writes unpinned dirty frames back to the store (the background
+  /// flusher); doomed frames are always excluded. Frames with live pins are
+  /// excluded too: their holders mutate page bytes under only the table
   /// latch, so a concurrent writeback could persist a torn image and lose a
-  /// racing MarkDirty. FlushAll passes false: its caller keeps pinned
-  /// frames stable. Caller holds mu_.
-  Status WriteBackDirtyLocked(bool skip_pinned);
+  /// racing MarkDirty. Caller holds mu_.
+  Status WriteBackDirtyLocked();
   void FlusherLoop(uint64_t interval_ms);
 
   static constexpr size_t kNoFrame = static_cast<size_t>(-1);

@@ -414,15 +414,6 @@ Status Wal::ReplaceWithPrefixLocked(Slice image) {
   return Status::OK();
 }
 
-size_t Wal::record_count() const {
-  size_t n = 0;
-  WalkFrames(RawBytes(), [&n](Slice, size_t) {
-    ++n;
-    return true;
-  });
-  return n;
-}
-
 uint64_t Wal::fsyncs() const {
   return fsyncs_.load(std::memory_order_relaxed);
 }

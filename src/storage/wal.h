@@ -93,9 +93,9 @@ struct WalLoadResult {
 /// group commit, fault points and the poison rule have one implementation.
 ///
 /// The log's file is its only copy: Append writes the frame to the file
-/// through the Fs, Sync fsyncs it, and Snapshot, RawBytes and record_count
-/// read it back. RawBytes is the adversary-observable disk form, scanned by
-/// leakage tests and cut at arbitrary prefixes by the torture harness.
+/// through the Fs, Sync fsyncs it, and Snapshot and RawBytes read it back.
+/// RawBytes is the adversary-observable disk form, scanned by leakage tests
+/// and cut at arbitrary prefixes by the torture harness.
 ///
 /// Rewrite replaces the file atomically (tmp → fsync → rename → fsync dir)
 /// with records its caller streams: a checkpoint's base, or the 2PC log's
@@ -198,9 +198,6 @@ class Wal {
   /// crash" path: the file is atomically rewritten to match. Returns the
   /// parse result so callers can see how much of the tail was lost.
   WalLoadResult LoadImage(Slice image);
-
-  /// Intact frames in the file.
-  size_t record_count() const;
 
   // ----- durability gauges -----
   /// fsyncs issued by this log (commit-path syncs, opens and rewrites).

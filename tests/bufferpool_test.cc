@@ -134,7 +134,23 @@ TEST_F(BufferPoolTest, AllPinnedPoolRefusesThenRecovers) {
       break;
     }
   }
-  ASSERT_TRUE(pool.FlushAll().ok());  // must skip the doomed frames
+  // A flusher pass must skip the doomed frames. Once it has landed another
+  // object's dirty page, it has walked them too.
+  const uint32_t marker = pool.NewObject();
+  {
+    auto pin = pool.Pin(PageId{marker, 0}, /*create=*/true);
+    ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+    pin->MarkDirty();
+  }
+  pool.StartFlusher(/*interval_ms=*/1);
+  Bytes marker_img(Page::kPageSize, 0);
+  Status flushed = Status::NotFound("never");
+  for (int i = 0; i < 1000 && !flushed.ok(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    flushed = store.Read(PageId{marker, 0}, marker_img.data());
+  }
+  pool.StopFlusher();
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
   held.clear();
   EXPECT_EQ(pool.pinned(), 0u);
   Bytes img(Page::kPageSize, 0);
@@ -195,13 +211,20 @@ TEST_F(BufferPoolTest, WritebackFaultFailsFlushThenSucceeds) {
   fault::FaultRegistry::Global().Arm(
       "pool/writeback",
       fault::FaultSpec::OneShot(Status::Internal("store write io")));
-  EXPECT_FALSE(pool.FlushAll().ok());
-  fault::FaultRegistry::Global().DisarmAll();
+  pool.StartFlusher(/*interval_ms=*/1);
 
-  // The page stayed dirty through the failed flush; retry lands it.
-  ASSERT_TRUE(pool.FlushAll().ok());
+  // The first flusher pass fails at the fault. The page stays dirty through
+  // it, and a later pass lands it.
   Bytes img(Page::kPageSize, 0);
-  ASSERT_TRUE(store.Read(PageId{obj, 0}, img.data()).ok());
+  Status read = Status::NotFound("never");
+  for (int i = 0; i < 1000 && !read.ok(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    read = store.Read(PageId{obj, 0}, img.data());
+  }
+  pool.StopFlusher();
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(fault::FaultRegistry::Global().fires("pool/writeback"), 1u);
+  EXPECT_EQ(pool.stats().writebacks, 1u);
   EXPECT_EQ(img[100], 0x5a);
 }
 

@@ -870,6 +870,37 @@ TEST_F(DurableDatabaseTest, DamagedBaseFailsOpenWithCorruption) {
   EXPECT_EQ(*disk.ReadFile(wal), damaged);
 }
 
+// A data dir from before the log became the checkpoint holds its rows in
+// checkpoint.db and a log cut to what followed it. Open() refuses it and
+// leaves every file as it found it, the clean-shutdown marker included.
+TEST_F(DurableDatabaseTest, DataDirWithACheckpointFileIsRefused) {
+  TempDir dir;
+  Boot(dir.path());
+  ProvisionAndCreateSchema();
+  LoadAccounts();
+  ASSERT_TRUE(db_->Shutdown().ok());
+  driver_.reset();
+  db_.reset();
+
+  storage::PosixFs disk;
+  const Bytes image = {'A', 'E', 'D', 'B', 'C', 'K', 'P', 'T'};
+  storage::fsio::FsyncCount fsyncs{0};
+  ASSERT_TRUE(storage::fsio::WriteFileDurable(disk, dir.File("checkpoint.db"),
+                                              image, &fsyncs)
+                  .ok());
+  const Bytes wal = *disk.ReadFile(dir.File("wal.log"));
+  ServerOptions opts;
+  opts.data_dir = dir.path();
+  Database db(opts, hgs_.get(), &image_);
+  Status opened = db.Open();
+  EXPECT_EQ(opened.code(), StatusCode::kFailedPrecondition)
+      << opened.ToString();
+  EXPECT_NE(opened.message().find("checkpoint.db"), std::string::npos);
+  EXPECT_TRUE(OnDisk(dir.File("clean_shutdown")));
+  EXPECT_EQ(*disk.ReadFile(dir.File("checkpoint.db")), image);
+  EXPECT_EQ(*disk.ReadFile(dir.File("wal.log")), wal);
+}
+
 // The background checkpointer fires on the log's growth since the last
 // checkpoint, not on its size, which includes the base: with a threshold
 // below the base's size it takes one checkpoint per growth, not one per
@@ -1030,7 +1061,9 @@ TEST_F(DurabilityTest, RestartRecoversWhatAFreshOpenRecovers) {
     ASSERT_TRUE(db.ExecuteDdl("CREATE TABLE U (V INT)").ok());
     for (int i = 0; i < 10; ++i) {
       // Half the rows reach the log before a checkpoint, half after it.
-      if (i == 5) ASSERT_TRUE(db.Checkpoint().ok());
+      if (i == 5) {
+        ASSERT_TRUE(db.Checkpoint().ok());
+      }
       ASSERT_TRUE(db.Execute("INSERT INTO T (Id, Name) VALUES (@i, @n)",
                              {Value::Int32(i),
                               Value::String("n" + std::to_string(i % 4))})

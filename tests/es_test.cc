@@ -581,6 +581,45 @@ TEST(EsEvaluatorTest, SharedColumnMatchesRowLoop) {
   }
 }
 
+// A program from the host may read one input under two annotations that
+// name the same key. The second read decrypts into its own column and must
+// leave the first read's column, still on the stack, intact.
+TEST(EsEvaluatorTest, InputReadUnderTwoAnnotationsKeepsBothColumns) {
+  TestCrypto crypto;
+  EvalContext ctx;
+  ctx.crypto = &crypto;
+  const auto rnd = EncryptionType::Encrypted(EncKind::kRandomized, 1, true);
+  for (const EncryptionType& other :
+       {EncryptionType::Encrypted(EncKind::kDeterministic, 1, true),
+        EncryptionType::Encrypted(EncKind::kRandomized, 1, false)}) {
+    EsProgram p;
+    p.GetData(0, TypeId::kString, rnd);
+    p.GetData(0, TypeId::kString, other);
+    p.Comp(CompareOp::kEq);
+    p.GetData(0, TypeId::kString, rnd);
+    p.GetData(0, TypeId::kString, other);
+    p.Comp(CompareOp::kEq);
+    p.Logic(OpCode::kAnd);
+    p.SetData(0, TypeId::kBool);
+    std::vector<std::vector<Value>> rows;
+    for (int i = 0; i < 6; ++i) {
+      rows.push_back({crypto.Cell(
+          Value::String("a value longer than any inline buffer #" +
+                        std::to_string(i)))});
+    }
+    EsEvaluator ev(ctx);
+    auto batch = EvalRows(ev, p, rows);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ((*batch)[0].size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      auto scalar = RunProgram(p, rows[i], ctx);
+      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+      EXPECT_TRUE((*scalar)[0].bool_v());
+      EXPECT_EQ((*batch)[0][i].bool_v(), (*scalar)[0].bool_v()) << "row " << i;
+    }
+  }
+}
+
 // A shared value that fails fails every row, with the error a morsel of one
 // row reports; rows that failed earlier keep their own error.
 TEST(EsEvaluatorTest, FailingSharedValueFailsEveryRow) {

@@ -214,7 +214,7 @@ TEST_F(FaultTest, WalAppendFaultFailsCleanly) {
   FaultRegistry::Global().Arm("wal/append",
                               FaultSpec::OneShot(Status::Internal("disk")));
   EXPECT_FALSE(wal.Append(SampleRecord(1, "lost")).ok());
-  EXPECT_EQ(wal.record_count(), 0u);  // nothing half-written
+  EXPECT_EQ(wal.Snapshot()->size(), 0u);  // nothing half-written
   auto lsn = wal.Append(SampleRecord(1, "kept"));
   ASSERT_TRUE(lsn.ok());
   auto parsed = storage::Wal::ParseImage(wal.RawBytes());
@@ -244,7 +244,7 @@ TEST_F(FaultTest, WalTornAppendLeavesDetectableTornTail) {
   storage::Wal recovered(&recovered_fs, "wal.log");
   auto load = recovered.LoadImage(wal.RawBytes());
   EXPECT_TRUE(load.torn_tail);
-  EXPECT_EQ(recovered.record_count(), 1u);
+  EXPECT_EQ(recovered.Snapshot()->size(), 1u);
   EXPECT_TRUE(recovered.Append(SampleRecord(2, "after")).ok());
   auto reparsed = storage::Wal::ParseImage(recovered.RawBytes());
   EXPECT_FALSE(reparsed.torn_tail);
@@ -288,7 +288,6 @@ TEST_F(FaultTest, WalTornWritePoisonsUntilRewrite) {
     EXPECT_FALSE(wal.SyncUpTo(*intact + 1).ok());
     EXPECT_FALSE(wal.Sync().ok());
     EXPECT_EQ(wal.Snapshot()->size(), 1u);
-    EXPECT_EQ(wal.record_count(), 1u);
     auto seen = reopen();
     EXPECT_TRUE(seen.torn_tail);
     EXPECT_EQ(seen.records.size(), 1u);

@@ -314,7 +314,7 @@ TEST(WalTest, AppendAssignsLsns) {
   r.type = LogRecordType::kBegin;
   EXPECT_EQ(wal.Append(r).value(), 1u);
   EXPECT_EQ(wal.Append(r).value(), 2u);
-  EXPECT_EQ(wal.record_count(), 2u);
+  EXPECT_EQ(wal.Snapshot()->size(), 2u);
 }
 
 TEST(WalTest, SerializationRoundTrip) {
@@ -368,8 +368,8 @@ TEST(WalTest, ParseImageDropsTornTail) {
   EXPECT_EQ(after_flip.records.size(), 1u);
 }
 
-/// After a cut, the image, its parse, the frame count and a fresh log loaded
-/// from the image all hold exactly the records `lsns`.
+/// After a cut, the image, its parse and a fresh log loaded from the image
+/// all hold exactly the records `lsns`.
 void ExpectLogHolds(const Wal& wal, const std::vector<uint64_t>& lsns) {
   const Bytes raw = wal.RawBytes();
   EXPECT_FALSE(Wal::ParseImage(raw).torn_tail);
@@ -378,12 +378,11 @@ void ExpectLogHolds(const Wal& wal, const std::vector<uint64_t>& lsns) {
   ASSERT_TRUE(records.ok());
   for (const LogRecord& rec : *records) got.push_back(rec.lsn);
   EXPECT_EQ(got, lsns);
-  EXPECT_EQ(wal.record_count(), lsns.size());
   SimFs fs;
   Wal fresh(&fs, "wal.log");
   fresh.LoadImage(raw);
   EXPECT_EQ(fresh.RawBytes(), raw);
-  EXPECT_EQ(fresh.record_count(), lsns.size());
+  EXPECT_EQ(fresh.Snapshot()->size(), lsns.size());
 }
 
 TEST(WalTest, RewriteReplacesTheLogWithAStreamedBase) {
