@@ -6,6 +6,7 @@
 #include <set>
 #include <thread>
 
+#include "common/memory.h"
 #include "fault/fault.h"
 #include "storage/sim_fs.h"
 
@@ -118,6 +119,7 @@ Database::Database(ServerOptions options, attestation::HostGuardianService* hgs,
                    const enclave::EnclaveImage* image,
                    std::shared_ptr<storage::Fs> fs)
     : options_(std::move(options)), hgs_(hgs), fs_(std::move(fs)) {
+  KeepAllocatorThresholds();
   const bool simulated = fs_ == nullptr && options_.data_dir.empty();
   if (fs_ == nullptr) {
     fs_ = simulated ? std::shared_ptr<storage::Fs>(
@@ -148,7 +150,9 @@ Database::Database(ServerOptions options, attestation::HostGuardianService* hgs,
 
 void Database::BuildState() {
   // The old state goes before the new one is built, so the two never share
-  // the heap.
+  // the heap, and its pages go back to the OS: the threads that built it
+  // (the last recovery's, the sessions') need not be the ones that build the
+  // new state, and glibc keeps a freed block in the arena it came from.
   {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
     plan_cache_.clear();
@@ -157,6 +161,7 @@ void Database::BuildState() {
   ddl_log_.reset();
   engine_.reset();
   catalog_.reset();
+  ReleaseFreeMemory();
   catalog_ = std::make_unique<sql::Catalog>();
   engine_ = std::make_unique<storage::StorageEngine>(options_.engine, fs_,
                                                      options_.data_dir);

@@ -608,11 +608,6 @@ Status StorageEngine::LockTable(uint64_t txn_id, uint32_t table_id) {
                         QueryContext::Current());
 }
 
-bool StorageEngine::RowLockedByOther(uint64_t txn_id, uint32_t table_id,
-                                     const Rid& rid) const {
-  return locks_.IsLockedByOther(txn_id, RowResource(table_id, rid.Encode()));
-}
-
 std::shared_mutex* StorageEngine::StatementLatch(uint32_t table_id) {
   auto found = FindTable(table_id);
   if (!found.ok()) return nullptr;
@@ -699,80 +694,79 @@ Status StorageEngine::WriteBase(const Wal::RecordSink& put) {
 // Recovery
 
 Result<RecoveryResult> StorageEngine::Recover() {
-  std::vector<LogRecord> log;
-  AEDB_ASSIGN_OR_RETURN(log, wal_.Snapshot());
-  RecoveryResult result;
-  if (!log.empty() && log.front().type == LogRecordType::kRewrite) {
-    result.from_checkpoint_lsn = log.front().lsn;
+  locks_.Clear();
+  // meta_mu_ stays held through the redo scan, so the log's mutex is taken
+  // inside it, as in Checkpoint, and never the other way round.
+  std::unique_lock<std::mutex> meta(meta_mu_);
+  active_.clear();
+  deferred_.clear();
+  for (auto& [id, t] : tables_) t->heap->Clear();
+  for (auto& [id, idx] : indexes_) {
+    idx->tree->Clear();
+    idx->rebuild_pending = false;
   }
+  auto table = [this](uint32_t id) -> TableState* {
+    auto it = tables_.find(id);
+    return it == tables_.end() ? nullptr : it->second.get();
+  };
+  auto index = [this](uint32_t id) -> IndexState* {
+    auto it = indexes_.find(id);
+    return it == indexes_.end() ? nullptr : it->second.get();
+  };
 
+  // The log is scanned, never held whole: one pass analyses and redoes,
+  // and a second collects the losers' records when there are any.
+  RecoveryResult result;
   std::set<uint64_t> committed;
   std::set<uint64_t> aborted;
   std::set<uint64_t> seen;
   // Txns whose durable kPrepare has no decision record yet: 2PC in-doubt.
   // (A later kCommit/kAbort settles them like any other txn.)
   std::map<uint64_t, uint64_t> prepared_gtid;  // txn_id -> gtid
-  for (const LogRecord& rec : log) {
-    if (IsBaseRecord(rec.type)) continue;
-    ++result.log_tail_records;
-    seen.insert(rec.txn_id);
-    if (rec.type == LogRecordType::kCommit) committed.insert(rec.txn_id);
-    // kAbort is only logged once an abort's undo fully applied — and every
-    // undone op logged its compensation record — so redo alone restores the
-    // txn to net zero; it needs no recovery-time undo.
-    if (rec.type == LogRecordType::kAbort) aborted.insert(rec.txn_id);
-    if (rec.type == LogRecordType::kPrepare) {
-      size_t off = 0;
-      uint64_t gtid = 0;
-      auto parsed = GetU64(rec.payload1, &off);
-      if (parsed.ok()) gtid = *parsed;
-      prepared_gtid[rec.txn_id] = gtid;
+  AEDB_RETURN_IF_ERROR(wal_.Scan([&](LogRecord rec) -> Status {
+    // Only a rewrite's first frame is a kRewrite.
+    if (rec.type == LogRecordType::kRewrite) {
+      result.from_checkpoint_lsn = rec.lsn;
     }
-  }
+    if (!IsBaseRecord(rec.type)) {
+      ++result.log_tail_records;
+      seen.insert(rec.txn_id);
+      if (rec.type == LogRecordType::kCommit) committed.insert(rec.txn_id);
+      // kAbort is only logged once an abort's undo fully applied — and every
+      // undone op logged its compensation record — so redo alone restores
+      // the txn to net zero; it needs no recovery-time undo.
+      if (rec.type == LogRecordType::kAbort) aborted.insert(rec.txn_id);
+      if (rec.type == LogRecordType::kPrepare) {
+        size_t off = 0;
+        auto gtid = GetU64(rec.payload1, &off);
+        prepared_gtid[rec.txn_id] = gtid.ok() ? *gtid : 0;
+      }
+    }
 
-  locks_.Clear();
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    active_.clear();
-    deferred_.clear();
-    for (auto& [id, t] : tables_) t->heap->Clear();
-    for (auto& [id, idx] : indexes_) {
-      idx->tree->Clear();
-      idx->rebuild_pending = false;
-    }
-    if (!seen.empty()) {
-      next_txn_id_ = std::max(next_txn_id_, *seen.rbegin() + 1);
-    }
-  }
-
-  // --- Redo phase: restore the base, then replay everything after it in LSN
-  // order (winners and losers, mirroring physical redo of page images). An
-  // encrypted index whose comparator cannot run (CEK not in enclave) flips
-  // to rebuild-pending.
-  for (const LogRecord& rec : log) {
+    // --- Redo: restore the base, then replay everything after it in LSN
+    // order (winners and losers, mirroring physical redo of page images),
+    // which needs nothing from the analysis. An encrypted index whose
+    // comparator cannot run (CEK not in enclave) flips to rebuild-pending.
     AEDB_RETURN_IF_ERROR(AEDB_FAULT_POINT("recovery/replay"));
     switch (rec.type) {
       case LogRecordType::kCheckpoint: {
         size_t off = 0;
         uint64_t next;
         AEDB_ASSIGN_OR_RETURN(next, GetU64(rec.payload1, &off));
-        std::lock_guard<std::mutex> lock(meta_mu_);
         next_txn_id_ = std::max(next_txn_id_, next);
         break;
       }
       case LogRecordType::kPageImage: {
-        auto found = FindTable(rec.object_id);
-        if (!found.ok()) {
+        TableState* t = table(rec.object_id);
+        if (t == nullptr) {
           return Status::Corruption("checkpoint base references unknown table");
         }
-        AEDB_RETURN_IF_ERROR(
-            (*found)->heap->RestorePage(rec.rid.page, rec.payload1));
+        AEDB_RETURN_IF_ERROR(t->heap->RestorePage(rec.rid.page, rec.payload1));
         break;
       }
       case LogRecordType::kIndexEntries: {
-        auto found = FindIndex(rec.object_id);
-        if (!found.ok()) break;  // index dropped after the checkpoint
-        IndexState* idx = *found;
+        IndexState* idx = index(rec.object_id);
+        if (idx == nullptr) break;  // index dropped after the checkpoint
         bool invalid;
         AEDB_ASSIGN_OR_RETURN(invalid, LoadIndexEntries(rec, idx->tree.get()));
         idx->invalid = idx->invalid || invalid;
@@ -782,12 +776,11 @@ Result<RecoveryResult> StorageEngine::Recover() {
         // An unknown table is an orphan (DDL that never reached its journal
         // commit marker), not corruption: skip its records like index redo
         // skips dropped indexes, instead of failing Open() forever.
-        auto found = FindTable(rec.object_id);
-        if (!found.ok()) {
+        TableState* t = table(rec.object_id);
+        if (t == nullptr) {
           ++result.orphaned_records_skipped;
           break;
         }
-        TableState* t = *found;
         Rid rid;
         AEDB_ASSIGN_OR_RETURN(rid, t->heap->Insert(rec.payload1));
         if (!(rid == rec.rid)) {
@@ -797,32 +790,31 @@ Result<RecoveryResult> StorageEngine::Recover() {
         break;
       }
       case LogRecordType::kHeapDelete: {
-        auto found = FindTable(rec.object_id);
-        if (!found.ok()) {
+        TableState* t = table(rec.object_id);
+        if (t == nullptr) {
           ++result.orphaned_records_skipped;
           break;
         }
-        AEDB_RETURN_IF_ERROR((*found)->heap->Delete(rec.rid));
+        AEDB_RETURN_IF_ERROR(t->heap->Delete(rec.rid));
         ++result.redone;
         break;
       }
       case LogRecordType::kHeapResurrect: {
         // A logged compensation: some abort brought this slot back to life
         // at exactly this point of history.
-        auto found = FindTable(rec.object_id);
-        if (!found.ok()) {
+        TableState* t = table(rec.object_id);
+        if (t == nullptr) {
           ++result.orphaned_records_skipped;
           break;
         }
-        AEDB_RETURN_IF_ERROR((*found)->heap->Resurrect(rec.rid));
+        AEDB_RETURN_IF_ERROR(t->heap->Resurrect(rec.rid));
         ++result.redone;
         break;
       }
       case LogRecordType::kIndexInsert:
       case LogRecordType::kIndexDelete: {
-        auto found = FindIndex(rec.object_id);
-        if (!found.ok()) break;  // index dropped since
-        IndexState* idx = *found;
+        IndexState* idx = index(rec.object_id);
+        if (idx == nullptr) break;  // index dropped since
         if (idx->invalid || idx->rebuild_pending) break;
         Status st;
         if (rec.type == LogRecordType::kIndexInsert) {
@@ -842,7 +834,10 @@ Result<RecoveryResult> StorageEngine::Recover() {
       default:
         break;
     }
-  }
+    return Status::OK();
+  }));
+  if (!seen.empty()) next_txn_id_ = std::max(next_txn_id_, *seen.rbegin() + 1);
+  meta.unlock();
 
   // --- Undo phase: losers (no commit record) are rolled back in reverse.
   // Heap undo is always possible. Index undo on a rebuild-pending index is
@@ -851,31 +846,37 @@ Result<RecoveryResult> StorageEngine::Recover() {
   // In-doubt txns (durable kPrepare, no decision) are NOT losers: their vote
   // promised the coordinator they can still commit. They are excluded from
   // undo and re-registered below as active+prepared with row locks re-held.
-  std::map<uint64_t, std::vector<const LogRecord*>> in_doubt_ops;
-  std::map<uint64_t, std::vector<const LogRecord*>> loser_ops;
-  for (const LogRecord& rec : log) {
-    if (committed.count(rec.txn_id) || aborted.count(rec.txn_id)) continue;
-    if (IsBaseRecord(rec.type) || rec.type == LogRecordType::kBegin ||
-        rec.type == LogRecordType::kAbort ||
-        rec.type == LogRecordType::kCommit ||
-        rec.type == LogRecordType::kPrepare) {
-      continue;
-    }
-    if (prepared_gtid.count(rec.txn_id)) {
-      in_doubt_ops[rec.txn_id].push_back(&rec);
-      continue;
-    }
-    // A crash mid-abort leaves [ops..., CLRs...] with no kAbort: reverse
-    // replay first re-applies the original ops (undoing each CLR), then
-    // undoes the ops themselves — self-canceling to net zero.
-    loser_ops[rec.txn_id].push_back(&rec);
+  auto settled = [&](uint64_t txn_id) {
+    return committed.count(txn_id) > 0 || aborted.count(txn_id) > 0;
+  };
+  std::map<uint64_t, std::vector<LogRecord>> in_doubt_ops;
+  std::map<uint64_t, std::vector<LogRecord>> loser_ops;
+  if (!std::all_of(seen.begin(), seen.end(), settled)) {
+    AEDB_RETURN_IF_ERROR(wal_.Scan([&](LogRecord rec) {
+      if (settled(rec.txn_id)) return Status::OK();
+      if (IsBaseRecord(rec.type) || rec.type == LogRecordType::kBegin ||
+          rec.type == LogRecordType::kAbort ||
+          rec.type == LogRecordType::kCommit ||
+          rec.type == LogRecordType::kPrepare) {
+        return Status::OK();
+      }
+      if (prepared_gtid.count(rec.txn_id)) {
+        in_doubt_ops[rec.txn_id].push_back(std::move(rec));
+        return Status::OK();
+      }
+      // A crash mid-abort leaves [ops..., CLRs...] with no kAbort: reverse
+      // replay first re-applies the original ops (undoing each CLR), then
+      // undoes the ops themselves — self-canceling to net zero.
+      loser_ops[rec.txn_id].push_back(std::move(rec));
+      return Status::OK();
+    }));
   }
   for (auto& [txn_id, ops] : loser_ops) {
     DeferredTxn deferred;
     deferred.txn_id = txn_id;
     std::set<uint64_t> touched_rows;
     for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-      const LogRecord& rec = **it;
+      const LogRecord& rec = *it;
       if (rec.type == LogRecordType::kHeapInsert ||
           rec.type == LogRecordType::kHeapDelete ||
           rec.type == LogRecordType::kHeapResurrect) {
@@ -932,13 +933,13 @@ Result<RecoveryResult> StorageEngine::Recover() {
     std::set<uint64_t> touched_rows;
     auto ops_it = in_doubt_ops.find(txn_id);
     if (ops_it != in_doubt_ops.end()) {
-      for (const LogRecord* rec : ops_it->second) {
-        if (rec->type == LogRecordType::kHeapInsert ||
-            rec->type == LogRecordType::kHeapDelete ||
-            rec->type == LogRecordType::kHeapResurrect) {
-          touched_rows.insert(RowResource(rec->object_id, rec->rid.Encode()));
+      for (LogRecord& rec : ops_it->second) {
+        if (rec.type == LogRecordType::kHeapInsert ||
+            rec.type == LogRecordType::kHeapDelete ||
+            rec.type == LogRecordType::kHeapResurrect) {
+          touched_rows.insert(RowResource(rec.object_id, rec.rid.Encode()));
         }
-        txn.ops.push_back(*rec);
+        txn.ops.push_back(std::move(rec));
       }
     }
     for (uint64_t resource : touched_rows) {
@@ -957,15 +958,11 @@ Result<RecoveryResult> StorageEngine::Recover() {
   return result;
 }
 
-Status StorageEngine::RebuildIndexFromLog(IndexState* index, uint32_t index_id,
-                                          const std::vector<LogRecord>& log) {
-  std::set<uint64_t> committed;
-  for (const LogRecord& rec : log) {
-    if (rec.type == LogRecordType::kCommit) committed.insert(rec.txn_id);
-  }
+Status StorageEngine::RebuildIndex(IndexState* index,
+                                   const std::vector<LogRecord>& records,
+                                   const std::set<uint64_t>& committed) {
   index->tree->Clear();
-  for (const LogRecord& rec : log) {
-    if (rec.object_id != index_id) continue;
+  for (const LogRecord& rec : records) {
     Status st;
     if (rec.type == LogRecordType::kIndexEntries) {
       // The base comes first: start from its entries, replay the rest.
@@ -1012,10 +1009,24 @@ Status StorageEngine::ResolveDeferred() {
       }
     }
   }
-  std::vector<LogRecord> log;
-  if (!to_rebuild.empty()) AEDB_ASSIGN_OR_RETURN(log, wal_.Snapshot());
+  // One scan keeps what the rebuilds replay, not the whole log: the
+  // committed transactions and the pending indexes' own records.
+  std::set<uint64_t> committed;
+  std::map<uint32_t, std::vector<LogRecord>> records;
+  for (const auto& [id, idx] : to_rebuild) records[id];
+  if (!to_rebuild.empty()) {
+    AEDB_RETURN_IF_ERROR(wal_.Scan([&](LogRecord rec) {
+      if (rec.type == LogRecordType::kCommit) committed.insert(rec.txn_id);
+      const bool index_op = rec.type == LogRecordType::kIndexEntries ||
+                            rec.type == LogRecordType::kIndexInsert ||
+                            rec.type == LogRecordType::kIndexDelete;
+      auto it = records.find(rec.object_id);
+      if (index_op && it != records.end()) it->second.push_back(std::move(rec));
+      return Status::OK();
+    }));
+  }
   for (auto& [id, idx] : to_rebuild) {
-    Status st = RebuildIndexFromLog(idx, id, log);
+    Status st = RebuildIndex(idx, records[id], committed);
     if (st.IsKeyNotInEnclave()) continue;  // keys still missing; stay pending
     AEDB_RETURN_IF_ERROR(st);
     idx->rebuild_pending = false;
@@ -1085,19 +1096,6 @@ std::vector<uint64_t> StorageEngine::DeferredTxns() const {
 bool StorageEngine::HasDeferredTxns() const {
   std::lock_guard<std::mutex> lock(meta_mu_);
   return !deferred_.empty();
-}
-
-Status StorageEngine::CanTruncateLog() const {
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  if (!deferred_.empty()) {
-    return Status::FailedPrecondition(
-        "log truncation blocked: deferred transactions pin the log (§4.5); "
-        "supply enclave keys or invalidate the index");
-  }
-  if (!active_.empty()) {
-    return Status::FailedPrecondition("active transactions pin the log");
-  }
-  return Status::OK();
 }
 
 Status StorageEngine::ScrubDeadRows(uint32_t table_id) {

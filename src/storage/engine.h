@@ -150,7 +150,6 @@ class StorageEngine {
   // ----- locking -----
   Status LockRow(uint64_t txn_id, uint32_t table_id, const Rid& rid);
   Status LockTable(uint64_t txn_id, uint32_t table_id);
-  bool RowLockedByOther(uint64_t txn_id, uint32_t table_id, const Rid& rid) const;
 
   /// Statement-scope reader/writer latch over `table_id` and its indexes.
   /// The executor's multi-step mutations (index delete, heap delete, heap
@@ -191,10 +190,6 @@ class StorageEngine {
 
   std::vector<uint64_t> DeferredTxns() const;
   bool HasDeferredTxns() const;
-
-  /// OK when the log could be truncated; FailedPrecondition while deferred
-  /// transactions pin it (the §4.5 log-truncation hazard).
-  Status CanTruncateLog() const;
 
   Wal& wal() { return wal_; }
   const Wal& wal() const { return wal_; }
@@ -264,9 +259,10 @@ class StorageEngine {
   void FinishDeferred(const DeferredTxn& txn);
   /// Streams the checkpoint base to `put`. Holds meta_mu_, quiesced.
   Status WriteBase(const Wal::RecordSink& put);
-  /// Rebuilds an index from `log`: its base entries, then its committed ops.
-  Status RebuildIndexFromLog(IndexState* index, uint32_t index_id,
-                             const std::vector<LogRecord>& log);
+  /// Rebuilds an index from its own log `records`, in log order: its base
+  /// entries, then its ops by the `committed` transactions.
+  Status RebuildIndex(IndexState* index, const std::vector<LogRecord>& records,
+                      const std::set<uint64_t>& committed);
 
   EngineOptions options_;
   // The files first, then the pool before the table/index maps: heaps and

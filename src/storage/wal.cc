@@ -45,6 +45,37 @@ size_t WalkFrames(Slice image, Visit&& visit) {
   return off;
 }
 
+/// Bytes WalkFileFrames reads at once (more for a longer frame).
+constexpr size_t kReadChunk = 64 << 10;
+
+/// WalkFrames over the file at `path`, `size` bytes long, read a chunk at a
+/// time: a walk holds one chunk (or one longer frame), however long the
+/// file. `visit` gets file offsets.
+template <typename Visit>
+Result<uint64_t> WalkFileFrames(Fs& fs, const std::string& path,
+                                uint64_t size, Visit&& visit) {
+  uint64_t off = 0;
+  Bytes chunk;
+  for (uint64_t want = kReadChunk; off < size;) {
+    chunk.resize(static_cast<size_t>(std::min(want, size - off)));
+    AEDB_RETURN_IF_ERROR(fs.Pread(path, off, chunk.size(), chunk.data()));
+    const size_t walked = WalkFrames(chunk, [&](Slice body, size_t end) {
+      return visit(body, off + end);
+    });
+    off += walked;
+    // The walk stopped at a bad frame, at the file's torn end, or where the
+    // chunk ends or cuts a frame short: the next read starts there.
+    size_t at = walked;
+    auto len = GetU32(chunk, &at);
+    want = kFrameOverhead + (len.ok() ? *len : 0);
+    if (walked + want <= chunk.size() || off + chunk.size() - walked == size) {
+      break;
+    }
+    want = std::max<uint64_t>(want, kReadChunk);
+  }
+  return off;
+}
+
 /// A frame body's LSN, which LogRecord::SerializeTo writes first.
 Result<uint64_t> FrameLsn(Slice body) {
   size_t at = 0;
@@ -152,8 +183,8 @@ Status Wal::PoisonedError() const {
 
 Status Wal::Open() {
   std::lock_guard<std::mutex> lock(mu_);
-  auto read = fs_->ReadFile(path_);
-  if (read.status().IsNotFound()) {
+  auto size = fs_->Size(path_);
+  if (size.status().IsNotFound()) {
     // The file's existence is directory metadata: without this fsync a crash
     // can forget the (empty) log file even though later appends land in it.
     AEDB_RETURN_IF_ERROR(fs_->Append(path_, Slice()));
@@ -162,23 +193,35 @@ Status Wal::Open() {
     bytes_ = base_bytes_ = 0;
     return Status::OK();
   }
-  if (!read.ok()) return read.status();
-  const Bytes& contents = *read;
-  // Headers and checksums only: recovery parses the records (Snapshot).
+  if (!size.ok()) return size.status();
+  // Headers and checksums only: recovery parses the records (Scan).
   uint64_t last_lsn = 0;
-  const size_t intact = WalkFrames(contents, [&last_lsn](Slice body, size_t) {
-    auto lsn = FrameLsn(body);
-    if (lsn.ok()) last_lsn = *lsn;
-    return lsn.ok();
-  });
+  uint64_t intact;
+  AEDB_ASSIGN_OR_RETURN(
+      intact, WalkFileFrames(*fs_, path_, *size, [&](Slice body, uint64_t) {
+        auto lsn = FrameLsn(body);
+        if (lsn.ok()) last_lsn = *lsn;
+        return lsn.ok();
+      }));
+  // BaseBytes reads only the first two frames' worth: a kRewrite frame is a
+  // few dozen bytes, and a first frame the first chunk cuts short is none.
+  Bytes head(static_cast<size_t>(std::min<uint64_t>(*size, kReadChunk)));
+  AEDB_RETURN_IF_ERROR(fs_->Pread(path_, 0, head.size(), head.data()));
   uint64_t base;
-  AEDB_ASSIGN_OR_RETURN(base, BaseBytes(contents, intact));
-  if (intact < contents.size()) {
+  AEDB_ASSIGN_OR_RETURN(base, BaseBytes(head, intact));
+  if (intact < *size) {
     // Durably drop the torn tail — the real-log analog of zeroing past
-    // end-of-log — so a later crash cannot resurrect half a frame.
-    torn_dropped_ += contents.size() - intact;
-    AEDB_RETURN_IF_ERROR(
-        ReplaceWithPrefixLocked(Slice(contents.data(), intact)));
+    // end-of-log — so a later crash cannot resurrect half a frame. The
+    // intact prefix is copied a chunk at a time.
+    torn_dropped_ += *size - intact;
+    AEDB_RETURN_IF_ERROR(ReplaceLocked([&](const std::string& tmp) -> Status {
+      for (uint64_t at = 0; at < intact; at += head.size()) {
+        head.resize(static_cast<size_t>(std::min(intact - at, kReadChunk)));
+        AEDB_RETURN_IF_ERROR(fs_->Pread(path_, at, head.size(), head.data()));
+        AEDB_RETURN_IF_ERROR(fs_->Append(tmp, head));
+      }
+      return Status::OK();
+    }));
   }
   next_lsn_ = std::max(next_lsn_, last_lsn + 1);
   bytes_ = intact;
@@ -312,12 +355,30 @@ uint64_t Wal::sync_requests() const {
   return sync_requests_;
 }
 
-Result<std::vector<LogRecord>> Wal::Snapshot() const {
+Status Wal::Scan(const RecordSink& visit) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto read = fs_->ReadFile(path_);
-  if (read.status().IsNotFound()) return std::vector<LogRecord>();
-  if (!read.ok()) return read.status();
-  return ParseImage(*read).records;
+  auto size = fs_->Size(path_);
+  if (size.status().IsNotFound()) return Status::OK();
+  if (!size.ok()) return size.status();
+  Status visited;
+  AEDB_RETURN_IF_ERROR(
+      WalkFileFrames(*fs_, path_, *size, [&](Slice body, uint64_t) {
+        size_t at = 0;
+        auto rec = LogRecord::Deserialize(body, &at);
+        if (!rec.ok() || at != body.size()) return false;
+        visited = visit(std::move(*rec));
+        return visited.ok();
+      }).status());
+  return visited;
+}
+
+Result<std::vector<LogRecord>> Wal::Snapshot() const {
+  std::vector<LogRecord> records;
+  AEDB_RETURN_IF_ERROR(Scan([&records](LogRecord rec) {
+    records.push_back(std::move(rec));
+    return Status::OK();
+  }));
+  return records;
 }
 
 uint64_t Wal::next_lsn() const {
@@ -386,7 +447,11 @@ WalLoadResult Wal::LoadImage(Slice image) {
   // rewrite poisons the log. This API has no status channel, so
   // file_errors() and poisoned() are the observables.
   const Slice kept = image.subslice(0, parsed.bytes_consumed);
-  if (!ReplaceWithPrefixLocked(kept).ok()) {
+  if (ReplaceLocked([&](const std::string& tmp) {
+        return fs_->Append(tmp, kept);
+      }).ok()) {
+    bytes_ = kept.size();
+  } else {
     poisoned_ = true;
   }
   auto base = BaseBytes(kept, kept.size());
@@ -404,13 +469,6 @@ Status Wal::ReplaceLocked(
     return written;
   }
   poisoned_ = false;
-  return Status::OK();
-}
-
-Status Wal::ReplaceWithPrefixLocked(Slice image) {
-  AEDB_RETURN_IF_ERROR(ReplaceLocked(
-      [&](const std::string& tmp) { return fs_->Append(tmp, image); }));
-  bytes_ = image.size();
   return Status::OK();
 }
 

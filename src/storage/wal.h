@@ -93,7 +93,8 @@ struct WalLoadResult {
 /// group commit, fault points and the poison rule have one implementation.
 ///
 /// The log's file is its only copy: Append writes the frame to the file
-/// through the Fs, Sync fsyncs it, and Snapshot and RawBytes read it back.
+/// through the Fs, Sync fsyncs it, and Scan, Snapshot and RawBytes read it
+/// back.
 /// RawBytes is the adversary-observable disk form, scanned by leakage tests
 /// and cut at arbitrary prefixes by the torture harness.
 ///
@@ -135,7 +136,7 @@ class Wal {
 
   /// Adopts the file as the log when a process starts over it: creates it
   /// (durably, with its directory entry) when missing, drops any torn tail
-  /// durably, and continues its LSNs. Recovery then replays it (Snapshot).
+  /// durably, and continues its LSNs. Recovery then replays it (Scan).
   /// A damaged base fails with Corruption and leaves the file as it is.
   Status Open();
 
@@ -173,12 +174,18 @@ class Wal {
   /// when the engine routes commits through SyncUpTo).
   uint64_t sync_requests() const;
 
-  /// Reads the file and parses it up to any torn tail (the recovery source).
+  /// Receives records in order (see Scan and Rewrite).
+  using RecordSink = std::function<Status(LogRecord)>;
+
+  /// Hands `visit` the file's records in order, up to any torn tail (the
+  /// recovery source). The file is read in bounded chunks, so a scan holds
+  /// one chunk and one record however long the log is. Holds the log
+  /// throughout, so no rewrite replaces the file mid-scan: `visit` must not
+  /// call into it. A visit's failure stops the scan and is returned.
+  Status Scan(const RecordSink& visit) const;
+  /// Every record Scan visits, in one vector.
   Result<std::vector<LogRecord>> Snapshot() const;
   uint64_t next_lsn() const;
-
-  /// Receives a rewrite's records, in order (see Rewrite).
-  using RecordSink = std::function<Status(LogRecord)>;
 
   /// Replaces the log with a kRewrite frame followed by the records `write`
   /// hands its sink, at fresh LSNs. They stream to a tmp file, one record at
@@ -226,8 +233,6 @@ class Wal {
   /// the tmp path it is given, fsio::ReplaceFileDurable publishes it, and
   /// success clears poisoned_. Holds mu_.
   Status ReplaceLocked(const std::function<Status(const std::string&)>& fill);
-  /// ReplaceLocked with `image`, a prefix of the file, as the new file.
-  Status ReplaceWithPrefixLocked(Slice image);
   Status PoisonedError() const;
 
   Fs* const fs_;

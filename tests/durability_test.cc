@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -1092,6 +1093,52 @@ TEST_F(DurabilityTest, RestartRecoversWhatAFreshOpenRecovers) {
   ASSERT_TRUE(fresh.Open().ok());
   EXPECT_EQ(fresh.recovery_info().ddl_statements_replayed, 3u);
   EXPECT_EQ(Fingerprint(&fresh), restarted);
+}
+
+/// Recovery streams the log: a reopen reads no file more than a 64 KiB
+/// chunk at a time (only a longer record is read whole), however long the
+/// log is, and still recovers every row.
+TEST_F(DurabilityTest, RecoveryReadsTheLogAChunkAtATime) {
+  class LargestReadFs : public storage::SimFs {
+   public:
+    Status Pread(const std::string& path, uint64_t offset, size_t n,
+                 uint8_t* out) override {
+      largest = std::max<uint64_t>(largest, n);
+      return SimFs::Pread(path, offset, n, out);
+    }
+    Result<Bytes> ReadFile(const std::string& path) override {
+      auto read = SimFs::ReadFile(path);
+      if (read.ok()) largest = std::max<uint64_t>(largest, read->size());
+      return read;
+    }
+    uint64_t largest = 0;
+  };
+  auto fs = std::make_shared<LargestReadFs>();
+  ServerOptions opts;
+  opts.enable_enclave = false;
+  constexpr int kRows = 1500;
+  {
+    Database db(opts, nullptr, nullptr, fs);
+    ASSERT_TRUE(db.Open().ok());
+    ASSERT_TRUE(
+        db.ExecuteDdl("CREATE TABLE T (Id INT NOT NULL, Body VARCHAR(600))")
+            .ok());
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(db.Execute("INSERT INTO T (Id, Body) VALUES (@i, @b)",
+                             {Value::Int32(i), Value::String(std::string(
+                                                   500, 'a' + i % 26))})
+                      .ok());
+    }
+    ASSERT_GT(db.Stats().wal_bytes, 512u << 10);
+  }
+  fs->largest = 0;
+  Database reopened(opts, nullptr, nullptr, fs);
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_GT(fs->largest, 0u);
+  EXPECT_LE(fs->largest, 64u << 10);
+  auto rows = reopened.Execute("SELECT Id FROM T", {});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), static_cast<size_t>(kRows));
 }
 
 // ---------------------------------------------------------------------------

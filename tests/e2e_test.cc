@@ -438,7 +438,9 @@ TEST_F(E2eTest, CrashRecoveryWithDeferredTransactionsEndToEnd) {
   auto recovery = db_->Restart();  // enclave keys gone, WAL replayed
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
   EXPECT_FALSE(recovery->deferred_txns.empty());
-  EXPECT_FALSE(db_->engine().CanTruncateLog().ok());
+  // The deferred transaction pins the log: a checkpoint is refused.
+  EXPECT_EQ(db_->Checkpoint(std::chrono::milliseconds(0)).code(),
+            StatusCode::kFailedPrecondition);
 
   // Client reconnects; the driver re-attests and re-sends keys, which
   // resolves the deferred transactions (§4.5).
@@ -448,7 +450,7 @@ TEST_F(E2eTest, CrashRecoveryWithDeferredTransactionsEndToEnd) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EXPECT_EQ(q->rows.size(), 4u);  // loser insert rolled back
   EXPECT_FALSE(db_->engine().HasDeferredTxns());
-  EXPECT_TRUE(db_->engine().CanTruncateLog().ok());
+  EXPECT_TRUE(db_->Checkpoint(std::chrono::milliseconds(0)).ok());
 }
 
 TEST_F(E2eTest, ClientSideToolForEnclaveDisabledKeys) {

@@ -579,6 +579,15 @@ class EngineTest : public ::testing::Test {
     *cmp_out = cmp.get();
     ASSERT_TRUE(engine->CreateIndex(kIndex, kTable, std::move(cmp), false).ok());
   }
+
+  /// Deferred transactions pin the log (§4.5): a checkpoint, which would
+  /// rewrite away their undo records, is refused for them.
+  static void ExpectCheckpointPinnedByDeferred(StorageEngine* engine) {
+    Status st = engine->Checkpoint(std::chrono::milliseconds(0));
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_NE(st.message().find("deferred"), std::string::npos)
+        << st.ToString();
+  }
 };
 
 TEST_F(EngineTest, CommitPersistsThroughRecovery) {
@@ -682,6 +691,8 @@ TEST_F(EngineTest, MissingEnclaveKeyDefersTransaction) {
   ASSERT_EQ(result->deferred_txns.size(), 1u);
   EXPECT_EQ(result->rebuild_pending_indexes, std::vector<uint32_t>{kIndex});
   EXPECT_TRUE(engine2.HasDeferredTxns());
+  // The deferred transaction pins the log (§4.5): a checkpoint is refused.
+  ExpectCheckpointPinnedByDeferred(&engine2);
 
   // Heap is already clean (committed state), but the loser's rows stay
   // locked and the index is unusable.
@@ -689,9 +700,6 @@ TEST_F(EngineTest, MissingEnclaveKeyDefersTransaction) {
   EXPECT_FALSE(engine2.CheckIndexUsable(kIndex).ok());
   uint64_t reader = engine2.Begin();
   EXPECT_FALSE(engine2.LockRow(reader, kTable, r2).ok());  // blocked
-
-  // Log truncation is pinned by the deferred transaction (§4.5).
-  EXPECT_FALSE(engine2.CanTruncateLog().ok());
 
   // Client connects, keys arrive: deferred work resolves.
   cmp2->fail = false;
@@ -722,11 +730,11 @@ TEST_F(EngineTest, ConstantTimeRecoveryReleasesLocks) {
   auto result = engine.Recover();
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->deferred_txns.size(), 1u);
+  // The deferred txn still pins the log until keys arrive.
+  ExpectCheckpointPinnedByDeferred(&engine);
   // CTR: no locks held; rows fully available.
   uint64_t reader = engine.Begin();
   EXPECT_TRUE(engine.LockRow(reader, kTable, r).ok());
-  // But the deferred txn still pins the log until keys arrive.
-  EXPECT_FALSE(engine.CanTruncateLog().ok());
 }
 
 TEST_F(EngineTest, IndexInvalidationForcesResolution) {
@@ -750,7 +758,7 @@ TEST_F(EngineTest, IndexInvalidationForcesResolution) {
   EXPECT_FALSE(engine.HasDeferredTxns());
   EXPECT_TRUE(engine.IndexInvalid(kIndex));
   EXPECT_FALSE(engine.CheckIndexUsable(kIndex).ok());
-  EXPECT_TRUE(engine.CanTruncateLog().ok());
+  EXPECT_TRUE(engine.Checkpoint(std::chrono::milliseconds(0)).ok());
   // Writes to the invalid index are refused.
   uint64_t t2 = engine.Begin();
   Rid r2 = *engine.HeapInsert(t2, kTable, B("new"));
