@@ -1,6 +1,7 @@
 #ifndef AEDB_COMMON_BYTES_H_
 #define AEDB_COMMON_BYTES_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -21,6 +22,8 @@ class Slice {
   Slice() : data_(nullptr), size_(0) {}
   Slice(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   Slice(const Bytes& b) : data_(b.data()), size_(b.size()) {}  // NOLINT
+  template <size_t N>
+  Slice(const std::array<uint8_t, N>& a) : data_(a.data()), size_(N) {}  // NOLINT
   explicit Slice(std::string_view s)
       : data_(reinterpret_cast<const uint8_t*>(s.data())), size_(s.size()) {}
 

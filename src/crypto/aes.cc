@@ -3,6 +3,12 @@
 #include <cassert>
 #include <cstring>
 
+#include "crypto/kernels.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace aedb::crypto {
 
 namespace {
@@ -161,7 +167,20 @@ Aes256::Aes256(Slice key) {
 
 void Aes256::EncryptBlock(const uint8_t in[kBlockSize],
                           uint8_t out[kBlockSize]) const {
-  const uint32_t* rk = round_keys_;
+  internal::ActiveKernels().aes_encrypt(round_keys_, in, out);
+}
+
+void Aes256::DecryptBlock(const uint8_t in[kBlockSize],
+                          uint8_t out[kBlockSize]) const {
+  internal::ActiveKernels().aes_decrypt(dec_round_keys_, in, out);
+}
+
+namespace internal {
+
+void AesEncryptPortable(const uint32_t* round_keys, const uint8_t* in,
+                        uint8_t* out) {
+  constexpr int kRounds = Aes256::kRounds;
+  const uint32_t* rk = round_keys;
   uint32_t s0 = LoadBe32(in) ^ rk[0];
   uint32_t s1 = LoadBe32(in + 4) ^ rk[1];
   uint32_t s2 = LoadBe32(in + 8) ^ rk[2];
@@ -209,9 +228,10 @@ void Aes256::EncryptBlock(const uint8_t in[kBlockSize],
                           rk[3]);
 }
 
-void Aes256::DecryptBlock(const uint8_t in[kBlockSize],
-                          uint8_t out[kBlockSize]) const {
-  const uint32_t* rk = dec_round_keys_;
+void AesDecryptPortable(const uint32_t* round_keys, const uint8_t* in,
+                        uint8_t* out) {
+  constexpr int kRounds = Aes256::kRounds;
+  const uint32_t* rk = round_keys;
   uint32_t s0 = LoadBe32(in) ^ rk[0];
   uint32_t s1 = LoadBe32(in + 4) ^ rk[1];
   uint32_t s2 = LoadBe32(in + 8) ^ rk[2];
@@ -258,5 +278,55 @@ void Aes256::DecryptBlock(const uint8_t in[kBlockSize],
                        static_cast<uint32_t>(isb[s0 & 0xff])) ^
                           rk[3]);
 }
+
+#if defined(__x86_64__)
+
+namespace {
+
+#define AEDB_TARGET_AES __attribute__((target("aes,ssse3")))
+
+// Round key `r` of a schedule of big-endian words, as the 16 state bytes an
+// AES round instruction XORs in.
+AEDB_TARGET_AES inline __m128i RoundKey(const uint32_t* round_keys, int r) {
+  const __m128i swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(round_keys + 4 * r)),
+      swap);
+}
+
+}  // namespace
+
+// The AES round instructions take constant time: unlike the T-table kernels
+// they make no memory access that depends on the key or the data.
+AEDB_TARGET_AES void AesEncryptAesNi(const uint32_t* round_keys,
+                                     const uint8_t* in, uint8_t* out) {
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+      RoundKey(round_keys, 0));
+  for (int r = 1; r < Aes256::kRounds; ++r) {
+    s = _mm_aesenc_si128(s, RoundKey(round_keys, r));
+  }
+  s = _mm_aesenclast_si128(s, RoundKey(round_keys, Aes256::kRounds));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+
+// aesdec is one round of the equivalent inverse cipher, so it takes the
+// equivalent-inverse schedule as Aes256 expands it.
+AEDB_TARGET_AES void AesDecryptAesNi(const uint32_t* round_keys,
+                                     const uint8_t* in, uint8_t* out) {
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+      RoundKey(round_keys, 0));
+  for (int r = 1; r < Aes256::kRounds; ++r) {
+    s = _mm_aesdec_si128(s, RoundKey(round_keys, r));
+  }
+  s = _mm_aesdeclast_si128(s, RoundKey(round_keys, Aes256::kRounds));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+
+#endif  // __x86_64__
+
+}  // namespace internal
 
 }  // namespace aedb::crypto

@@ -8,7 +8,8 @@
 namespace aedb::crypto {
 
 /// AES-256 block cipher (FIPS 197). Only the 256-bit key size is supported,
-/// matching the paper's AEAD_AES_256_CBC_HMAC_SHA_256 cell algorithm.
+/// matching the paper's AEAD_AES_256_CBC_HMAC_SHA_256 cell algorithm. Runs
+/// on AES-NI where the CPU has it, on T-tables elsewhere (crypto/kernels.h).
 class Aes256 {
  public:
   static constexpr size_t kBlockSize = 16;
@@ -24,7 +25,8 @@ class Aes256 {
  private:
   uint32_t round_keys_[4 * (kRounds + 1)];
   /// Equivalent-inverse-cipher schedule (InvMixColumns applied to the middle
-  /// encryption round keys) so decryption can run on the same T-table shape.
+  /// encryption round keys): the shape of the T-table decryption and of
+  /// aesdec alike.
   uint32_t dec_round_keys_[4 * (kRounds + 1)];
 };
 

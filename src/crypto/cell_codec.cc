@@ -1,6 +1,7 @@
 #include "crypto/cell_codec.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "crypto/cbc.h"
 #include "crypto/drbg.h"
@@ -21,7 +22,7 @@ constexpr std::string_view kIvLabel =
     "Microsoft SQL Server cell IV key with encryption algorithm:"
     "AEAD_AES_256_CBC_HMAC_SHA_256 and key length:256";
 
-Bytes DeriveKey(Slice cek, std::string_view label) {
+HmacSha256::Digest DeriveKey(Slice cek, std::string_view label) {
   return HmacSha256::Mac(cek, Utf16LeBytes(label));
 }
 
@@ -36,14 +37,13 @@ const char* EncryptionSchemeName(EncryptionScheme scheme) {
 }
 
 CellCodec::CellCodec(Slice cek)
-    : enc_cipher_(Slice(DeriveKey(cek, kEncLabel))),
-      mac_key_(DeriveKey(cek, kMacLabel)),
-      iv_key_(DeriveKey(cek, kIvLabel)),
-      mac_proto_(Slice(mac_key_)) {
+    : enc_cipher_(DeriveKey(cek, kEncLabel)),
+      mac_proto_(DeriveKey(cek, kMacLabel)),
+      iv_proto_(DeriveKey(cek, kIvLabel)) {
   assert(cek.size() == 32);
 }
 
-Bytes CellCodec::ComputeMac(Slice iv, Slice ciphertext) const {
+HmacSha256::Digest CellCodec::ComputeMac(Slice iv, Slice ciphertext) const {
   HmacSha256 mac = mac_proto_;
   uint8_t version = kAlgorithmVersion;
   mac.Update(Slice(&version, 1));
@@ -53,17 +53,18 @@ Bytes CellCodec::ComputeMac(Slice iv, Slice ciphertext) const {
 }
 
 Bytes CellCodec::Encrypt(Slice plaintext, EncryptionScheme scheme) const {
-  Bytes iv;
+  std::array<uint8_t, kIvSize> iv;
   if (scheme == EncryptionScheme::kDeterministic) {
     // IV = HMAC(iv_key, plaintext) truncated to the block size: whole-value
     // determinism (paper §2.3 — stronger than per-block ECB determinism).
-    iv = HmacSha256::Mac(iv_key_, plaintext);
-    iv.resize(kIvSize);
+    HmacSha256 h = iv_proto_;
+    h.Update(plaintext);
+    std::memcpy(iv.data(), h.Finish().data(), kIvSize);
   } else {
-    iv = SecureRandom(kIvSize);
+    SecureRandom(iv.data(), kIvSize);
   }
   Bytes ciphertext = CbcEncrypt(enc_cipher_, iv, plaintext);
-  Bytes mac = ComputeMac(iv, ciphertext);
+  HmacSha256::Digest mac = ComputeMac(iv, ciphertext);
 
   Bytes cell;
   cell.reserve(1 + mac.size() + iv.size() + ciphertext.size());
@@ -85,7 +86,7 @@ Result<Bytes> CellCodec::Decrypt(Slice cell) const {
   Slice iv = cell.subslice(1 + kMacSize, kIvSize);
   Slice ciphertext = cell.subslice(1 + kMacSize + kIvSize,
                                    cell.size() - 1 - kMacSize - kIvSize);
-  Bytes expected = ComputeMac(iv, ciphertext);
+  HmacSha256::Digest expected = ComputeMac(iv, ciphertext);
   if (!ConstantTimeEquals(mac, expected)) {
     return Status::SecurityError("cell MAC verification failed");
   }

@@ -3,13 +3,11 @@
 #include <cstring>
 #include <random>
 
-#include "crypto/hmac.h"
-
 namespace aedb::crypto {
 
 HmacDrbg::HmacDrbg(Slice entropy, Slice personalization) {
-  key_.assign(HmacSha256::kDigestSize, 0x00);
-  v_.assign(HmacSha256::kDigestSize, 0x01);
+  key_.fill(0x00);
+  v_.fill(0x01);
   Bytes seed(entropy.data(), entropy.data() + entropy.size());
   seed.insert(seed.end(), personalization.data(),
               personalization.data() + personalization.size());

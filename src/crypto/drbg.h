@@ -2,6 +2,7 @@
 #define AEDB_CRYPTO_DRBG_H_
 
 #include "common/bytes.h"
+#include "crypto/hmac.h"
 
 namespace aedb::crypto {
 
@@ -23,8 +24,8 @@ class HmacDrbg {
  private:
   void UpdateState(Slice provided);
 
-  Bytes key_;  // K
-  Bytes v_;    // V
+  HmacSha256::Digest key_;  // K
+  HmacSha256::Digest v_;    // V
 };
 
 /// Process-wide DRBG seeded from std::random_device; thread-safe via a

@@ -22,15 +22,14 @@ HmacSha256::HmacSha256(Slice key) {
 
 void HmacSha256::Update(Slice data) { inner_.Update(data); }
 
-Bytes HmacSha256::Finish() {
+HmacSha256::Digest HmacSha256::Finish() {
   auto inner_digest = inner_.Finish();
   Sha256 outer = outer_keyed_;
-  outer.Update(Slice(inner_digest.data(), inner_digest.size()));
-  auto d = outer.Finish();
-  return Bytes(d.begin(), d.end());
+  outer.Update(inner_digest);
+  return outer.Finish();
 }
 
-Bytes HmacSha256::Mac(Slice key, Slice data) {
+HmacSha256::Digest HmacSha256::Mac(Slice key, Slice data) {
   HmacSha256 h(key);
   h.Update(data);
   return h.Finish();

@@ -1,6 +1,8 @@
 #ifndef AEDB_CRYPTO_HMAC_H_
 #define AEDB_CRYPTO_HMAC_H_
 
+#include <array>
+
 #include "common/bytes.h"
 #include "crypto/sha256.h"
 
@@ -16,11 +18,13 @@ class HmacSha256 {
 
   explicit HmacSha256(Slice key);
 
+  using Digest = std::array<uint8_t, kDigestSize>;
+
   void Update(Slice data);
-  Bytes Finish();
+  Digest Finish();
 
   /// One-shot convenience.
-  static Bytes Mac(Slice key, Slice data);
+  static Digest Mac(Slice key, Slice data);
 
  private:
   Sha256 inner_;        // keyed with the ipad block, then fed message data

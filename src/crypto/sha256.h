@@ -10,6 +10,8 @@ namespace aedb::crypto {
 
 /// Incremental SHA-256 (FIPS 180-4). Used for deterministic IVs, key
 /// derivation labels, attestation measurements, and signature digests.
+/// Compresses on the CPU's SHA instructions where it has them
+/// (crypto/kernels.h).
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
@@ -27,8 +29,6 @@ class Sha256 {
   static Bytes Hash(Slice data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t total_len_;
   uint8_t buffer_[kBlockSize];

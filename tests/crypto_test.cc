@@ -8,6 +8,7 @@
 #include "crypto/cell_codec.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/sha256.h"
 
 namespace aedb::crypto {
@@ -74,6 +75,61 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
+// --- The CPU's kernels against the portable ones ---
+
+// Reaches the portable kernels directly; the CPU's ones only where CPUID
+// reports them.
+#define SKIP_WITHOUT(has, feature)                              \
+  if (!(has)) GTEST_SKIP() << "this CPU lacks " feature
+#define SKIP_WITHOUT_SHA_NI() \
+  SKIP_WITHOUT(internal::CpuHasShaNi(), "the SHA extensions (sha_ni)")
+#define SKIP_WITHOUT_AES_NI() \
+  SKIP_WITHOUT(internal::CpuHasAesNi(), "AES-NI (aes)")
+
+Bytes PatternBytes(size_t n) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) b[i] = static_cast<uint8_t>(i * 131 + 7);
+  return b;
+}
+
+Bytes HashWith(const internal::Kernels& kernels, Slice data) {
+  internal::ScopedKernels scoped(kernels);
+  return Sha256::Hash(data);
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortableForEveryLength) {
+  SKIP_WITHOUT_SHA_NI();
+  Bytes msg = PatternBytes(1100);
+  for (size_t n = 0; n <= msg.size(); ++n) {
+    Slice prefix(msg.data(), n);
+    ASSERT_EQ(HashWith(internal::CpuKernels(), prefix),
+              HashWith(internal::kPortableKernels, prefix))
+        << n << " bytes";
+  }
+}
+
+// Update calls that end inside a block, exactly on one, or carry several
+// full blocks past a partly filled buffer.
+TEST(Sha256KernelTest, ShaNiMatchesPortableAcrossUpdateSplits) {
+  SKIP_WITHOUT_SHA_NI();
+  Bytes msg = PatternBytes(300);
+  const Bytes expected = HashWith(internal::kPortableKernels, msg);
+  internal::ScopedKernels scoped(internal::CpuKernels());
+  for (size_t first : {0, 1, 55, 63, 64, 65, 127, 128, 129, 200}) {
+    for (size_t second : {0, 1, 63, 64, 65, 128}) {
+      if (first + second > msg.size()) continue;
+      Sha256 h;
+      h.Update(Slice(msg.data(), first));
+      h.Update(Slice(msg.data() + first, second));
+      h.Update(Slice(msg.data() + first + second,
+                     msg.size() - first - second));
+      auto d = h.Finish();
+      EXPECT_EQ(Bytes(d.begin(), d.end()), expected)
+          << first << " + " << second;
+    }
+  }
+}
+
 // --- HMAC-SHA-256, RFC 4231 test cases ---
 
 TEST(HmacTest, Rfc4231Case1) {
@@ -123,21 +179,91 @@ TEST(Aes256Test, DecryptInvertsEncryptRandomBlocks) {
   }
 }
 
-// --- AES-256-CBC, NIST SP 800-38A F.2.5 ---
-
-TEST(CbcTest, Sp80038aFirstBlock) {
-  Bytes key = FromHex(
-      "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
-  Bytes iv = FromHex("000102030405060708090a0b0c0d0e0f");
-  Bytes pt = FromHex("6bc1bee22e409f96e93d7e117393172a");
-  Aes256 aes(key);
-  Bytes ct = CbcEncrypt(aes, iv, pt);
-  // Our CBC adds a PKCS#7 pad block; the first block must match the NIST
-  // no-padding vector.
-  ASSERT_EQ(ct.size(), 32u);
-  EXPECT_EQ(HexEncode(Slice(ct.data(), 16)),
-            "f58c4c04d6e5f1ba779eabfb5f7bfbd6");
+Bytes AesBlockWith(const internal::Kernels& kernels, const Aes256& aes,
+                   bool encrypt, const Bytes& in) {
+  internal::ScopedKernels scoped(kernels);
+  uint8_t out[16];
+  if (encrypt) {
+    aes.EncryptBlock(in.data(), out);
+  } else {
+    aes.DecryptBlock(in.data(), out);
+  }
+  return Bytes(out, out + 16);
 }
+
+TEST(Aes256KernelTest, AesNiMatchesPortableBothDirections) {
+  SKIP_WITHOUT_AES_NI();
+  for (int k = 0; k < 20; ++k) {
+    Aes256 aes(SecureRandom(32));
+    for (int i = 0; i < 20; ++i) {
+      Bytes in = SecureRandom(16);
+      for (bool encrypt : {true, false}) {
+        EXPECT_EQ(AesBlockWith(internal::CpuKernels(), aes, encrypt, in),
+                  AesBlockWith(internal::kPortableKernels, aes, encrypt, in))
+            << (encrypt ? "encrypt" : "decrypt");
+      }
+    }
+  }
+}
+
+// --- AES-256-CBC, NIST SP 800-38A F.2.5 (encrypt) and F.2.6 (decrypt) ---
+
+class CbcSp80038aTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam()) SKIP_WITHOUT_AES_NI();
+  }
+  const internal::Kernels& kernels() const {
+    return GetParam() ? internal::CpuKernels() : internal::kPortableKernels;
+  }
+
+  const Bytes key_ = FromHex(
+      "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+  const Bytes iv_ = FromHex("000102030405060708090a0b0c0d0e0f");
+  const Bytes pt_ = FromHex(
+      "6bc1bee22e409f96e93d7e117393172a"
+      "ae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52ef"
+      "f69f2445df4f9b17ad2b417be66c3710");
+  const Bytes ct_ = FromHex(
+      "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
+      "9cfc4e967edb808d679f777bc6702c7d"
+      "39f23369a9d9bacfa530e26304231461"
+      "b2eb05e2c39be9fcda6c19078c6a9d1b");
+};
+
+TEST_P(CbcSp80038aTest, F25EncryptAllFourBlocks) {
+  internal::ScopedKernels scoped(kernels());
+  Aes256 aes(key_);
+  Bytes ct = CbcEncrypt(aes, iv_, pt_);
+  // Our CBC adds a PKCS#7 pad block after the four NIST blocks.
+  ASSERT_EQ(ct.size(), pt_.size() + 16);
+  EXPECT_EQ(Bytes(ct.begin(), ct.begin() + 64), ct_);
+}
+
+TEST_P(CbcSp80038aTest, F26DecryptAllFourBlocks) {
+  internal::ScopedKernels scoped(kernels());
+  Aes256 aes(key_);
+  // The NIST vector has no padding; chain the blocks by hand.
+  Bytes pt(ct_.size());
+  const uint8_t* chain = iv_.data();
+  for (size_t off = 0; off < ct_.size(); off += 16) {
+    aes.DecryptBlock(ct_.data() + off, pt.data() + off);
+    for (size_t i = 0; i < 16; ++i) pt[off + i] ^= chain[i];
+    chain = ct_.data() + off;
+  }
+  EXPECT_EQ(pt, pt_);
+  // CbcDecrypt over the vector plus our pad block returns the four blocks.
+  Bytes padded = CbcEncrypt(aes, iv_, pt_);
+  auto back = CbcDecrypt(aes, iv_, padded);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, pt_);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, CbcSp80038aTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Cpu" : "Portable";
+                         });
 
 TEST(CbcTest, RoundTripAllSmallSizes) {
   Bytes key = SecureRandom(32);
@@ -290,6 +416,63 @@ TEST_F(CellCodecTest, CellLayoutSizes) {
                               EncryptionScheme::kRandomized);
   EXPECT_EQ(cell.size(), 1u + 32u + 16u + 16u);
   EXPECT_EQ(cell[0], CellCodec::kAlgorithmVersion);
+}
+
+// Cells written by the code before the CPU kernels (revision cf2f2bf) under
+// one fixed CEK: a DET cell re-encrypts to the same bytes, and both schemes
+// decrypt on whichever kernels this CPU selected — so cells already at rest
+// and in logs stay readable.
+struct KnownCell {
+  EncryptionScheme scheme;
+  std::string_view plaintext;
+  std::string_view cell_hex;
+};
+
+constexpr std::string_view kLongPlaintext =
+    "Long plaintext spanning several AES blocks and SHA-256 blocks.";
+
+const KnownCell kKnownCells[] = {
+    {EncryptionScheme::kDeterministic, "SMITH",
+     "01d602debb83953bd24b7be225d5cf69585b4f425b1a5de0e8e3c88725b8083a356f8dbd"
+     "7b772007b538e13c5c73a22977eba1756c8f8094735043fc360284d9ad"},
+    {EncryptionScheme::kRandomized, "SMITH",
+     "0109dbdef4996cf160586c79e42f716c9d9b71ce9bcd57a78f30babe444ecfff8d55dce9"
+     "57e14aa172e99fbda10a731bda6a1886c302d1b3f35b977ba794f376ea"},
+    {EncryptionScheme::kDeterministic, kLongPlaintext,
+     "0168f134d98acdf0efb2a9f074125b20c4c32378d93a5419fe520bf5a06411f61f072d9d"
+     "24f8f1b38af9b123016ee3dd0901ba71d2a049684d978f97bd6bad04aaa9196bac825f9f"
+     "9d0d352535a516a0e6df3365f756914fb05a20966e19a3c44cf4a2629ee159aa2417c5ea"
+     "a3b3b9278e"},
+    {EncryptionScheme::kRandomized, kLongPlaintext,
+     "0125e4b3b16feea6722ae04fc7a6fd27ac511fa4d7808d67f1aac6a7b685e8f9a4661faa"
+     "c96d9165674dad67a4bb3340a7192d54ab2af3c27f3102a9edc9eb17971c5094a53cf042"
+     "35b8e3ab2d99b1ca23131988db9a4064ce18a3d81ea817864064536d1325edd99f558e15"
+     "b191740bdc"},
+};
+
+Bytes KnownCek() {
+  Bytes cek(32);
+  for (size_t i = 0; i < cek.size(); ++i) cek[i] = static_cast<uint8_t>(0xa0 + i);
+  return cek;
+}
+
+TEST(CellCodecKnownAnswerTest, DeterministicCellsAreByteForByte) {
+  CellCodec codec(KnownCek());
+  for (const KnownCell& known : kKnownCells) {
+    if (known.scheme != EncryptionScheme::kDeterministic) continue;
+    EXPECT_EQ(HexEncode(codec.Encrypt(Slice(known.plaintext), known.scheme)),
+              known.cell_hex)
+        << known.plaintext;
+  }
+}
+
+TEST(CellCodecKnownAnswerTest, StoredCellsDecrypt) {
+  CellCodec codec(KnownCek());
+  for (const KnownCell& known : kKnownCells) {
+    auto back = codec.Decrypt(FromHex(known.cell_hex));
+    ASSERT_TRUE(back.ok()) << known.plaintext << ": " << back.status().ToString();
+    EXPECT_EQ(Slice(*back), Slice(known.plaintext));
+  }
 }
 
 // Property sweep: both schemes round-trip across sizes.
